@@ -350,12 +350,7 @@ fn ab_dense_duty(slots: usize, threads: usize) -> Vec<(SamplerStrategy, Band, Ba
     let mut scenarios: Vec<Scenario> = strategies
         .iter()
         .map(|&sampler| {
-            // Wake-latency histograms cost one clock read per decision —
-            // comparable to an alias draw itself — so the sampler A/B turns
-            // them off (recorded in the datapoint's `wake_latency` extra).
-            let config = FleetConfig::with_root_seed(2026)
-                .with_threads(threads)
-                .with_wake_latency(false);
+            let config = FleetConfig::with_root_seed(2026).with_threads(threads);
             let dense = DenseUrbanConfig {
                 networks_per_area: DENSE_NETWORKS,
                 sampler,
@@ -676,7 +671,7 @@ fn main() {
                      \"ab_runs\":{AB_RUNS},\
                      \"sampling_decisions_per_sec\":{:.0},\
                      \"sampling_band_min\":{:.0},\"sampling_band_max\":{:.0},\
-                     \"wake_latency\":\"off\",\"host_cores\":{auto_threads}",
+                     \"host_cores\":{auto_threads}",
                     sampling.median, sampling.min, sampling.max
                 ),
             });

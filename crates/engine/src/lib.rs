@@ -92,8 +92,7 @@ use smartexp3_core::{
 use smartexp3_telemetry::{
     Histogram, LatencyStats, SamplerCounters, SlotTiming, TelemetryRecord, TelemetrySink,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
 
@@ -139,15 +138,6 @@ pub struct FleetConfig {
     /// lane speedup. Lanes hold the same policy states and per-session RNG
     /// streams as boxes, so results are independent of this value.
     pub fleet_lanes: bool,
-    /// Whether the event-driven path records per-decision wake-to-decision
-    /// latency histograms (the default). The measurement costs one
-    /// monotonic-clock read per decision — on par with an alias-table draw
-    /// itself — so throughput benches that A/B samplers turn it off.
-    /// `false` makes [`FleetEngine::last_wake_latency`] return `None` and
-    /// cohort telemetry records carry no latency percentiles. Latency is
-    /// host timing, outside all determinism contracts: results are
-    /// independent of this value.
-    pub wake_latency: bool,
 }
 
 impl Default for FleetConfig {
@@ -158,7 +148,6 @@ impl Default for FleetConfig {
             threads: None,
             partitioned_feedback: true,
             fleet_lanes: true,
-            wake_latency: true,
         }
     }
 }
@@ -199,15 +188,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_fleet_lanes(mut self, lanes: bool) -> Self {
         self.fleet_lanes = lanes;
-        self
-    }
-
-    /// Enables or disables per-decision wake-latency histograms on the
-    /// event-driven path (on by default); see
-    /// [`FleetConfig::wake_latency`].
-    #[must_use]
-    pub fn with_wake_latency(mut self, wake_latency: bool) -> Self {
-        self.wake_latency = wake_latency;
         self
     }
 
@@ -709,7 +689,9 @@ impl FleetSnapshot {
 }
 
 /// One pending wake of the event-driven engine: session `session` decides
-/// next at slot `wake`.
+/// next at slot `wake`. A snapshot's queue holds exactly one entry per
+/// session, none due before the snapshot's slot; restore rejects any other
+/// queue as [`SnapshotError::Malformed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WakeEntry {
     /// The slot at which the session next decides.
@@ -719,56 +701,69 @@ pub struct WakeEntry {
     pub session: u64,
 }
 
-/// Per-shard work unit of [`FleetEngine::step_with`]: sessions, the shard's
-/// slice of the last-choice mirror, and its persistent scratch.
-type StepShard<'a> = (
-    ShardSessions<'a>,
-    &'a mut [Option<NetworkId>],
-    &'a mut SlotScratch,
-);
+/// Rebuilds the wake calendar from a snapshot's `(wake, session)` entries
+/// for a fleet of `sessions` sessions at `slot`, rejecting every queue the
+/// engine cannot have written: each session must appear exactly once and
+/// wake no earlier than `slot`.
+fn wake_calendar(
+    pending: Vec<WakeEntry>,
+    sessions: usize,
+    slot: SlotIndex,
+) -> Result<BTreeMap<SlotIndex, Vec<usize>>, SnapshotError> {
+    let mut queued = vec![false; sessions];
+    let mut wakes: BTreeMap<SlotIndex, Vec<usize>> = BTreeMap::new();
+    for WakeEntry { wake, session } in pending {
+        let malformed = |what: String| {
+            SnapshotError::Malformed(format!("wake queue entry {session}@{wake} {what}"))
+        };
+        let index = usize::try_from(session)
+            .ok()
+            .filter(|&index| index < sessions)
+            .ok_or_else(|| malformed(format!("names no session of {sessions}")))?;
+        if std::mem::replace(&mut queued[index], true) {
+            return Err(malformed("repeats its session".to_string()));
+        }
+        if wake < slot {
+            return Err(malformed(format!("is due before slot {slot}")));
+        }
+        wakes.entry(wake).or_default().push(index);
+    }
+    match queued.iter().position(|&queued| !queued) {
+        Some(missing) => Err(SnapshotError::Malformed(format!(
+            "wake queue has no entry for session {missing}"
+        ))),
+        None => Ok(wakes),
+    }
+}
 
-/// Per-shard work unit of [`FleetEngine::choose_all`]: sessions, the shard's
-/// slices of the choice output and the last-choice mirror.
-type ChooseAllShard<'a> = (
-    ShardSessions<'a>,
-    &'a mut [NetworkId],
-    &'a mut [Option<NetworkId>],
-);
-
-/// Per-shard work unit of the env choose phase: shard offset, sessions, the
-/// shard's slices of the joint-choice buffer and the last-choice mirror.
+/// Per-shard work unit of the cohort choose phase: global offset, sessions,
+/// the shard's slice of the cohort, its slices of the joint-choice buffer and
+/// the last-choice mirror, and its tally (see [`FleetEngine::tallies`]).
 type ChooseShard<'a> = (
     usize,
     ShardSessions<'a>,
+    &'a [usize],
     &'a mut [Option<NetworkId>],
     &'a mut [Option<NetworkId>],
+    &'a mut (f64, u64),
 );
 
-/// Per-shard work unit of the env observe phase: shard offset, sessions, the
-/// shard's slice of the top-choice buffer and its persistent scratch.
+/// Per-shard work unit of the cohort observe phase: global offset, sessions,
+/// the shard's slice of the cohort, its slice of the top-choice buffer and
+/// its persistent scratch.
 type ObserveShard<'a> = (
     usize,
     ShardSessions<'a>,
+    &'a [usize],
     &'a mut [Option<(NetworkId, f64)>],
     &'a mut SlotScratch,
 );
 
-/// Per-shard work unit of the event-driven choose phase: global offset,
-/// sessions, the shard's slices of the joint-choice buffer and last-choice
-/// mirror, and its wake-to-decision latency histogram.
-type EventChooseShard<'a> = (
-    usize,
-    ShardSessions<'a>,
-    &'a mut [Option<NetworkId>],
-    &'a mut [Option<NetworkId>],
-    &'a mut Histogram,
-);
-
-/// Layout of the wake-to-decision latency histograms: first real bucket at
-/// `2^-30` s (~1 ns), 34 buckets, so the top bucket opens at 4 s — per-slot
-/// decision latencies land comfortably inside.
+/// Layout of the cohort latency histogram: first real bucket at `2^-30` s
+/// (~1 ns), 34 buckets, so the top bucket opens at 4 s — per-slot latencies
+/// land comfortably inside.
 const LATENCY_MIN_EXP: i32 = -30;
-/// Bucket count of the latency histograms (see [`LATENCY_MIN_EXP`]).
+/// Bucket count of the latency histogram (see [`LATENCY_MIN_EXP`]).
 const LATENCY_BUCKETS: usize = 34;
 
 impl ShardSessions<'_> {
@@ -782,89 +777,49 @@ impl ShardSessions<'_> {
     }
 }
 
-/// Carves the runs intersecting one lane into `(global_offset, shard)` work
-/// units of at most `shard_size` sessions, via progressive `split_at_mut` —
-/// the event-path analogue of [`LaneSegment::shards`], restricted to a wake
-/// cohort. `runs` are disjoint ascending global index ranges; `lane` starts
-/// at global index `segment_start`.
-fn carve_lane<'a, P>(
-    mut lane: &'a mut [LaneSession<P>],
-    segment_start: usize,
-    runs: &[(usize, usize)],
+/// Every shard of the fleet — exactly the sharding of
+/// [`LaneSegment::shards`] — in global session order, with its global offset.
+fn fleet_shards(
+    segments: &mut [LaneSegment],
     shard_size: usize,
-    wrap: fn(&'a mut [LaneSession<P>]) -> ShardSessions<'a>,
-    out: &mut Vec<(usize, ShardSessions<'a>)>,
-) {
-    let segment_end = segment_start + lane.len();
-    // Global index of `lane[0]` as the leading part is progressively split
-    // away.
-    let mut cursor = segment_start;
-    for &(start, end) in runs {
-        let a = start.max(segment_start);
-        let b = end.min(segment_end);
-        if a >= b {
-            continue;
-        }
-        let (_, tail) = lane.split_at_mut(a - cursor);
-        let (mut hit, tail) = tail.split_at_mut(b - a);
-        lane = tail;
-        cursor = b;
-        let mut offset = a;
-        while hit.len() > shard_size {
-            let (chunk, rest) = hit.split_at_mut(shard_size);
-            out.push((offset, wrap(chunk)));
-            offset += shard_size;
-            hit = rest;
-        }
-        if !hit.is_empty() {
-            out.push((offset, wrap(hit)));
-        }
-    }
+) -> Vec<(usize, ShardSessions<'_>)> {
+    let mut offset = 0usize;
+    segments
+        .iter_mut()
+        .flat_map(|segment| segment.shards(shard_size))
+        .map(|shard| {
+            let start = offset;
+            offset += shard.len();
+            (start, shard)
+        })
+        .collect()
 }
 
-/// Carves a wake cohort (as disjoint ascending `runs` of global session
-/// indices) across all lane segments into typed shard work units, in global
-/// session order. With a single run covering every session this produces
-/// exactly the sharding of the slot-synchronous path — which is what keeps
-/// uniform-cadence event stepping bit-identical to [`FleetEngine::step_env`].
-fn carve_cohort<'a>(
+/// [`fleet_shards`], each with its slice of the ascending cohort `members`
+/// (empty when no member falls inside it). The cohort is sliced with
+/// `partition_point`, so the cost grows with the shard count, not with how
+/// the cohort is fragmented.
+fn cohort_shards<'a>(
     segments: &'a mut [LaneSegment],
-    runs: &[(usize, usize)],
+    members: &'a [usize],
     shard_size: usize,
-) -> Vec<(usize, ShardSessions<'a>)> {
-    let mut out = Vec::new();
-    let mut segment_start = 0usize;
-    for segment in segments {
-        let n = segment.len();
-        match segment {
-            LaneSegment::Exp3(lane) => carve_lane(
-                lane.as_mut_slice(),
-                segment_start,
-                runs,
-                shard_size,
-                ShardSessions::Exp3,
-                &mut out,
-            ),
-            LaneSegment::Smart(lane) => carve_lane(
-                lane.as_mut_slice(),
-                segment_start,
-                runs,
-                shard_size,
-                ShardSessions::Smart,
-                &mut out,
-            ),
-            LaneSegment::Boxed(lane) => carve_lane(
-                lane.as_mut_slice(),
-                segment_start,
-                runs,
-                shard_size,
-                ShardSessions::Boxed,
-                &mut out,
-            ),
-        }
-        segment_start += n;
-    }
-    out
+) -> impl Iterator<Item = (usize, ShardSessions<'a>, &'a [usize])> {
+    let mut rest = members;
+    fleet_shards(segments, shard_size)
+        .into_iter()
+        .map(move |(offset, shard)| {
+            let end = offset + shard.len();
+            let (due, tail) = rest.split_at(rest.partition_point(|&index| index < end));
+            rest = tail;
+            (offset, shard, due)
+        })
+}
+
+/// Splits the first `len` elements off `slice`, leaving the rest in place.
+fn split_prefix<'a, T>(slice: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(slice).split_at_mut(len);
+    *slice = tail;
+    head
 }
 
 /// The engine-side [`PartitionExecutor`]: runs an environment's feedback
@@ -916,26 +871,26 @@ pub struct FleetEngine {
     /// (`Self::step_env`) slot. Host timing, *not* covered by any
     /// determinism contract, and deliberately excluded from snapshots.
     last_timing: Option<SlotTiming>,
-    /// Pending wakes of the event-driven path: a min-heap keyed
-    /// `(wake_time, session_index)`, so cohorts drain in deterministic
-    /// (time, then session) order. Embedded in snapshots (sorted) when
-    /// primed.
-    wakes: BinaryHeap<Reverse<(SlotIndex, usize)>>,
+    /// Pending wakes of the event-driven path: a calendar from wake slot to
+    /// the sessions due then (in reschedule order; each cohort is sorted
+    /// when drained, so it always runs in ascending session order).
+    /// Embedded in snapshots as sorted `(wake, session)` entries when primed.
+    wakes: BTreeMap<SlotIndex, Vec<usize>>,
     /// Whether `wakes` currently describes the fleet. Slot-synchronous
     /// stepping and fleet growth invalidate the queue; the next event-driven
     /// step re-seeds it from the environment's wake protocol.
     wakes_primed: bool,
-    /// Scratch: the session indices due at the timestamp being processed
-    /// (ascending, as popped from the heap).
-    cohort: Vec<usize>,
-    /// Scratch: the cohort compressed into contiguous `[start, end)` runs.
-    cohort_runs: Vec<(usize, usize)>,
-    /// Per-shard wake-to-decision latency histograms of the event path
-    /// (host timing, outside all determinism contracts), merged in shard
-    /// order into `latency_total` after each cohort.
-    latency_shards: Vec<Histogram>,
-    /// Merged latency histogram of the most recent cohort.
-    latency_total: Histogram,
+    /// Emptied cohort vectors, recycled as calendar days and as the
+    /// every-session cohort of slot-synchronous steps, so steady-state
+    /// stepping allocates no per-session index storage.
+    spare_cohorts: Vec<Vec<usize>>,
+    /// One `(started_s, decided)` tally per shard of the current cohort:
+    /// seconds from cohort start until the shard began choosing (one clock
+    /// read per shard), and how many of its sessions decided.
+    tallies: Vec<(f64, u64)>,
+    /// Latency histogram of the most recent event-driven cohort, rebuilt
+    /// from `tallies` (host timing, outside all determinism contracts).
+    latency: Histogram,
     /// Latency percentiles of the most recent event-driven cohort.
     last_latency: Option<LatencyStats>,
 }
@@ -975,12 +930,11 @@ impl FleetEngine {
             env_feedback: Vec::new(),
             env_tops: Vec::new(),
             last_timing: None,
-            wakes: BinaryHeap::new(),
+            wakes: BTreeMap::new(),
             wakes_primed: false,
-            cohort: Vec::new(),
-            cohort_runs: Vec::new(),
-            latency_shards: Vec::new(),
-            latency_total: Histogram::new(LATENCY_MIN_EXP, LATENCY_BUCKETS),
+            spare_cohorts: Vec::new(),
+            tallies: Vec::new(),
+            latency: Histogram::new(LATENCY_MIN_EXP, LATENCY_BUCKETS),
             last_latency: None,
         }
     }
@@ -1159,24 +1113,19 @@ impl FleetEngine {
         // could be observed without a recorded choice, and no panic path.
         self.choices.clear();
         self.choices.resize(count, NetworkId(0));
-        let mut work: Vec<ChooseAllShard<'_>> = Vec::new();
         let mut choices = self.choices.as_mut_slice();
         let mut last = self.last.as_mut_slice();
-        for segment in &mut self.segments {
-            let n = segment.len();
-            let (segment_choices, rest) = choices.split_at_mut(n);
-            choices = rest;
-            let (segment_last, rest) = last.split_at_mut(n);
-            last = rest;
-            for ((shard, c), l) in segment
-                .shards(shard_size)
-                .into_iter()
-                .zip(segment_choices.chunks_mut(shard_size))
-                .zip(segment_last.chunks_mut(shard_size))
-            {
-                work.push((shard, c, l));
-            }
-        }
+        let work: Vec<_> = fleet_shards(&mut self.segments, shard_size)
+            .into_iter()
+            .map(|(_, shard)| {
+                let len = shard.len();
+                (
+                    shard,
+                    split_prefix(&mut choices, len),
+                    split_prefix(&mut last, len),
+                )
+            })
+            .collect();
         Self::in_pool(&self.pool, || {
             work.into_par_iter().for_each(|(shard, choices, last)| {
                 with_lane!(shard, |sessions| {
@@ -1207,15 +1156,7 @@ impl FleetEngine {
             "one observation per session required"
         );
         let shard_size = self.config.shard_size.max(1);
-        let mut work: Vec<(usize, ShardSessions<'_>)> = Vec::new();
-        let mut segment_start = 0usize;
-        for segment in &mut self.segments {
-            let n = segment.len();
-            for (i, shard) in segment.shards(shard_size).into_iter().enumerate() {
-                work.push((segment_start + i * shard_size, shard));
-            }
-            segment_start += n;
-        }
+        let work = fleet_shards(&mut self.segments, shard_size);
         Self::in_pool(&self.pool, || {
             work.into_par_iter().for_each(|(offset, shard)| {
                 with_lane!(shard, |sessions| {
@@ -1247,22 +1188,15 @@ impl FleetEngine {
         let count = self.len();
         let shard_count = self.shard_count(shard_size);
         self.ensure_scratch(shard_count);
-        let mut work: Vec<StepShard<'_>> = Vec::new();
         let mut last = self.last.as_mut_slice();
-        let mut scratch = self.scratch.iter_mut();
-        for segment in &mut self.segments {
-            let n = segment.len();
-            let (segment_last, rest) = last.split_at_mut(n);
-            last = rest;
-            for ((shard, l), s) in segment
-                .shards(shard_size)
-                .into_iter()
-                .zip(segment_last.chunks_mut(shard_size))
-                .zip(&mut scratch)
-            {
-                work.push((shard, l, s));
-            }
-        }
+        let work: Vec<_> = fleet_shards(&mut self.segments, shard_size)
+            .into_iter()
+            .zip(&mut self.scratch)
+            .map(|((_, shard), scratch)| {
+                let last = split_prefix(&mut last, shard.len());
+                (shard, last, scratch)
+            })
+            .collect();
         let feedback = &feedback;
         Self::in_pool(&self.pool, || {
             work.into_par_iter().for_each(|(shard, last, scratch)| {
@@ -1330,11 +1264,13 @@ impl FleetEngine {
     ///    probable network for stable-state recording) before
     ///    `env.end_slot` fires.
     ///
-    /// Because per-session randomness lives in per-session streams and all
-    /// environment randomness is drawn from environment-owned streams in
-    /// canonical session order (one stream per feedback partition on the
-    /// partitioned path), the trajectory is **bit-identical at any thread
-    /// count and shard size — with partitioned feedback on or off**.
+    /// This is the event-driven pipeline of
+    /// [`step_events`](Self::step_events) run on the cohort of every
+    /// session. Because per-session randomness lives in per-session streams
+    /// and all environment randomness is drawn from environment-owned
+    /// streams in canonical session order (one stream per feedback partition
+    /// on the partitioned path), the trajectory is **bit-identical at any
+    /// thread count and shard size — with partitioned feedback on or off**.
     /// Steady-state stepping allocates nothing per session: joint-choice,
     /// feedback and top-choice buffers persist across slots (a small
     /// O(shard-count) pairing vector is rebuilt per phase, as in
@@ -1365,6 +1301,17 @@ impl FleetEngine {
         env: &mut dyn Environment,
         sink: Option<&mut dyn TelemetrySink>,
     ) {
+        self.assert_describes(env);
+        let mut every = self.spare_cohorts.pop().unwrap_or_default();
+        every.extend(0..self.len());
+        self.run_cohort(env, self.slot, &every, false, sink);
+        every.clear();
+        self.spare_cohorts.push(every);
+        self.wakes_primed = false;
+    }
+
+    /// Panics unless `env` describes exactly this fleet's sessions.
+    fn assert_describes(&self, env: &dyn Environment) {
         assert_eq!(
             env.sessions(),
             self.len(),
@@ -1372,80 +1319,125 @@ impl FleetEngine {
             env.sessions(),
             self.len()
         );
-        let slot = self.slot;
-        let shard_size = self.config.shard_size.max(1);
-        let count = self.len();
+    }
+
+    /// Phase 1 at `t`: advances the environment — fanned out over the worker
+    /// pool when it advertises partitions, the configuration allows it and
+    /// the pool has more than one worker — and returns whether the feedback
+    /// phase is partitioned too (the two phases always agree) plus the
+    /// phase's wall time.
+    fn begin_slot(&self, env: &mut dyn Environment, t: SlotIndex) -> (bool, f64) {
         let workers = match &self.pool {
             Some(pool) => pool.current_num_threads(),
             None => rayon::current_num_threads(),
         };
-        // Partitioned worlds may fan both the slot-begin refresh (phase 1)
-        // and the joint feedback (phase 3) out over the worker pool; the
-        // gate is shared so the two phases always agree.
         let partitioned =
             self.config.partitioned_feedback && workers > 1 && env.feedback_partitions().is_some();
-        let phase_start = Instant::now();
+        let start = Instant::now();
         if partitioned {
-            let executor = PoolExecutor { pool: &self.pool };
-            env.begin_slot_partitioned(slot, &executor);
+            env.begin_slot_partitioned(t, &PoolExecutor { pool: &self.pool });
         } else {
-            env.begin_slot(slot);
+            env.begin_slot(t);
         }
-        let begin_slot_s = phase_start.elapsed().as_secs_f64();
-        let phase_start = Instant::now();
+        (partitioned, start.elapsed().as_secs_f64())
+    }
 
-        // Phase 2: choose (parallel).
+    /// The one stepping pipeline behind [`step_env`](Self::step_env) and
+    /// [`step_events`](Self::step_events): runs the four phases at `t` for
+    /// the cohort `members` (ascending session indices — every session on
+    /// the slot-synchronous path), counts the decisions taken and advances
+    /// the clock to `t + 1`.
+    ///
+    /// The fleet is sharded exactly as every other path shards it; each
+    /// shard steps only its slice of the cohort and shards without members
+    /// are skipped, so a timestamp costs O(cohort + shards) engine work
+    /// however the cohort is fragmented. Sessions outside the cohort read as
+    /// absent in the joint-choice buffer, exactly like inactive sessions.
+    /// With `wake_latency`, the cohort's queueing latency (one clock read
+    /// per shard) goes to [`last_wake_latency`](Self::last_wake_latency) and
+    /// the telemetry record; slot-synchronous records carry none.
+    fn run_cohort(
+        &mut self,
+        env: &mut dyn Environment,
+        t: SlotIndex,
+        members: &[usize],
+        wake_latency: bool,
+        sink: Option<&mut dyn TelemetrySink>,
+    ) {
+        let shard_size = self.config.shard_size.max(1);
+        let count = self.len();
+        let whole_fleet = members.len() == count;
+        let (partitioned, begin_slot_s) = self.begin_slot(env, t);
+        let cohort_start = Instant::now();
+
+        // Phase 2: cohort choose (parallel).
         if self.env_choices.len() != count {
             self.env_choices.resize(count, None);
         }
+        if !whole_fleet {
+            self.env_choices.fill(None);
+        }
+        let shard_count = self.shard_count(shard_size);
+        self.ensure_scratch(shard_count);
+        self.tallies.clear();
+        self.tallies.resize(shard_count, (0.0, 0));
         {
             let env_view: &dyn Environment = env;
-            let mut work: Vec<ChooseShard<'_>> = Vec::new();
+            let mut work: Vec<ChooseShard<'_>> = Vec::with_capacity(shard_count);
             let mut choices = self.env_choices.as_mut_slice();
             let mut last = self.last.as_mut_slice();
-            let mut segment_start = 0usize;
-            for segment in &mut self.segments {
-                let n = segment.len();
-                let (segment_choices, rest) = choices.split_at_mut(n);
-                choices = rest;
-                let (segment_last, rest) = last.split_at_mut(n);
-                last = rest;
-                for (i, ((shard, c), l)) in segment
-                    .shards(shard_size)
-                    .into_iter()
-                    .zip(segment_choices.chunks_mut(shard_size))
-                    .zip(segment_last.chunks_mut(shard_size))
-                    .enumerate()
-                {
-                    work.push((segment_start + i * shard_size, shard, c, l));
+            for ((offset, shard, due), tally) in
+                cohort_shards(&mut self.segments, members, shard_size).zip(&mut self.tallies)
+            {
+                let choices = split_prefix(&mut choices, shard.len());
+                let last = split_prefix(&mut last, shard.len());
+                if !due.is_empty() {
+                    work.push((offset, shard, due, choices, last, tally));
                 }
-                segment_start += n;
             }
             Self::in_pool(&self.pool, || {
                 work.into_par_iter()
-                    .for_each(|(offset, shard, choices, last)| {
+                    .for_each(|(offset, shard, due, choices, last, tally)| {
+                        let started_s = cohort_start.elapsed().as_secs_f64();
+                        let mut decided = 0u64;
                         with_lane!(shard, |sessions| {
-                            for (i, session) in sessions.iter_mut().enumerate() {
-                                let view = env_view.session_view(offset + i, slot);
+                            for &index in due {
+                                let i = index - offset;
+                                let session = &mut sessions[i];
+                                let view = env_view.session_view(index, t);
                                 if let Some(networks) = view.networks_changed {
                                     session
                                         .policy
                                         .on_networks_changed(networks, &mut session.rng);
                                 }
                                 choices[i] = if view.active {
-                                    let chosen = session.choose(slot);
+                                    let chosen = session.choose(t);
                                     last[i] = Some(chosen);
+                                    decided += 1;
                                     Some(chosen)
                                 } else {
                                     None
                                 };
                             }
                         });
+                        *tally = (started_s, decided);
                     });
             });
         }
-        let active = self.env_choices.iter().flatten().count() as u64;
-        let choose_s = phase_start.elapsed().as_secs_f64();
+        let active: u64 = self.tallies.iter().map(|&(_, decided)| decided).sum();
+        let latency = if wake_latency {
+            // Host timing, outside all determinism contracts; merged in
+            // shard order.
+            self.latency.clear();
+            for &(started_s, decided) in &self.tallies {
+                self.latency.record_n(started_s, decided);
+            }
+            self.last_latency = LatencyStats::from_histogram(&self.latency);
+            self.last_latency
+        } else {
+            None
+        };
+        let choose_s = cohort_start.elapsed().as_secs_f64();
         let phase_start = Instant::now();
 
         // Phase 3: joint feedback. Partitioned worlds fan their independent
@@ -1459,9 +1451,9 @@ impl FleetEngine {
         }
         if partitioned {
             let executor = PoolExecutor { pool: &self.pool };
-            env.feedback_partitioned(slot, &self.env_choices, &mut self.env_feedback, &executor);
+            env.feedback_partitioned(t, &self.env_choices, &mut self.env_feedback, &executor);
         } else {
-            env.feedback(slot, &self.env_choices, &mut self.env_feedback);
+            env.feedback(t, &self.env_choices, &mut self.env_feedback);
         }
         // Structural guard: a session that did not choose must not observe.
         // The feedback buffer persists across slots (so environments can
@@ -1476,45 +1468,40 @@ impl FleetEngine {
         let feedback_s = phase_start.elapsed().as_secs_f64();
         let phase_start = Instant::now();
 
-        // Phase 4: observe (parallel), then the end-of-slot hook. Sessions in
-        // a cooperative environment additionally hear their neighbourhood's
-        // gossip digest (copied into the shard's recycled scratch buffer) and
-        // fold it in via `Policy::observe_shared`.
+        // Phase 4: cohort observe (parallel), then the end-of-slot hook.
+        // Sessions in a cooperative environment additionally hear their
+        // neighbourhood's gossip digest (copied into the shard's recycled
+        // scratch buffer) and fold it in via `Policy::observe_shared`.
         let wants_tops = env.wants_top_choices();
         let shares_feedback = env.shares_feedback();
         if self.env_tops.len() != count {
             self.env_tops.resize(count, None);
         }
-        let shard_count = self.shard_count(shard_size);
-        self.ensure_scratch(shard_count);
+        if wants_tops && !whole_fleet {
+            // Stale tops from earlier cohorts must not leak into end_slot.
+            self.env_tops.fill(None);
+        }
         {
             let env_view: &dyn Environment = env;
             let feedback = &self.env_feedback;
-            let mut work: Vec<ObserveShard<'_>> = Vec::new();
+            let mut work: Vec<ObserveShard<'_>> = Vec::with_capacity(shard_count);
             let mut tops = self.env_tops.as_mut_slice();
-            let mut scratch = self.scratch.iter_mut();
-            let mut segment_start = 0usize;
-            for segment in &mut self.segments {
-                let n = segment.len();
-                let (segment_tops, rest) = tops.split_at_mut(n);
-                tops = rest;
-                for (i, ((shard, t), s)) in segment
-                    .shards(shard_size)
-                    .into_iter()
-                    .zip(segment_tops.chunks_mut(shard_size))
-                    .zip(&mut scratch)
-                    .enumerate()
-                {
-                    work.push((segment_start + i * shard_size, shard, t, s));
+            for ((offset, shard, due), scratch) in
+                cohort_shards(&mut self.segments, members, shard_size).zip(&mut self.scratch)
+            {
+                let tops = split_prefix(&mut tops, shard.len());
+                if !due.is_empty() {
+                    work.push((offset, shard, due, tops, scratch));
                 }
-                segment_start += n;
             }
             Self::in_pool(&self.pool, || {
                 work.into_par_iter()
-                    .for_each(|(offset, shard, tops, scratch)| {
+                    .for_each(|(offset, shard, due, tops, scratch)| {
                         with_lane!(shard, |sessions| {
-                            for (i, session) in sessions.iter_mut().enumerate() {
-                                let Some(observation) = &feedback[offset + i] else {
+                            for &index in due {
+                                let i = index - offset;
+                                let session = &mut sessions[i];
+                                let Some(observation) = &feedback[index] else {
                                     if wants_tops {
                                         tops[i] = None;
                                     }
@@ -1522,8 +1509,7 @@ impl FleetEngine {
                                 };
                                 session.observe(observation);
                                 if shares_feedback
-                                    && env_view
-                                        .shared_feedback_into(offset + i, &mut scratch.shared)
+                                    && env_view.shared_feedback_into(index, &mut scratch.shared)
                                 {
                                     session
                                         .policy
@@ -1547,7 +1533,7 @@ impl FleetEngine {
             });
         }
         let tops: &[Option<(NetworkId, f64)>] = if wants_tops { &self.env_tops } else { &[] };
-        env.end_slot(slot, &self.env_choices, tops);
+        env.end_slot(t, &self.env_choices, tops);
         let observe_s = phase_start.elapsed().as_secs_f64();
 
         let timing = SlotTiming {
@@ -1559,18 +1545,16 @@ impl FleetEngine {
         self.last_timing = Some(timing);
         if let Some(sink) = sink {
             sink.record(&TelemetryRecord {
-                slot,
+                slot: t,
                 active,
                 metrics: env.telemetry().cloned().unwrap_or_default(),
                 timing,
-                latency: None,
+                latency,
                 sampler: Some(self.sampler_counters()),
             });
         }
-
         self.decisions += active;
-        self.slot += 1;
-        self.wakes_primed = false;
+        self.slot = t + 1;
     }
 
     /// Convenience: runs `slots` environment-driven steps.
@@ -1612,7 +1596,7 @@ impl FleetEngine {
             while wake < self.slot {
                 wake = env.next_wake(index, wake).max(wake + 1);
             }
-            self.wakes.push(Reverse((wake, index)));
+            self.wakes.entry(wake).or_default().push(index);
         }
         self.wakes_primed = true;
     }
@@ -1622,7 +1606,7 @@ impl FleetEngine {
     /// event at or after the current slot. `None` when nothing remains
     /// (empty fleet and an event-free environment).
     fn next_timestamp(&self, env: &dyn Environment) -> Option<SlotIndex> {
-        let wake = self.wakes.peek().map(|Reverse((t, _))| *t);
+        let wake = self.wakes.first_key_value().map(|(&t, _)| t);
         let event = env.next_env_event(self.slot);
         match (wake, event) {
             (Some(w), Some(e)) => Some(w.min(e)),
@@ -1637,17 +1621,18 @@ impl FleetEngine {
     /// processed, or `None` when nothing remains.
     ///
     /// At a wake timestamp `t`, the cohort of sessions due at `t` (drained
-    /// from the deterministic `(wake_time, session)` queue) runs as a
-    /// micro-batch through the *same* four-phase loop as
+    /// from the wake calendar, ascending by session) runs as a micro-batch
+    /// through the *same* four-phase pipeline as
     /// [`step_env`](Self::step_env): `begin_slot(t)` (partitioned when the
-    /// world advertises partitions), cohort choose (sharded over the worker
-    /// pool, monomorphized lane dispatch, per-session RNG streams), joint
-    /// feedback over the full-length choice buffer (non-cohort sessions are
-    /// `None`, exactly like inactive sessions), cohort observe and
-    /// `end_slot`. Each cohort session is then rescheduled at its
-    /// [`next_wake`](Environment::next_wake). At an env-event-only
-    /// timestamp, only `begin_slot(t)` runs — scheduled state advances
-    /// (event cursors!) are applied, never skipped — and no session decides.
+    /// world advertises partitions), cohort choose (the fleet's fixed
+    /// shards, each stepping its slice of the cohort; shards without due
+    /// sessions are skipped), joint feedback over the full-length choice
+    /// buffer (non-cohort sessions are `None`, exactly like inactive
+    /// sessions), cohort observe and `end_slot`. Each cohort session is then
+    /// rescheduled at its [`next_wake`](Environment::next_wake). At an
+    /// env-event-only timestamp, only `begin_slot(t)` runs — scheduled state
+    /// advances (event cursors!) are applied, never skipped — and no session
+    /// decides.
     ///
     /// **Correctness anchor:** with every session at the default uniform
     /// cadence 1, the cohort is always the whole fleet and this path is
@@ -1655,13 +1640,12 @@ impl FleetEngine {
     /// same RNG streams, same environment state — at any thread count and
     /// shard size, lanes and partitioning on or off.
     ///
-    /// As a side effect the wake-to-decision latency of every cohort
-    /// decision (wall-clock from cohort start to the session's choice, host
-    /// timing only) is recorded into a log-bucket histogram; read the
-    /// percentiles via [`last_wake_latency`](Self::last_wake_latency) or a
-    /// telemetry sink ([`step_events_with_sink`](Self::step_events_with_sink)).
-    /// [`FleetConfig::wake_latency`] turns the recording off for
-    /// throughput-critical runs (the clock read costs as much as a draw).
+    /// As a side effect the cohort's queueing latency is recorded: each
+    /// decision is charged the host time from cohort start until its shard
+    /// began choosing (one clock read per shard). That is queueing within
+    /// the timestamp, not a per-decision wake delay. Read the percentiles
+    /// via [`last_wake_latency`](Self::last_wake_latency) or a telemetry
+    /// sink ([`step_events_with_sink`](Self::step_events_with_sink)).
     ///
     /// # Panics
     ///
@@ -1674,10 +1658,10 @@ impl FleetEngine {
     /// [`step_events`](Self::step_events) with streaming telemetry: after a
     /// wake cohort completes, one [`TelemetryRecord`] — keyed by the cohort
     /// timestamp, with the environment's metrics, this cohort's
-    /// [`SlotTiming`] and its wake-to-decision [`LatencyStats`] — is
-    /// delivered to `sink`. Env-event-only timestamps produce no record (no
-    /// session decided, so the slot series stays strictly increasing and
-    /// histogram counts stay consistent with the validator's contract).
+    /// [`SlotTiming`] and its queueing [`LatencyStats`] — is delivered to
+    /// `sink`. Env-event-only timestamps produce no record (no session
+    /// decided, so the slot series stays strictly increasing and histogram
+    /// counts stay consistent with the validator's contract).
     ///
     /// # Panics
     ///
@@ -1687,253 +1671,37 @@ impl FleetEngine {
         env: &mut dyn Environment,
         sink: Option<&mut dyn TelemetrySink>,
     ) -> Option<SlotIndex> {
-        assert_eq!(
-            env.sessions(),
-            self.len(),
-            "environment describes {} sessions, fleet hosts {}",
-            env.sessions(),
-            self.len()
-        );
+        self.assert_describes(env);
         self.prime_wakes(env);
         let t = self.next_timestamp(env)?;
         debug_assert!(t >= self.slot, "wake queue fell behind the clock");
-        let shard_size = self.config.shard_size.max(1);
-        let count = self.len();
-        let workers = match &self.pool {
-            Some(pool) => pool.current_num_threads(),
-            None => rayon::current_num_threads(),
-        };
-        let partitioned =
-            self.config.partitioned_feedback && workers > 1 && env.feedback_partitions().is_some();
-
-        // Phase 1: environment-state advance at t — also runs for
-        // env-event-only timestamps, because scheduled advances (event
-        // cursors) are applied by `begin_slot`, not recomputed from the
-        // absolute slot.
-        let phase_start = Instant::now();
-        if partitioned {
-            let executor = PoolExecutor { pool: &self.pool };
-            env.begin_slot_partitioned(t, &executor);
-        } else {
-            env.begin_slot(t);
-        }
-        let begin_slot_s = phase_start.elapsed().as_secs_f64();
-
-        // Drain the cohort due at t (ascending session index, by heap order).
-        self.cohort.clear();
-        while let Some(&Reverse((wake, index))) = self.wakes.peek() {
-            if wake != t {
-                break;
-            }
-            self.wakes.pop();
-            self.cohort.push(index);
-        }
-        if self.cohort.is_empty() {
-            // Env-event-only timestamp: state advanced, nobody decides, no
-            // feedback, no telemetry record.
+        let Some(mut cohort) = self
+            .wakes
+            .first_entry()
+            .filter(|day| *day.key() == t)
+            .map(|day| day.remove())
+        else {
+            // Env-event-only timestamp: state advances (event cursors are
+            // applied by `begin_slot`, not recomputed from the absolute
+            // slot); nobody decides, no feedback, no telemetry record.
+            self.begin_slot(env, t);
             self.slot = t + 1;
             return Some(t);
-        }
-        self.cohort_runs.clear();
-        for &index in &self.cohort {
-            match self.cohort_runs.last_mut() {
-                Some((_, end)) if *end == index => *end += 1,
-                _ => self.cohort_runs.push((index, index + 1)),
-            }
-        }
-        let cohort_start = Instant::now();
-        let record_latency = self.config.wake_latency;
-
-        // Phase 2: cohort choose (parallel). The full-length joint-choice
-        // buffer is cleared first so non-cohort sessions read as absent —
-        // the same shape feedback already handles for inactive sessions.
-        if self.env_choices.len() != count {
-            self.env_choices.resize(count, None);
-        }
-        self.env_choices.fill(None);
-        let cohort_shard_count;
-        {
-            let env_view: &dyn Environment = env;
-            let shards = carve_cohort(&mut self.segments, &self.cohort_runs, shard_size);
-            cohort_shard_count = shards.len();
-            if self.latency_shards.len() < cohort_shard_count {
-                self.latency_shards.resize_with(cohort_shard_count, || {
-                    Histogram::new(LATENCY_MIN_EXP, LATENCY_BUCKETS)
-                });
-            }
-            let mut work: Vec<EventChooseShard<'_>> = Vec::with_capacity(cohort_shard_count);
-            let mut choices = self.env_choices.as_mut_slice();
-            let mut last = self.last.as_mut_slice();
-            let mut latency = self.latency_shards.iter_mut();
-            let mut consumed = 0usize;
-            for (offset, shard) in shards {
-                let len = shard.len();
-                let (_, rest) = choices.split_at_mut(offset - consumed);
-                let (shard_choices, rest) = rest.split_at_mut(len);
-                choices = rest;
-                let (_, rest) = last.split_at_mut(offset - consumed);
-                let (shard_last, rest) = rest.split_at_mut(len);
-                last = rest;
-                consumed = offset + len;
-                let histogram = latency.next().expect("sized above");
-                histogram.clear();
-                work.push((offset, shard, shard_choices, shard_last, histogram));
-            }
-            Self::in_pool(&self.pool, || {
-                work.into_par_iter()
-                    .for_each(|(offset, shard, choices, last, latency)| {
-                        with_lane!(shard, |sessions| {
-                            for (i, session) in sessions.iter_mut().enumerate() {
-                                let view = env_view.session_view(offset + i, t);
-                                if let Some(networks) = view.networks_changed {
-                                    session
-                                        .policy
-                                        .on_networks_changed(networks, &mut session.rng);
-                                }
-                                choices[i] = if view.active {
-                                    let chosen = session.choose(t);
-                                    last[i] = Some(chosen);
-                                    if record_latency {
-                                        latency.record(cohort_start.elapsed().as_secs_f64());
-                                    }
-                                    Some(chosen)
-                                } else {
-                                    None
-                                };
-                            }
-                        });
-                    });
-            });
-        }
-        // Merge per-shard latency in shard order (host timing — outside all
-        // determinism contracts, so the merge order only matters for
-        // reproducible float sums within one process).
-        let latency = if record_latency {
-            self.latency_total.clear();
-            for histogram in &self.latency_shards[..cohort_shard_count] {
-                self.latency_total.merge(histogram);
-            }
-            LatencyStats::from_histogram(&self.latency_total)
-        } else {
-            None
         };
-        self.last_latency = latency;
-        let active = self.env_choices.iter().flatten().count() as u64;
-        let choose_s = cohort_start.elapsed().as_secs_f64();
-        let phase_start = Instant::now();
-
-        // Phase 3: joint feedback over the full-length buffers, exactly as
-        // the slot-synchronous path (partitioned fan-out, structural guard).
-        if self.env_feedback.len() != count {
-            self.env_feedback.resize(count, None);
-        }
-        if partitioned {
-            let executor = PoolExecutor { pool: &self.pool };
-            env.feedback_partitioned(t, &self.env_choices, &mut self.env_feedback, &executor);
-        } else {
-            env.feedback(t, &self.env_choices, &mut self.env_feedback);
-        }
-        for (choice, feedback) in self.env_choices.iter().zip(self.env_feedback.iter_mut()) {
-            if choice.is_none() {
-                *feedback = None;
-            }
-        }
-        let feedback_s = phase_start.elapsed().as_secs_f64();
-        let phase_start = Instant::now();
-
-        // Phase 4: cohort observe (parallel), then the end-of-slot hook.
-        let wants_tops = env.wants_top_choices();
-        let shares_feedback = env.shares_feedback();
-        if self.env_tops.len() != count {
-            self.env_tops.resize(count, None);
-        }
-        if wants_tops {
-            // Stale tops from earlier cohorts must not leak into end_slot.
-            self.env_tops.fill(None);
-        }
-        self.ensure_scratch(cohort_shard_count);
-        {
-            let env_view: &dyn Environment = env;
-            let feedback = &self.env_feedback;
-            let shards = carve_cohort(&mut self.segments, &self.cohort_runs, shard_size);
-            let mut work: Vec<ObserveShard<'_>> = Vec::with_capacity(shards.len());
-            let mut tops = self.env_tops.as_mut_slice();
-            let mut scratch = self.scratch.iter_mut();
-            let mut consumed = 0usize;
-            for (offset, shard) in shards {
-                let len = shard.len();
-                let (_, rest) = tops.split_at_mut(offset - consumed);
-                let (shard_tops, rest) = rest.split_at_mut(len);
-                tops = rest;
-                consumed = offset + len;
-                work.push((
-                    offset,
-                    shard,
-                    shard_tops,
-                    scratch.next().expect("sized above"),
-                ));
-            }
-            Self::in_pool(&self.pool, || {
-                work.into_par_iter()
-                    .for_each(|(offset, shard, tops, scratch)| {
-                        with_lane!(shard, |sessions| {
-                            for (i, session) in sessions.iter_mut().enumerate() {
-                                let Some(observation) = &feedback[offset + i] else {
-                                    if wants_tops {
-                                        tops[i] = None;
-                                    }
-                                    continue;
-                                };
-                                session.observe(observation);
-                                if shares_feedback
-                                    && env_view
-                                        .shared_feedback_into(offset + i, &mut scratch.shared)
-                                {
-                                    session
-                                        .policy
-                                        .observe_shared(&scratch.shared, &mut session.rng);
-                                }
-                                if wants_tops {
-                                    session
-                                        .policy
-                                        .top_probabilities_into(1, &mut scratch.probabilities);
-                                    tops[i] = scratch.probabilities.first().copied();
-                                }
-                            }
-                        });
-                    });
-            });
-        }
-        let tops: &[Option<(NetworkId, f64)>] = if wants_tops { &self.env_tops } else { &[] };
-        env.end_slot(t, &self.env_choices, tops);
-        let observe_s = phase_start.elapsed().as_secs_f64();
-
-        let timing = SlotTiming {
-            begin_slot_s,
-            choose_s,
-            feedback_s,
-            observe_s,
-        };
-        self.last_timing = Some(timing);
-        if let Some(sink) = sink {
-            sink.record(&TelemetryRecord {
-                slot: t,
-                active,
-                metrics: env.telemetry().cloned().unwrap_or_default(),
-                timing,
-                latency,
-                sampler: Some(self.sampler_counters()),
-            });
-        }
-
+        cohort.sort_unstable();
+        self.run_cohort(env, t, &cohort, true, sink);
         // Reschedule the cohort on each session's own cadence; forward
         // progress is enforced even against a buggy `next_wake`.
-        for &index in &self.cohort {
+        let (wakes, spare) = (&mut self.wakes, &mut self.spare_cohorts);
+        for &index in &cohort {
             let next = env.next_wake(index, t).max(t + 1);
-            self.wakes.push(Reverse((next, index)));
+            wakes
+                .entry(next)
+                .or_insert_with(|| spare.pop().unwrap_or_default())
+                .push(index);
         }
-        self.decisions += active;
-        self.slot = t + 1;
+        cohort.clear();
+        self.spare_cohorts.push(cohort);
         Some(t)
     }
 
@@ -1979,11 +1747,13 @@ impl FleetEngine {
         }
     }
 
-    /// Wake-to-decision latency percentiles of the most recent event-driven
-    /// cohort ([`step_events`](Self::step_events)), or `None` before the
-    /// first cohort, when the last cohort made no decision, or when
-    /// [`FleetConfig::wake_latency`] is off. Host timing only — excluded
-    /// from the determinism contract and from snapshots.
+    /// Queueing-latency percentiles of the most recent event-driven cohort
+    /// ([`step_events`](Self::step_events)), or `None` before the first
+    /// cohort or when the last cohort made no decision. Each decision counts
+    /// the host time from cohort start until its shard began choosing — how
+    /// long it queued within the timestamp, not a per-decision wake delay.
+    /// Host timing only — excluded from the determinism contract and from
+    /// snapshots.
     #[must_use]
     pub fn last_wake_latency(&self) -> Option<LatencyStats> {
         self.last_latency
@@ -2155,21 +1925,22 @@ impl FleetEngine {
         if let Some(error) = failed {
             return Err(error);
         }
-        let wake_queue = if self.wakes_primed {
+        let wake_queue = self.wakes_primed.then(|| {
             let mut pending: Vec<WakeEntry> = self
                 .wakes
                 .iter()
-                .map(|Reverse((wake, session))| WakeEntry {
-                    wake: *wake,
-                    session: *session as u64,
+                .flat_map(|(&wake, due)| {
+                    due.iter().map(move |&session| WakeEntry {
+                        wake,
+                        session: session as u64,
+                    })
                 })
                 .collect();
-            // Heap iteration order is arbitrary; sort for stable bytes.
+            // Calendar days hold sessions in reschedule order; sort for
+            // stable bytes.
             pending.sort_by_key(|entry| (entry.wake, entry.session));
-            Some(pending)
-        } else {
-            None
-        };
+            pending
+        });
         Ok(FleetSnapshot {
             version: SNAPSHOT_VERSION,
             config: self.config.clone(),
@@ -2212,20 +1983,22 @@ impl FleetEngine {
     /// environment state or the environment rejects it, plus every error
     /// [`from_snapshot`](Self::from_snapshot) can produce.
     pub fn from_snapshot_env(
-        snapshot: FleetSnapshot,
+        mut snapshot: FleetSnapshot,
         env: &mut dyn Environment,
     ) -> Result<Self, SnapshotError> {
         // Validate everything that can fail *before* mutating the live
-        // environment — a rejected snapshot must leave `env` untouched.
+        // environment — a rejected snapshot must leave `env` untouched — so
+        // the fleet is rebuilt first.
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(snapshot.version));
         }
-        let state = snapshot.environment.as_deref().ok_or_else(|| {
+        let state = snapshot.environment.take().ok_or_else(|| {
             SnapshotError::Environment("snapshot carries no environment state".to_string())
         })?;
-        env.restore(state)
+        let engine = Self::from_snapshot(snapshot)?;
+        env.restore(&state)
             .map_err(|error| SnapshotError::Environment(error.to_string()))?;
-        Self::from_snapshot(snapshot)
+        Ok(engine)
     }
 
     /// Restores a fleet from a snapshot. The restored fleet continues
@@ -2240,11 +2013,16 @@ impl FleetEngine {
     /// # Errors
     ///
     /// Returns [`SnapshotError::UnsupportedVersion`] for snapshots from an
-    /// incompatible engine version.
+    /// incompatible engine version, and [`SnapshotError::Malformed`] for a
+    /// wake queue the engine cannot have written (see [`WakeEntry`]).
     pub fn from_snapshot(snapshot: FleetSnapshot) -> Result<Self, SnapshotError> {
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(snapshot.version));
         }
+        let wakes = snapshot
+            .wake_queue
+            .map(|pending| wake_calendar(pending, snapshot.sessions.len(), snapshot.slot))
+            .transpose()?;
         let lanes = snapshot.config.fleet_lanes;
         let mut engine = FleetEngine::new(snapshot.config);
         engine.slot = snapshot.slot;
@@ -2281,11 +2059,8 @@ impl FleetEngine {
             }
         }
         engine.next_id = snapshot.next_id;
-        if let Some(pending) = snapshot.wake_queue {
-            engine.wakes = pending
-                .into_iter()
-                .map(|entry| Reverse((entry.wake, entry.session as usize)))
-                .collect();
+        if let Some(wakes) = wakes {
+            engine.wakes = wakes;
             engine.wakes_primed = true;
         }
         Ok(engine)
@@ -2783,53 +2558,20 @@ mod tests {
             assert_eq!(restored.step_events(&mut restored_env), expected);
             assert_eq!(restored.last_choices(), original.last_choices());
         }
-        assert_eq!(restored.to_json().unwrap(), original.to_json().unwrap());
-    }
-
-    #[test]
-    fn wake_latency_off_skips_instrumentation_without_touching_trajectories() {
-        let build = |wake_latency: bool| {
-            let mut config = FleetConfig::with_root_seed(42)
-                .with_shard_size(8)
-                .with_wake_latency(wake_latency);
-            config.threads = Some(2);
-            let mut factory = PolicyFactory::new(rates()).unwrap();
-            let mut fleet = FleetEngine::new(config);
-            fleet
-                .add_fleet(&mut factory, PolicyKind::SmartExp3, 20)
-                .unwrap();
-            fleet.add_fleet(&mut factory, PolicyKind::Exp3, 20).unwrap();
-            fleet
-        };
-        let mut on = build(true);
-        let mut off = build(false);
-        let mut on_env = CadenceEnv {
-            sessions: 40,
-            cadences: vec![1, 2, 4],
-            events: Vec::new(),
-            begin_slots: Vec::new(),
-        };
-        let mut off_env = CadenceEnv {
-            sessions: 40,
-            cadences: vec![1, 2, 4],
-            events: Vec::new(),
-            begin_slots: Vec::new(),
-        };
-        for step in 0..12 {
-            assert_eq!(off.step_events(&mut off_env), on.step_events(&mut on_env));
-            assert_eq!(off.last_choices(), on.last_choices(), "step {step}");
-        }
-        // Instrumentation is the only difference: the histogram never runs…
-        assert!(on.last_wake_latency().is_some());
-        assert!(off.last_wake_latency().is_none());
-        assert_eq!(off.metrics(), on.metrics());
-        // …and the knob lives outside every determinism contract, so the
-        // snapshots agree byte-for-byte once it is normalised away.
-        let mut off_snapshot = off.snapshot().unwrap();
-        off_snapshot.config.wake_latency = true;
+        let text = original.to_json().unwrap();
+        assert_eq!(restored.to_json().unwrap(), text);
+        // Version-9 texts written while `FleetConfig` still had its
+        // `wake_latency` switch carry the field; restore ignores it and the
+        // fleet round-trips bit-exactly.
+        let legacy = text.replacen(
+            "\"fleet_lanes\":true",
+            "\"fleet_lanes\":true,\"wake_latency\":true",
+            1,
+        );
+        assert_ne!(legacy, text);
         assert_eq!(
-            serde_json::to_string(&off_snapshot).unwrap(),
-            serde_json::to_string(&on.snapshot().unwrap()).unwrap()
+            FleetEngine::from_json(&legacy).unwrap().to_json().unwrap(),
+            text
         );
     }
 

@@ -20,7 +20,7 @@ use smartexp3_core::{
     NetworkId, Observation, Policy, PolicyKind, PolicyStats, SamplerStrategy, SelectionKind,
     SlotIndex,
 };
-use smartexp3_engine::{FleetConfig, FleetEngine};
+use smartexp3_engine::{FleetConfig, FleetEngine, SnapshotError, WakeEntry};
 use smartexp3_env::{
     area_mobility, cooperative, dense_duty_cycle, dense_urban, duty_cycle, dynamic_bandwidth,
     equal_share, trace_driven, DenseUrbanConfig, DutyCycleConfig, GossipConfig, Scenario,
@@ -244,6 +244,18 @@ fn duty_cycle_trajectories_are_identical_at_any_thread_count() {
             .with_threads(2)
             .with_shard_size(16)
             .with_fleet_lanes(false),
+        // Cohorts sliced at every shard edge (one session per shard), cut
+        // mid-cadence-group (5 is coprime to the 4-cadence round-robin), and
+        // held whole inside a single shard.
+        FleetConfig::with_root_seed(42)
+            .with_threads(2)
+            .with_shard_size(1),
+        FleetConfig::with_root_seed(42)
+            .with_threads(2)
+            .with_shard_size(5),
+        FleetConfig::with_root_seed(42)
+            .with_threads(2)
+            .with_shard_size(1024),
     ] {
         let mut scenario = build_duty_cycle(config);
         scenario.fleet.run_until(scenario.environment.as_mut(), 40);
@@ -478,6 +490,66 @@ fn mid_queue_snapshots_restore_the_event_schedule_bit_exactly() {
     assert_eq!(scenario_fingerprint(&resumed), expected);
     assert_eq!(resumed.fleet.snapshot().unwrap().wake_queue, expected_queue);
     assert_eq!(resumed.environment.state(), expected_env);
+}
+
+#[test]
+fn malformed_wake_queues_are_rejected_on_restore() {
+    // A restored queue must hold exactly one entry per session, none due
+    // before the snapshot's slot: a duplicate would make a session decide
+    // twice in one timestamp, and a wake in the past would move the clock
+    // backwards. Each edit must end in a typed error — never a panic or a
+    // silently wrong schedule — and leave the target world untouched.
+    let build = || {
+        duty_cycle(
+            40,
+            PolicyKind::SmartExp3,
+            FleetConfig::with_root_seed(42)
+                .with_threads(2)
+                .with_shard_size(16),
+            DutyCycleConfig {
+                cadences: vec![1, 2, 4, 8],
+                burst_period: 10,
+                horizon_slots: 60,
+                ..DutyCycleConfig::default()
+            },
+        )
+        .unwrap()
+    };
+    let mut original = build();
+    original.fleet.run_until(original.environment.as_mut(), 5);
+    let snapshot = original
+        .fleet
+        .snapshot_env(original.environment.as_ref())
+        .unwrap();
+    assert_eq!(snapshot.wake_queue.as_ref().map(Vec::len), Some(40));
+    type QueueEdit = fn(&mut Vec<WakeEntry>);
+    let edits: [(&str, QueueEdit); 4] = [
+        ("a duplicated entry", |queue| queue.push(queue[0])),
+        ("an out-of-range session", |queue| queue[0].session = 40),
+        ("a missing session", |queue| {
+            queue.pop();
+        }),
+        ("a wake before the slot", |queue| queue[0].wake = 4),
+    ];
+    for (what, edit) in edits {
+        let mut broken = snapshot.clone();
+        edit(broken.wake_queue.as_mut().unwrap());
+        let mut target = build();
+        let untouched = target.environment.state();
+        match FleetEngine::from_snapshot_env(broken, target.environment.as_mut()) {
+            Err(SnapshotError::Malformed(message)) => {
+                assert!(message.contains("wake queue"), "{what}: {message}");
+            }
+            other => panic!("{what}: expected a malformed snapshot, got {other:?}"),
+        }
+        assert_eq!(
+            target.environment.state(),
+            untouched,
+            "{what}: the rejected restore touched the world"
+        );
+    }
+    let mut target = build();
+    assert!(FleetEngine::from_snapshot_env(snapshot, target.environment.as_mut()).is_ok());
 }
 
 #[test]

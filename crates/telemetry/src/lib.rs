@@ -83,10 +83,15 @@ impl Histogram {
 
     /// Records one value.
     pub fn record(&mut self, value: f64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `count` copies of one value in a single bucket update.
+    pub fn record_n(&mut self, value: f64, count: u64) {
         let idx = self.bucket_index(value);
-        self.counts[idx] += 1;
+        self.counts[idx] += count;
         if !value.is_nan() {
-            self.sum += value;
+            self.sum += value * count as f64;
         }
     }
 
@@ -165,10 +170,13 @@ impl Histogram {
     }
 }
 
-/// Percentile summary of a per-decision wake-to-decision latency
-/// distribution, read off a log-bucket [`Histogram`] (so percentiles have
+/// Percentile summary of the queueing latency of one event-driven cohort's
+/// decisions, read off a log-bucket [`Histogram`] (so percentiles have
 /// power-of-two resolution).
 ///
+/// The engine charges each decision the host time from cohort start until
+/// the decision's shard began choosing: how long it queued within the
+/// timestamp, read once per shard. It is not a per-decision wake delay.
 /// Latency is measured with `Instant` on the host, like [`SlotTiming`]: it
 /// is *not* part of any determinism contract, and two bit-identical runs
 /// report different latencies.
@@ -426,10 +434,11 @@ pub struct TelemetryRecord {
     pub metrics: SlotMetrics,
     /// Wall-clock phase breakdown (excluded from determinism contracts).
     pub timing: SlotTiming,
-    /// Wake-to-decision latency percentiles for the decisions of this
-    /// record, measured by the event-driven engine path (`None` on the
-    /// slot-synchronous path). Host wall-clock, excluded from determinism
-    /// contracts like [`timing`](Self::timing).
+    /// Queueing-latency percentiles for the decisions of this record (host
+    /// time from cohort start until each decision's shard began choosing;
+    /// see [`LatencyStats`]), measured by the event-driven engine path
+    /// (`None` on the slot-synchronous path). Host wall-clock, excluded from
+    /// determinism contracts like [`timing`](Self::timing).
     pub latency: Option<LatencyStats>,
     /// Cumulative fleet-wide sampler counters as of this record (`None` for
     /// producers that predate the alias sampler). Deterministic, unlike
@@ -910,6 +919,21 @@ mod tests {
         h.record(-1.0);
         assert_eq!(h.quantile(0.5), Some(0.0));
         assert_eq!(LatencyStats::from_histogram(&h).map(|l| l.p99_s), Some(0.0));
+    }
+
+    #[test]
+    fn record_n_matches_repeated_records() {
+        let mut batched = Histogram::new(-30, 34);
+        let mut single = Histogram::new(-30, 34);
+        for (value, count) in [(3e-6, 7u64), (0.0, 2), (2.5e-3, 1), (1e-4, 0)] {
+            batched.record_n(value, count);
+            for _ in 0..count {
+                single.record(value);
+            }
+        }
+        assert_eq!(batched.counts(), single.counts());
+        assert!((batched.sum() - single.sum()).abs() < 1e-15);
+        assert_eq!(batched.count(), 10);
     }
 
     #[test]

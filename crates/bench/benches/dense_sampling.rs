@@ -1,6 +1,6 @@
-//! Large-K sampling: the O(K) linear CDF walk vs the O(log K) Fenwick
-//! descent vs the amortised-O(1) alias table, at arm counts from the
-//! paper's settings (handfuls) up to a dense-urban catalog (1024 networks).
+//! Large-K sampling: the O(K) linear CDF walk vs the amortised-O(1) alias
+//! table, at arm counts from the paper's settings (handfuls) up to a
+//! dense-urban catalog (1024 networks).
 //!
 //! Three levels: the raw [`WeightTable`] draw+update cycle, the full EXP3
 //! per-slot cost (`choose` + `observe`) a dense-urban session pays online,
@@ -17,11 +17,7 @@ use smartexp3_core::{
 use std::time::Duration;
 
 const ARM_COUNTS: [usize; 3] = [64, 256, 1024];
-const STRATEGIES: [SamplerStrategy; 3] = [
-    SamplerStrategy::Linear,
-    SamplerStrategy::Tree,
-    SamplerStrategy::Alias,
-];
+const STRATEGIES: [SamplerStrategy; 2] = [SamplerStrategy::Linear, SamplerStrategy::Alias];
 
 fn networks(k: usize) -> Vec<NetworkId> {
     (0..k as u32).map(NetworkId).collect()
@@ -79,8 +75,7 @@ fn bench(c: &mut Criterion) {
     // The tentpole workload: static-weight phases. A duty-cycled session
     // draws every wake but updates only when it actually connects, so the
     // table sees runs of draws between updates — exactly where the alias
-    // table's amortised-O(1) draw should pull ahead of both the linear walk
-    // and the Fenwick descent.
+    // table's amortised-O(1) draw should pull ahead of the linear walk.
     let mut group = c.benchmark_group("alias_sampling");
     group
         .sample_size(60)

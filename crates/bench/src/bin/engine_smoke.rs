@@ -3,22 +3,12 @@
 //! Steps a Smart EXP3 fleet through fused choose+observe slots (the same
 //! workload as the `engine_throughput` Criterion bench) **and** through the
 //! equal-share congestion scenario of the environment layer (the
-//! `scenario_throughput` workload) — the latter three times: partitioned
-//! feedback on, partitioned with streaming telemetry on (the observability
-//! overhead datapoint), and feedback forced sequential — so the repository's
-//! perf trajectory records both the sharded-feedback and the telemetry
-//! axis. One JSON record per configuration is appended
-//! to `BENCH_engine.json`; every record names its `world`, `threads` and
-//! `feedback` mode explicitly (older records lack those fields but keep
-//! parsing — readers treat them as additive).
-//!
-//! The run also emits **interleaved lane-vs-boxed A/B pairs** (closure,
-//! equal-share and dense-urban workloads at 1/2/8 threads): both engines
-//! take bit-identical decisions from the same seeds, measurements alternate
-//! lane/boxed so host drift hits both modes equally, and each record carries
-//! the median of [`AB_RUNS`] runs plus the min/max band. Caveat: when
-//! `threads` exceeds the record's `host_cores`, the datapoint measures an
-//! oversubscribed worker pool, not parallel scaling.
+//! `scenario_throughput` workload) — the latter twice: plain, and with
+//! streaming telemetry on (the observability overhead datapoint). One JSON
+//! record per configuration is appended to `BENCH_engine.json`; every record
+//! names its `world`, `threads` and `feedback` mode explicitly (older
+//! records lack those fields but keep parsing — readers treat them as
+//! additive).
 //!
 //! A **duty-cycle pair** records the event-driven engine path: the same
 //! world stepped slot-synchronously and through the wake queue
@@ -32,17 +22,17 @@
 //!
 //! A **duty-cycled dense group** (`dense_duty_cycle`) is the alias-sampler
 //! headline: the dense-urban blocks under the 2/4/8 wake-cadence mix, the
-//! three CDF-inversion strategies measured **interleaved** (one round each
-//! per A/B run) so host drift hits all three equally, each record carrying
-//! the median of [`AB_RUNS`] runs, the min/max band of its sampling-phase
-//! rate and `host_cores`.
+//! two CDF-inversion strategies measured **interleaved** (one round each
+//! per A/B run) so host drift hits both equally, each record carrying the
+//! median of [`AB_RUNS`] runs, the min/max band of its sampling-phase rate
+//! and `host_cores`. Caveat: when `threads` exceeds the record's
+//! `host_cores`, the datapoint measures an oversubscribed worker pool, not
+//! parallel scaling.
 //!
 //! `--only SUBSTR` runs only the datapoint groups whose name contains
 //! `SUBSTR` (groups: `closure`, `equal_share`, `equal_share_telemetry`,
-//! `equal_share_sequential`, `cooperative`, `dense_urban`, `duty_cycle`,
-//! `dense_duty_cycle`, `ab_closure`, `ab_equal_share`, `ab_dense_urban`) —
-//! e.g. `--only ab` runs the A/B groups, `--only equal_share` everything on
-//! that world.
+//! `cooperative`, `dense_urban`, `duty_cycle`, `dense_duty_cycle`) — e.g.
+//! `--only equal_share` runs everything on that world.
 
 use smartexp3_core::{NetworkId, Observation, PolicyFactory, PolicyKind, SamplerStrategy};
 use smartexp3_engine::{FleetConfig, FleetEngine, StepContext};
@@ -72,10 +62,6 @@ fn feedback(ctx: &mut StepContext<'_>) -> Observation {
 }
 
 fn build_fleet(sessions: usize, config: &FleetConfig) -> FleetEngine {
-    build_fleet_kind(sessions, config, PolicyKind::SmartExp3)
-}
-
-fn build_fleet_kind(sessions: usize, config: &FleetConfig, kind: PolicyKind) -> FleetEngine {
     let rates = vec![
         (NetworkId(0), 4.0),
         (NetworkId(1), 7.0),
@@ -84,7 +70,7 @@ fn build_fleet_kind(sessions: usize, config: &FleetConfig, kind: PolicyKind) -> 
     let mut factory = PolicyFactory::new(rates).expect("valid rates");
     let mut fleet = FleetEngine::new(config.clone());
     fleet
-        .add_fleet(&mut factory, kind, sessions)
+        .add_fleet(&mut factory, PolicyKind::SmartExp3, sessions)
         .expect("valid fleet");
     fleet
 }
@@ -99,26 +85,15 @@ fn measure(fleet: &mut FleetEngine, slots: usize) -> f64 {
     (sessions * slots) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Drives a scenario through its all-fresh opening slots so measurements
-/// start from steady state.
-fn warm_scenario(scenario: &mut Scenario, slots: usize) {
+/// Warm-up through the all-fresh opening slots, so the measurement starts
+/// from steady state, then `slots` timed environment-driven slots; returns
+/// decisions per second.
+fn measure_scenario(scenario: &mut Scenario, slots: usize) -> f64 {
     scenario.run(slots.div_ceil(4).max(1));
-}
-
-/// Times `slots` environment-driven slots on an already warm scenario;
-/// returns decisions per second.
-fn time_scenario(scenario: &mut Scenario, slots: usize) -> f64 {
     let sessions = scenario.sessions();
     let start = Instant::now();
     scenario.run(slots);
     (sessions * slots) as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Warm-up plus measurement of `slots` environment-driven slots; returns
-/// decisions per second.
-fn measure_scenario(scenario: &mut Scenario, slots: usize) -> f64 {
-    warm_scenario(scenario, slots);
-    time_scenario(scenario, slots)
 }
 
 /// Same measurement with streaming telemetry enabled: per-partition metric
@@ -135,8 +110,8 @@ fn measure_scenario_streaming(scenario: &mut Scenario, slots: usize) -> f64 {
     (sessions * slots) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Interleaved run-pairs per lane-vs-boxed A/B datapoint; medians over this
-/// many runs are what the records report.
+/// Interleaved rounds per sampler A/B datapoint; medians over this many
+/// runs are what the records report.
 const AB_RUNS: usize = 6;
 
 /// Median and spread of one A/B side's per-run rates.
@@ -159,76 +134,6 @@ fn band(mut rates: Vec<f64>) -> Band {
         min: rates[0],
         max: *rates.last().expect("at least one run"),
     }
-}
-
-/// Generic interleaved A/B: alternates one lane measurement and one boxed
-/// measurement per round so clock drift and thermal state hit both sides
-/// equally, then summarises each side as median + band.
-fn ab_interleaved(
-    mut measure_lanes: impl FnMut() -> f64,
-    mut measure_boxed: impl FnMut() -> f64,
-) -> (Band, Band) {
-    let mut lane_rates = Vec::with_capacity(AB_RUNS);
-    let mut boxed_rates = Vec::with_capacity(AB_RUNS);
-    for _ in 0..AB_RUNS {
-        lane_rates.push(measure_lanes());
-        boxed_rates.push(measure_boxed());
-    }
-    (band(lane_rates), band(boxed_rates))
-}
-
-/// Lane-vs-boxed A/B on the fused-closure workload (the
-/// `engine_throughput/step` shape): same seeds, so both engines take
-/// bit-identical decisions and the delta is pure storage/dispatch cost.
-fn ab_closure(sessions: usize, slots: usize, threads: usize, kind: PolicyKind) -> (Band, Band) {
-    let config = FleetConfig::with_root_seed(1).with_threads(threads);
-    let mut lanes = build_fleet_kind(sessions, &config, kind);
-    let mut boxed = build_fleet_kind(sessions, &config.clone().with_fleet_lanes(false), kind);
-    let warm = slots.div_ceil(4).max(1);
-    let _ = measure(&mut lanes, warm);
-    let _ = measure(&mut boxed, warm);
-    ab_interleaved(|| measure(&mut lanes, slots), || measure(&mut boxed, slots))
-}
-
-/// Lane-vs-boxed A/B through the equal-share congestion world.
-fn ab_equal_share(sessions: usize, slots: usize, threads: usize) -> (Band, Band) {
-    let build = |lanes: bool| {
-        let config = FleetConfig::with_root_seed(1)
-            .with_threads(threads)
-            .with_fleet_lanes(lanes);
-        equal_share(sessions, PolicyKind::SmartExp3, config).expect("valid scenario")
-    };
-    let mut lanes = build(true);
-    let mut boxed = build(false);
-    warm_scenario(&mut lanes, slots);
-    warm_scenario(&mut boxed, slots);
-    ab_interleaved(
-        || time_scenario(&mut lanes, slots),
-        || time_scenario(&mut boxed, slots),
-    )
-}
-
-/// Lane-vs-boxed A/B through the dense-urban large-K world (EXP3 lane, the
-/// default sampler): covers the lane storage under K = 512 weight tables.
-fn ab_dense(slots: usize, threads: usize) -> (Band, Band) {
-    let build = |lanes: bool| {
-        let config = FleetConfig::with_root_seed(2026)
-            .with_threads(threads)
-            .with_fleet_lanes(lanes);
-        let dense = DenseUrbanConfig {
-            networks_per_area: DENSE_NETWORKS,
-            ..DenseUrbanConfig::default()
-        };
-        dense_urban(DENSE_SESSIONS, PolicyKind::Exp3, config, dense).expect("valid scenario")
-    };
-    let mut lanes = build(true);
-    let mut boxed = build(false);
-    warm_scenario(&mut lanes, slots);
-    warm_scenario(&mut boxed, slots);
-    ab_interleaved(
-        || time_scenario(&mut lanes, slots),
-        || time_scenario(&mut boxed, slots),
-    )
 }
 
 fn parse_flag(args: &[String], name: &str, default: usize) -> usize {
@@ -334,17 +239,13 @@ fn dense_duty_window(scenario: &mut Scenario, slots: usize) -> (f64, f64) {
     )
 }
 
-/// Interleaved three-way sampler comparison on the duty-cycled dense world:
+/// Interleaved two-way sampler comparison on the duty-cycled dense world:
 /// one scenario per strategy from the same seed, warmed through the wake
 /// queue, then measured round-robin (one window each per A/B round) so
-/// clock drift and thermal state hit all three strategies equally. Returns
+/// clock drift and thermal state hit both strategies equally. Returns
 /// `(total band, sampling-phase band)` per strategy, in argument order.
 fn ab_dense_duty(slots: usize, threads: usize) -> Vec<(SamplerStrategy, Band, Band)> {
-    let strategies = [
-        SamplerStrategy::Linear,
-        SamplerStrategy::Tree,
-        SamplerStrategy::Alias,
-    ];
+    let strategies = [SamplerStrategy::Linear, SamplerStrategy::Alias];
     let warm = slots.div_ceil(4).max(1);
     let horizon = warm + slots * (AB_RUNS + 1);
     let mut scenarios: Vec<Scenario> = strategies
@@ -485,10 +386,10 @@ fn main() {
         closure = Some(rate);
     }
 
-    // Environment-driven datapoints: the same fleet size stepped through the
+    // Environment-driven datapoint: the same fleet size stepped through the
     // equal-share congestion scenario via `run_env`, with the feedback phase
-    // fanned out over the partitions (default) and forced sequential — the
-    // pair records what sharding the last sequential phase buys.
+    // fanned out over the partitions whenever the pool has more than one
+    // worker.
     let mut partitioned_rate = None;
     if wanted("equal_share") {
         let mut partitioned =
@@ -518,24 +419,6 @@ fn main() {
         ));
         streaming_rate = Some(rate);
     }
-    let mut sequential_rate = None;
-    if wanted("equal_share_sequential") {
-        let mut sequential = equal_share(
-            sessions,
-            PolicyKind::SmartExp3,
-            config.clone().with_partitioned_feedback(false),
-        )
-        .expect("valid scenario");
-        let rate = measure_scenario(&mut sequential, slots);
-        records.push(smart_record(
-            "scenario_throughput/equal_share",
-            "equal_share",
-            "sequential",
-            rate,
-        ));
-        sequential_rate = Some(rate);
-    }
-
     // Cooperative datapoint: the same world with the Co-Bandit gossip layer
     // (per-area broadcast digests + `observe_shared` folding), so the perf
     // trajectory also tracks what cooperation costs on top of equal_share.
@@ -599,8 +482,6 @@ fn main() {
     if wanted("dense_urban") {
         let (linear_total, linear_sampling) =
             measure_dense(SamplerStrategy::Linear, dense_slots, threads);
-        let (tree_total, tree_sampling) =
-            measure_dense(SamplerStrategy::Tree, dense_slots, threads);
         let (alias_total, alias_sampling) =
             measure_dense(SamplerStrategy::Alias, dense_slots, threads);
         let dense_extra = |sampler: SamplerStrategy, sampling_rate: f64| {
@@ -626,36 +507,27 @@ fn main() {
             linear_sampling,
         ));
         records.push(dense_record(
-            SamplerStrategy::Tree,
-            tree_total,
-            tree_sampling,
-        ));
-        records.push(dense_record(
             SamplerStrategy::Alias,
             alias_total,
             alias_sampling,
         ));
         eprintln!(
-            "dense_urban K={DENSE_NETWORKS}: tree {:.2}M vs linear {:.2}M vs alias {:.2}M total; \
-             sampling phase tree {:.2}M / linear {:.2}M / alias {:.2}M \
-             (tree/linear {:.2}x, alias/tree {:.2}x)",
-            tree_total / 1e6,
+            "dense_urban K={DENSE_NETWORKS}: linear {:.2}M vs alias {:.2}M total; \
+             sampling phase linear {:.2}M / alias {:.2}M (alias/linear {:.2}x)",
             linear_total / 1e6,
             alias_total / 1e6,
-            tree_sampling / 1e6,
             linear_sampling / 1e6,
             alias_sampling / 1e6,
-            tree_sampling / linear_sampling,
-            alias_sampling / tree_sampling
+            alias_sampling / linear_sampling
         );
     }
 
     // The alias headline: duty-cycled dense world (K = 512, cadences 2/4/8),
-    // the three samplers measured interleaved through the wake queue. The
+    // both samplers measured interleaved through the wake queue. The
     // band covers the sampling-phase rate — the metric the strategy controls.
     if wanted("dense_duty_cycle") {
-        let three_way = ab_dense_duty(dense_slots, threads);
-        for (sampler, total, sampling) in &three_way {
+        let two_way = ab_dense_duty(dense_slots, threads);
+        for (sampler, total, sampling) in &two_way {
             records.push(Record {
                 bench: "scenario_throughput/dense_duty_cycle",
                 world: "dense_duty_cycle",
@@ -677,129 +549,20 @@ fn main() {
             });
         }
         let rate = |strategy: SamplerStrategy| {
-            three_way
+            two_way
                 .iter()
                 .find(|(s, _, _)| *s == strategy)
                 .map(|(_, _, sampling)| sampling.median)
                 .unwrap_or(0.0)
         };
-        let (linear, tree, alias) = (
-            rate(SamplerStrategy::Linear),
-            rate(SamplerStrategy::Tree),
-            rate(SamplerStrategy::Alias),
-        );
+        let (linear, alias) = (rate(SamplerStrategy::Linear), rate(SamplerStrategy::Alias));
         eprintln!(
             "dense_duty_cycle K={DENSE_NETWORKS} cadences 2/4/8: sampling phase \
-             linear {:.2}M / tree {:.2}M / alias {:.2}M decisions/sec \
-             (alias/linear {:.2}x, alias/tree {:.2}x)",
+             linear {:.2}M / alias {:.2}M decisions/sec (alias/linear {:.2}x)",
             linear / 1e6,
-            tree / 1e6,
             alias / 1e6,
-            alias / linear.max(f64::EPSILON),
-            alias / tree.max(f64::EPSILON)
+            alias / linear.max(f64::EPSILON)
         );
-    }
-
-    // Interleaved lane-vs-boxed A/B pairs at a fixed thread ladder. Records
-    // report the median of AB_RUNS interleaved runs plus the min/max band;
-    // `host_cores` is the honesty marker — thread counts above it measure an
-    // oversubscribed pool, not parallel scaling.
-    let ab_extra = |lanes: &str, b: &Band| {
-        format!(
-            ",\"lanes\":\"{lanes}\",\"ab_runs\":{AB_RUNS},\"band_min\":{:.0},\
-             \"band_max\":{:.0},\"host_cores\":{auto_threads}",
-            b.min, b.max
-        )
-    };
-    let mut closure_speedup_1t = None;
-    for ab_threads in [1usize, 2, 8] {
-        // Two closure datapoints per thread count: Smart EXP3 (the block
-        // structure amortises sampling, so per-decision policy work is small
-        // and the lane delta bounds the engine's dispatch overhead) and
-        // slot-level EXP3 (samples and reweights every slot — the
-        // inlining-sensitive workload the lanes target).
-        if wanted("ab_closure") {
-            for (policy, ab_kind) in [
-                ("SmartExp3", PolicyKind::SmartExp3),
-                ("Exp3", PolicyKind::Exp3),
-            ] {
-                let (lane, boxed) = ab_closure(sessions, slots, ab_threads, ab_kind);
-                eprintln!(
-                    "A/B closure/{policy} {ab_threads}t: lanes {:.2}M vs boxed {:.2}M \
-                     decisions/sec ({:.2}x)",
-                    lane.median / 1e6,
-                    boxed.median / 1e6,
-                    lane.median / boxed.median
-                );
-                if ab_threads == 1 && ab_kind == PolicyKind::Exp3 {
-                    closure_speedup_1t = Some(lane.median / boxed.median);
-                }
-                for (mode, b) in [("on", &lane), ("off", &boxed)] {
-                    records.push(Record {
-                        bench: "engine_throughput/step",
-                        world: "closure",
-                        feedback: "fused",
-                        policy,
-                        sessions,
-                        slots,
-                        threads: ab_threads,
-                        decisions_per_sec: b.median,
-                        extra: ab_extra(mode, b),
-                    });
-                }
-            }
-        }
-
-        if wanted("ab_equal_share") {
-            let (lane, boxed) = ab_equal_share(sessions, slots, ab_threads);
-            eprintln!(
-                "A/B equal_share {ab_threads}t: lanes {:.2}M vs boxed {:.2}M decisions/sec \
-                 ({:.2}x)",
-                lane.median / 1e6,
-                boxed.median / 1e6,
-                lane.median / boxed.median
-            );
-            for (mode, b) in [("on", &lane), ("off", &boxed)] {
-                records.push(Record {
-                    bench: "scenario_throughput/equal_share",
-                    world: "equal_share",
-                    feedback: "partitioned",
-                    policy: "SmartExp3",
-                    sessions,
-                    slots,
-                    threads: ab_threads,
-                    decisions_per_sec: b.median,
-                    extra: ab_extra(mode, b),
-                });
-            }
-        }
-
-        if wanted("ab_dense_urban") {
-            let (lane, boxed) = ab_dense(dense_slots, ab_threads);
-            eprintln!(
-                "A/B dense_urban {ab_threads}t: lanes {:.2}M vs boxed {:.2}M decisions/sec \
-                 ({:.2}x)",
-                lane.median / 1e6,
-                boxed.median / 1e6,
-                lane.median / boxed.median
-            );
-            for (mode, b) in [("on", &lane), ("off", &boxed)] {
-                records.push(Record {
-                    bench: "scenario_throughput/dense_urban",
-                    world: "dense_urban",
-                    feedback: "partitioned",
-                    policy: "Exp3",
-                    sessions: DENSE_SESSIONS,
-                    slots: dense_slots,
-                    threads: ab_threads,
-                    decisions_per_sec: b.median,
-                    extra: format!(",\"networks\":{DENSE_NETWORKS}{}", ab_extra(mode, b)),
-                });
-            }
-        }
-    }
-    if let Some(speedup) = closure_speedup_1t {
-        eprintln!("fleet lanes: {speedup:.2}x boxed on engine_throughput/step (Exp3, 1 thread)");
     }
 
     if records.is_empty() {
@@ -823,28 +586,17 @@ fn main() {
         eprintln!("error: cannot write {out}: {error}");
         std::process::exit(1);
     }
-    if let (
-        Some(closure),
-        Some(partitioned_rate),
-        Some(streaming_rate),
-        Some(sequential_rate),
-        Some(coop_rate),
-    ) = (
-        closure,
-        partitioned_rate,
-        streaming_rate,
-        sequential_rate,
-        coop_rate,
-    ) {
+    if let (Some(closure), Some(partitioned_rate), Some(streaming_rate), Some(coop_rate)) =
+        (closure, partitioned_rate, streaming_rate, coop_rate)
+    {
         eprintln!(
-            "closure {:.2}M, scenario {:.2}M (telemetry {:.2}M = {:+.1}%, sequential feedback \
-             {:.2}M), cooperative {:.2}M decisions/sec over {sessions} sessions x {slots} slots, \
-             {threads} threads -> appended to {out}",
+            "closure {:.2}M, scenario {:.2}M (telemetry {:.2}M = {:+.1}%), cooperative {:.2}M \
+             decisions/sec over {sessions} sessions x {slots} slots, {threads} threads -> \
+             appended to {out}",
             closure / 1e6,
             partitioned_rate / 1e6,
             streaming_rate / 1e6,
             (streaming_rate / partitioned_rate - 1.0) * 100.0,
-            sequential_rate / 1e6,
             coop_rate / 1e6
         );
     } else {

@@ -207,15 +207,24 @@ fn write_string(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// How deeply arrays and objects may nest — upstream serde_json's default
+/// recursion limit. Each level costs a few parser stack frames, so without
+/// a limit a text of a million `[` overflows the stack and aborts the
+/// process instead of returning an [`Error`].
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 fn parse_value(text: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.value()?;
     parser.skip_whitespace();
@@ -268,11 +277,26 @@ impl<'a> Parser<'a> {
             Some(b'N') if self.eat_keyword("NaN") => Ok(Value::F64(f64::NAN)),
             Some(b'i') if self.eat_keyword("inf") => Ok(Value::F64(f64::INFINITY)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::map),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(Error::at(format!("unexpected `{}`", b as char), self.pos)),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper, failing
+    /// past [`MAX_DEPTH`] levels.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::at(
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+                self.pos,
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn seq(&mut self) -> Result<Value, Error> {
@@ -524,6 +548,19 @@ mod tests {
             from_str::<String>("\"\\ude00\"").is_err(),
             "lone low surrogate"
         );
+    }
+
+    #[test]
+    fn nesting_is_limited_to_128_levels() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_value(&nested(128)).is_ok());
+        assert!(parse_value(&nested(129)).is_err());
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(parse_value(&objects(128)).is_ok());
+        assert!(parse_value(&objects(129)).is_err());
+        // Far past the limit, unbalanced: an error, not a stack overflow.
+        assert!(parse_value(&"[".repeat(1_000_000)).is_err());
+        assert!(parse_value(&"{\"a\":".repeat(1_000_000)).is_err());
     }
 
     #[test]

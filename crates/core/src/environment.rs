@@ -106,7 +106,7 @@ impl SessionView<'_> {
 }
 
 /// A contiguous range of sessions `[start, end)` forming one independent
-/// feedback partition (see the [module documentation](self)).
+/// feedback partition (see the `environment` module documentation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SessionRange {
     /// First session of the partition (inclusive).
@@ -195,7 +195,7 @@ impl std::error::Error for EnvStateError {}
 /// A world that couples a fleet of sessions: per-slot visibility and
 /// activity per session, plus joint-choice → per-session feedback.
 ///
-/// See the [module documentation](self) for the phase protocol and the
+/// See the `environment` module documentation for the phase protocol and the
 /// determinism contract. `Send + Sync` is required because
 /// [`session_view`](Self::session_view) is called from parallel workers.
 pub trait Environment: Send + Sync {

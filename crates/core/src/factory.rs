@@ -189,8 +189,8 @@ impl PolicyFactory {
 
     /// Selects the CDF-inversion strategy for every EXP3-family policy this
     /// factory builds (both the slot-level baseline and the Smart EXP3
-    /// variants). Dense-spectrum worlds pass [`SamplerStrategy::Tree`] here
-    /// to make each draw O(log k) instead of O(k).
+    /// variants). Dense-spectrum worlds pass [`SamplerStrategy::Alias`] here
+    /// to make each draw amortised O(1) instead of O(k).
     #[must_use]
     pub fn with_sampler(mut self, sampler: SamplerStrategy) -> Self {
         self.exp3_config.sampler = sampler;

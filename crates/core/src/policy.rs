@@ -127,11 +127,11 @@ pub struct PolicyStats {
     /// Times the policy's weight-table sampler rebuilt its acceleration
     /// structure (the alias-table freeze under
     /// [`SamplerStrategy::Alias`](crate::SamplerStrategy::Alias); 0 for the
-    /// linear and tree strategies). A rebuild storm here means updates are
+    /// linear strategy). A rebuild storm here means updates are
     /// churning faster than draws can amortise.
     pub sampler_rebuilds: u64,
     /// Draws that resolved through the alias sampler's dirty-arm overlay
-    /// walk instead of its O(1) table lookup (0 for other strategies).
+    /// walk instead of its O(1) table lookup (0 for the linear strategy).
     pub overlay_hits: u64,
 }
 

@@ -65,7 +65,7 @@ impl SharedRate {
 /// Per-network observed-rate digests with staleness decay — what one gossip
 /// neighbourhood currently believes about its networks.
 ///
-/// See the [module documentation](self) for the data path and the
+/// See the `shared` module documentation for the data path and the
 /// validation contract.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SharedFeedback {

@@ -618,34 +618,6 @@ mod tests {
         }
     }
 
-    /// Golden decision pin for the Fenwick-sampler configuration (the
-    /// `Linear` default keeps its historical pins; each sampler config owns
-    /// its trajectory).
-    #[test]
-    fn tree_sampler_decisions_are_pinned() {
-        let config = SmartExp3Config {
-            sampler: crate::SamplerStrategy::Tree,
-            ..SmartExp3Config::default()
-        };
-        let mut policy = SmartExp3::new(nets(8), config).unwrap();
-        let mut rng = StdRng::seed_from_u64(2026);
-        let mut sequence = Vec::new();
-        for slot in 0..24 {
-            let chosen = policy.choose(slot, &mut rng);
-            let gain = if chosen == NetworkId(5) { 0.9 } else { 0.2 };
-            policy.observe(
-                &Observation::bandit(slot, chosen, gain * 22.0, gain),
-                &mut rng,
-            );
-            sequence.push(chosen.0);
-        }
-        assert_eq!(
-            sequence,
-            [7, 5, 1, 5, 5, 6, 5, 5, 2, 5, 5, 4, 5, 5, 0, 5, 5, 3, 5, 5, 6, 5, 5, 4],
-            "tree-sampler SmartExp3 decision pin drifted"
-        );
-    }
-
     /// Golden decision pin for the alias-sampler configuration — Smart
     /// EXP3's block structure is exactly the static-weight phase the alias
     /// table amortises over, so this trajectory is the headline config's

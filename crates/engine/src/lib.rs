@@ -12,14 +12,13 @@
 //! concrete values (`Vec<LaneSession<Exp3>>` / `Vec<LaneSession<SmartExp3>>`)
 //! laid out back-to-back in session order, and every per-slot phase loop is
 //! monomorphized per lane — no `Box` pointer-chase, no vtable call per
-//! decision. Everything else (baselines, oracles, third-party policies via
-//! [`FleetEngine::add_session`], or any fleet with
-//! [`FleetConfig::fleet_lanes`] off) runs on the **boxed fallback lane**,
-//! which executes the exact same generic loop bodies through `Box<dyn
-//! Policy>`. Lane routing is a storage decision only: each session keeps its
-//! private RNG stream and runs the same policy code, so a lane fleet is
-//! **bit-identical** to an all-boxed fleet — same decisions, same snapshot
-//! bytes (up to the recorded config flag), at any thread count.
+//! decision. Everything else (baselines, oracles, and any policy handed to
+//! [`FleetEngine::add_session`]) runs on the **boxed fallback lane**, which
+//! executes the exact same generic loop bodies through `Box<dyn Policy>`.
+//! Lane routing is a storage decision only: each session keeps its private
+//! RNG stream and runs the same policy code, so a lane fleet is
+//! **bit-identical** to the same sessions added one by one as boxes — same
+//! decisions, same snapshot bytes, at any thread count.
 //!
 //! ## Seeding model
 //!
@@ -122,22 +121,6 @@ pub struct FleetConfig {
     /// available parallelism; `Some(1)` forces sequential stepping. Results
     /// are independent of this value.
     pub threads: Option<usize>,
-    /// Whether [`FleetEngine::step_env`] fans the feedback phase out over
-    /// the worker pool when the environment advertises feedback partitions
-    /// (the default). `false` forces the sequential
-    /// [`Environment::feedback`] fallback — useful for measuring the
-    /// speedup. On a single-worker pool the engine always takes the
-    /// sequential path (fan-out would be pure dispatch overhead). Results
-    /// are independent of this value by the partition contract.
-    pub partitioned_feedback: bool,
-    /// Whether [`FleetEngine::add_fleet`] routes EXP3-family policies into
-    /// homogeneous **fleet lanes** — contiguous, monomorphized per-kind
-    /// storage stepped with static dispatch (the default). `false` forces
-    /// every session onto the boxed fallback lane, reproducing the
-    /// historical `Vec<Box<dyn Policy>>` layout — useful for measuring the
-    /// lane speedup. Lanes hold the same policy states and per-session RNG
-    /// streams as boxes, so results are independent of this value.
-    pub fleet_lanes: bool,
 }
 
 impl Default for FleetConfig {
@@ -146,8 +129,6 @@ impl Default for FleetConfig {
             root_seed: 0,
             shard_size: 1024,
             threads: None,
-            partitioned_feedback: true,
-            fleet_lanes: true,
         }
     }
 }
@@ -173,21 +154,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_shard_size(mut self, shard_size: usize) -> Self {
         self.shard_size = shard_size.max(1);
-        self
-    }
-
-    /// Enables or disables the partitioned feedback phase (on by default).
-    #[must_use]
-    pub fn with_partitioned_feedback(mut self, partitioned: bool) -> Self {
-        self.partitioned_feedback = partitioned;
-        self
-    }
-
-    /// Enables or disables the monomorphized fleet lanes (on by default);
-    /// see [`FleetConfig::fleet_lanes`].
-    #[must_use]
-    pub fn with_fleet_lanes(mut self, lanes: bool) -> Self {
-        self.fleet_lanes = lanes;
         self
     }
 
@@ -268,9 +234,8 @@ enum LaneSegment {
     /// Monomorphized lane: Smart EXP3 (the full algorithm and all feature
     /// ablations are one concrete type), stored inline.
     Smart(Vec<LaneSession<SmartExp3>>),
-    /// Fallback lane: anything behind `Box<dyn Policy>` (baselines, oracles,
-    /// third-party policies, or entire fleets with
-    /// [`FleetConfig::fleet_lanes`] off).
+    /// Fallback lane: anything behind `Box<dyn Policy>` (baselines, oracles
+    /// and third-party policies).
     Boxed(Vec<LaneSession<Box<dyn Policy>>>),
 }
 
@@ -518,44 +483,6 @@ pub enum SnapshotError {
     Environment(String),
 }
 
-/// What a known historical snapshot version lacks relative to the current
-/// format — the actionable half of the [`SnapshotError::UnsupportedVersion`]
-/// diagnostic. `None` for versions this engine has never written (future or
-/// garbage values), which keep the generic message.
-fn version_hint(version: u32) -> Option<&'static str> {
-    Some(match version {
-        2 => {
-            "version 2 texts predate embedded environment state; \
-             re-run under SNAPSHOT_VERSION 2 or regenerate the checkpoint"
-        }
-        3 => {
-            "version 3 policy states predate the cooperative-feedback counters; \
-             re-run under SNAPSHOT_VERSION 3 or regenerate the checkpoint"
-        }
-        4 => {
-            "version 4 configs predate the partitioned-feedback switch; \
-             re-run under SNAPSHOT_VERSION 4 or regenerate the checkpoint"
-        }
-        5 => {
-            "version 5 policy states predate the per-policy sampler strategy; \
-             re-run under SNAPSHOT_VERSION 5 or regenerate the checkpoint"
-        }
-        6 => {
-            "version 6 configs predate the fleet-lanes switch; \
-             re-run under SNAPSHOT_VERSION 6 or regenerate the checkpoint"
-        }
-        7 => {
-            "version 7 texts predate the event-engine wake queue; \
-             re-run under SNAPSHOT_VERSION 7 or regenerate the checkpoint"
-        }
-        8 => {
-            "version 8 policy states predate the alias-sampler state; \
-             re-run under SNAPSHOT_VERSION 8 or regenerate the checkpoint"
-        }
-        _ => return None,
-    })
-}
-
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -563,17 +490,11 @@ impl fmt::Display for SnapshotError {
                 f,
                 "{session} runs `{kind}`, whose state cannot be captured per session"
             ),
-            SnapshotError::UnsupportedVersion(version) => {
-                write!(
-                    f,
-                    "unsupported fleet snapshot format version {version} \
-                     (this engine writes version {SNAPSHOT_VERSION})"
-                )?;
-                if let Some(hint) = version_hint(*version) {
-                    write!(f, ": {hint}")?;
-                }
-                Ok(())
-            }
+            SnapshotError::UnsupportedVersion(version) => write!(
+                f,
+                "unsupported fleet snapshot format version {version} \
+                 (this engine writes version {SNAPSHOT_VERSION})"
+            ),
             SnapshotError::Malformed(message) => write!(f, "malformed fleet snapshot: {message}"),
             SnapshotError::Environment(message) => {
                 write!(f, "environment snapshot error: {message}")
@@ -586,51 +507,16 @@ impl std::error::Error for SnapshotError {}
 
 /// Snapshot format version written by this engine.
 ///
-/// Version 2: policies serialize the weight table's distribution cache and
-/// flat (vector-backed) network statistics, so a restored session resumes on
-/// the exact floating-point trajectory of the original.
-///
-/// Version 3: snapshots may embed the dynamic state of the [`Environment`]
-/// the fleet was stepped through ([`FleetSnapshot::environment`]), so a
-/// mid-scenario checkpoint — pending bandwidth events, mobility positions
-/// and the environment RNG included — restores bit-identically.
-///
-/// Version 4: policy checkpoints carry the cooperative-feedback counter
-/// ([`PolicyStats::shared_observations`]), and cooperative environments
-/// embed their gossip digests and per-area RNG streams in the environment
-/// state.
-///
-/// Version 5: the engine configuration records the partitioned-feedback
-/// switch ([`FleetConfig::partitioned_feedback`]), and partitioned
-/// environments embed **one RNG stream per feedback partition** in the
-/// environment state instead of a single stream.
-///
-/// Version 6: EXP3-family policy checkpoints carry the per-policy
-/// `SamplerStrategy` and, for tree-sampled configs, the Fenwick tree over
-/// the cached exponentials — so a restored dense-spectrum session resumes
-/// its O(log k) sampler bit-identically.
-///
-/// Version 7: the engine configuration records the fleet-lanes switch
-/// ([`FleetConfig::fleet_lanes`]). Lane routing is storage layout only —
-/// session states, RNG streams and trajectories are identical either way,
-/// and on restore EXP3-family [`PolicyState`]s are routed back into lanes
-/// (or boxed, per the recorded flag) — but a version-6 text lacks the
-/// field. Texts from versions 2–6 therefore fail to parse field-for-field,
-/// so [`from_json`](FleetEngine::from_json) probes the version first and
-/// reports [`SnapshotError::UnsupportedVersion`] instead of a confusing
-/// missing-field error (with a per-version hint, see [`version_hint`]).
-///
-/// Version 8: snapshots carry the event-driven engine's **wake queue**
-/// ([`FleetSnapshot::wake_queue`]) — the pending `(wake_time, session)`
-/// entries of [`FleetEngine::step_events`], sorted for stable bytes, or
-/// `None` when the fleet was stepped slot-synchronously — so a checkpoint
-/// taken between two wake cohorts restores the exact event schedule.
-///
-/// Version 9: weight tables carry the alias-sampler state —
-/// [`SamplerStrategy::Alias`](smartexp3_core::SamplerStrategy)'s frozen
-/// Vose table, dirty-arm overlay and the `sampler_rebuilds`/`overlay_hits`
-/// counters ([`PolicyStats`]) — so an alias-sampled fleet restores onto the
-/// exact decision trajectory, counters included.
+/// A version-9 snapshot holds the engine configuration, every session's
+/// policy state (weight tables with their distribution cache and, for
+/// [`SamplerStrategy::Alias`](smartexp3_core::SamplerStrategy) configs, the
+/// frozen Vose table, dirty-arm overlay and sampler counters), RNG stream
+/// and gain statistics, the event-driven engine's wake queue
+/// ([`FleetSnapshot::wake_queue`]) and, optionally, the dynamic state of the
+/// [`Environment`] the fleet was stepped through
+/// ([`FleetSnapshot::environment`]) — everything a restored fleet needs to
+/// continue on the exact trajectory of the original. A snapshot of any
+/// other version is rejected with [`SnapshotError::UnsupportedVersion`].
 pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Checkpoint of one session.
@@ -1023,10 +909,9 @@ impl FleetEngine {
     /// factory's bulk-construction hook). Returns the ids of the new
     /// sessions, which are always a contiguous run.
     ///
-    /// With [`FleetConfig::fleet_lanes`] on (the default), EXP3-family kinds
-    /// are stored concretely in monomorphized lane segments; other kinds —
-    /// and every kind when the toggle is off — go to the boxed fallback
-    /// lane. The routing never changes behaviour, only storage.
+    /// EXP3-family kinds are stored concretely in monomorphized lane
+    /// segments; other kinds go to the boxed fallback lane. The routing
+    /// never changes behaviour, only storage.
     ///
     /// # Errors
     ///
@@ -1038,13 +923,6 @@ impl FleetEngine {
         kind: PolicyKind,
         count: usize,
     ) -> Result<Vec<SessionId>, ConfigError> {
-        if !self.config.fleet_lanes {
-            let policies = factory.build_fleet(kind, count)?;
-            return Ok(policies
-                .into_iter()
-                .map(|policy| self.add_session(kind, policy))
-                .collect());
-        }
         Ok(match factory.build_fleet_concrete(kind, count)? {
             FleetPolicies::Exp3(policies) => policies
                 .into_iter()
@@ -1242,23 +1120,22 @@ impl FleetEngine {
     ///
     /// 1. `env.begin_slot` — environment-state advance. Worlds that
     ///    advertise [`feedback_partitions`](Environment::feedback_partitions)
-    ///    (with [`FleetConfig::partitioned_feedback`] on and more than one
-    ///    worker) get [`Environment::begin_slot_partitioned`] with an
-    ///    executor backed by the worker pool instead — the RNG-free
-    ///    per-session refresh fans out over the same area partitions as
-    ///    feedback, bit-identically;
+    ///    (when the pool has more than one worker) get
+    ///    [`Environment::begin_slot_partitioned`] with an executor backed by
+    ///    the worker pool instead — the RNG-free per-session refresh fans
+    ///    out over the same area partitions as feedback, bit-identically;
     /// 2. choose — sharded over rayon workers: each session reads its
     ///    [`SessionView`](smartexp3_core::SessionView), absorbs a visibility
     ///    change if one is reported, and (when active) picks a network with
     ///    its private RNG stream;
     /// 3. feedback — joint-choice → per-session feedback. When the
     ///    environment advertises
-    ///    [`feedback_partitions`](Environment::feedback_partitions) (and
-    ///    [`FleetConfig::partitioned_feedback`] is on), the engine hands the
-    ///    environment a [`PartitionExecutor`] backed by the same worker
-    ///    pool, and the environment fans one job per independent area out
-    ///    over it; otherwise the sequential [`Environment::feedback`]
-    ///    fallback runs on the calling thread;
+    ///    [`feedback_partitions`](Environment::feedback_partitions) and the
+    ///    pool has more than one worker, the engine hands the environment a
+    ///    [`PartitionExecutor`] backed by the same worker pool, and the
+    ///    environment fans one job per independent area out over it;
+    ///    otherwise the sequential [`Environment::feedback`] runs on the
+    ///    calling thread;
     /// 4. observe — sharded: every active session ingests its observation
     ///    (and, if the environment asked for top choices, reports its most
     ///    probable network for stable-state recording) before
@@ -1270,7 +1147,7 @@ impl FleetEngine {
     /// and all environment randomness is drawn from environment-owned
     /// streams in canonical session order (one stream per feedback partition
     /// on the partitioned path), the trajectory is **bit-identical at any
-    /// thread count and shard size — with partitioned feedback on or off**.
+    /// thread count and shard size — partitioned or sequential feedback**.
     /// Steady-state stepping allocates nothing per session: joint-choice,
     /// feedback and top-choice buffers persist across slots (a small
     /// O(shard-count) pairing vector is rebuilt per phase, as in
@@ -1322,17 +1199,15 @@ impl FleetEngine {
     }
 
     /// Phase 1 at `t`: advances the environment — fanned out over the worker
-    /// pool when it advertises partitions, the configuration allows it and
-    /// the pool has more than one worker — and returns whether the feedback
-    /// phase is partitioned too (the two phases always agree) plus the
-    /// phase's wall time.
+    /// pool when it advertises partitions and the pool has more than one
+    /// worker — and returns whether the feedback phase is partitioned too
+    /// (the two phases always agree) plus the phase's wall time.
     fn begin_slot(&self, env: &mut dyn Environment, t: SlotIndex) -> (bool, f64) {
         let workers = match &self.pool {
             Some(pool) => pool.current_num_threads(),
             None => rayon::current_num_threads(),
         };
-        let partitioned =
-            self.config.partitioned_feedback && workers > 1 && env.feedback_partitions().is_some();
+        let partitioned = workers > 1 && env.feedback_partitions().is_some();
         let start = Instant::now();
         if partitioned {
             env.begin_slot_partitioned(t, &PoolExecutor { pool: &self.pool });
@@ -1638,7 +1513,7 @@ impl FleetEngine {
     /// cadence 1, the cohort is always the whole fleet and this path is
     /// **bit-identical** to [`step_env`](Self::step_env) — same choices,
     /// same RNG streams, same environment state — at any thread count and
-    /// shard size, lanes and partitioning on or off.
+    /// shard size, with sequential or partitioned feedback.
     ///
     /// As a side effect the cohort's queueing latency is recorded: each
     /// decision is charged the host time from cohort start until its shard
@@ -2004,26 +1879,45 @@ impl FleetEngine {
     /// Restores a fleet from a snapshot. The restored fleet continues
     /// bit-identically to the fleet the snapshot was taken from.
     ///
-    /// With [`FleetConfig::fleet_lanes`] recorded as on, EXP3-family policy
-    /// states are routed back into the monomorphized lanes; otherwise (and
-    /// for every other state) they are boxed onto the fallback lane. Either
-    /// way the restored sessions hold the same states and RNG streams, so
-    /// the routing never changes the trajectory.
+    /// EXP3-family policy states are routed back into the monomorphized
+    /// lanes and every other state is boxed onto the fallback lane; the
+    /// restored sessions hold the same states and RNG streams either way.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError::UnsupportedVersion`] for snapshots from an
-    /// incompatible engine version, and [`SnapshotError::Malformed`] for a
-    /// wake queue the engine cannot have written (see [`WakeEntry`]).
+    /// incompatible engine version, and [`SnapshotError::Malformed`] for
+    /// session ids or a wake queue the engine cannot have written (see
+    /// [`WakeEntry`]).
     pub fn from_snapshot(snapshot: FleetSnapshot) -> Result<Self, SnapshotError> {
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(snapshot.version));
         }
+        // The engine assigns ids as `0..len` and derives each RNG stream
+        // from the id, so a rewound or repeated id would hand later sessions
+        // the streams of earlier ones.
+        let sessions = snapshot.sessions.len();
+        if let Some((index, session)) = snapshot
+            .sessions
+            .iter()
+            .enumerate()
+            .find(|&(index, session)| session.id != index as u64)
+        {
+            return Err(SnapshotError::Malformed(format!(
+                "session {index} carries id {}",
+                session.id
+            )));
+        }
+        if snapshot.next_id != sessions as u64 {
+            return Err(SnapshotError::Malformed(format!(
+                "next id {} does not follow the {sessions} sessions",
+                snapshot.next_id
+            )));
+        }
         let wakes = snapshot
             .wake_queue
-            .map(|pending| wake_calendar(pending, snapshot.sessions.len(), snapshot.slot))
+            .map(|pending| wake_calendar(pending, sessions, snapshot.slot))
             .transpose()?;
-        let lanes = snapshot.config.fleet_lanes;
         let mut engine = FleetEngine::new(snapshot.config);
         engine.slot = snapshot.slot;
         engine.decisions = snapshot.decisions;
@@ -2032,7 +1926,7 @@ impl FleetEngine {
             let rng = StdRng::from_state(s.rng);
             engine.last.push(s.last_choice);
             match s.policy {
-                PolicyState::Exp3(policy) if lanes => engine.append_exp3(LaneSession {
+                PolicyState::Exp3(policy) => engine.append_exp3(LaneSession {
                     id,
                     kind: s.kind,
                     policy: *policy,
@@ -2040,7 +1934,7 @@ impl FleetEngine {
                     gains: s.gains,
                     last_choice: s.last_choice,
                 }),
-                PolicyState::SmartExp3(policy) if lanes => engine.append_smart(LaneSession {
+                PolicyState::SmartExp3(policy) => engine.append_smart(LaneSession {
                     id,
                     kind: s.kind,
                     policy: *policy,
@@ -2082,19 +1976,6 @@ impl FleetEngine {
     /// Returns [`SnapshotError::Malformed`] on parse failures and
     /// [`SnapshotError::UnsupportedVersion`] on version mismatches.
     pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
-        // Probe the version first: snapshots from other engine releases may
-        // have a different field set (version 2 lacks `environment`), and
-        // the accurate diagnostic for those is UnsupportedVersion, not a
-        // missing-field parse error.
-        #[derive(Deserialize)]
-        struct VersionProbe {
-            version: u32,
-        }
-        let probe: VersionProbe =
-            serde_json::from_str(text).map_err(|e| SnapshotError::Malformed(e.to_string()))?;
-        if probe.version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(probe.version));
-        }
         let snapshot: FleetSnapshot =
             serde_json::from_str(text).map_err(|e| SnapshotError::Malformed(e.to_string()))?;
         Self::from_snapshot(snapshot)
@@ -2281,33 +2162,41 @@ mod tests {
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
         assert!(FleetEngine::from_json("{not json").is_err());
-        // Previous-release texts (version 2 lacks the `environment` field,
-        // version 3 lacks the cooperative-feedback counters in its policy
-        // states, version 4 lacks the partitioned-feedback config switch,
-        // version 5 lacks the per-policy sampler strategy, version 6 lacks
-        // the fleet-lanes config switch, version 7 lacks the event-engine
-        // wake queue, version 8 lacks the alias-sampler state) must be
-        // diagnosed as unsupported versions, not malformed.
-        for version in [2u32, 3, 4, 5, 6, 7, 8] {
-            match FleetEngine::from_json(&format!("{{\"version\":{version},\"sessions\":[]}}")) {
-                Err(SnapshotError::UnsupportedVersion(v)) if v == version => {}
-                other => panic!("expected UnsupportedVersion({version}), got {other:?}"),
-            }
+        // A full text that only names another version gets the one generic
+        // diagnostic.
+        let text = fleet.to_json().unwrap();
+        let v8 = text.replacen("\"version\":9", "\"version\":8", 1);
+        assert_ne!(v8, text);
+        match FleetEngine::from_json(&v8) {
+            Err(error @ SnapshotError::UnsupportedVersion(8)) => assert_eq!(
+                error.to_string(),
+                "unsupported fleet snapshot format version 8 (this engine writes version 9)"
+            ),
+            other => panic!("expected UnsupportedVersion(8), got {other:?}"),
         }
-        // Every probed version carries an actionable hint naming the release
-        // that can still read the checkpoint; unknown versions stay generic.
-        for version in [5u32, 6, 7, 8] {
-            let text = SnapshotError::UnsupportedVersion(version).to_string();
-            assert!(
-                text.contains(&format!("re-run under SNAPSHOT_VERSION {version}")),
-                "v{version} hint missing from: {text}"
-            );
+        // The sampler strategy that is gone no longer parses.
+        let tree = text.replace("\"Linear\"", "\"Tree\"");
+        assert_ne!(tree, text);
+        match FleetEngine::from_json(&tree) {
+            Err(SnapshotError::Malformed(_)) => {}
+            other => panic!("expected a malformed snapshot, got {other:?}"),
         }
-        let generic = SnapshotError::UnsupportedVersion(999).to_string();
-        assert!(
-            !generic.contains("re-run under"),
-            "unexpected hint: {generic}"
-        );
+        // Bare texts of earlier versions lack most fields: an error, never
+        // a restored fleet or a panic.
+        for version in 2u32..=8 {
+            let bare = format!("{{\"version\":{version},\"sessions\":[]}}");
+            assert!(FleetEngine::from_json(&bare).is_err(), "version {version}");
+        }
+    }
+
+    #[test]
+    fn deeply_nested_text_is_malformed() {
+        // A million open brackets used to overflow the parser's stack and
+        // abort the process; the nesting limit makes it a typed error.
+        match FleetEngine::from_json(&"[".repeat(1_000_000)) {
+            Err(SnapshotError::Malformed(_)) => {}
+            other => panic!("expected a malformed snapshot, got {other:?}"),
+        }
     }
 
     #[test]
@@ -2332,30 +2221,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn lane_fleets_match_boxed_fleets_exactly() {
-        // The in-crate smoke version of the lane/boxed equivalence property
-        // (the full churn + snapshot matrix lives in tests/lanes.rs): same
-        // seed, lanes on vs off, identical trajectory and metrics.
-        let lanes = build_fleet(Some(2), 16, 60);
-        let mut boxed = FleetEngine::new(lanes.config().clone().with_fleet_lanes(false));
-        let mut factory = PolicyFactory::new(rates()).unwrap();
-        boxed
-            .add_fleet(&mut factory, PolicyKind::SmartExp3, 30)
-            .unwrap();
-        boxed.add_fleet(&mut factory, PolicyKind::Exp3, 15).unwrap();
-        boxed
-            .add_fleet(&mut factory, PolicyKind::Greedy, 15)
-            .unwrap();
-        let mut lanes = lanes;
-        for _ in 0..25 {
-            lanes.step_with(feedback);
-            boxed.step_with(feedback);
-            assert_eq!(lanes.last_choices(), boxed.last_choices());
-        }
-        assert_eq!(lanes.metrics(), boxed.metrics());
     }
 
     /// Deterministic world for event-engine tests: every session is always
@@ -2561,14 +2426,23 @@ mod tests {
         let text = original.to_json().unwrap();
         assert_eq!(restored.to_json().unwrap(), text);
         // Version-9 texts written while `FleetConfig` still had its
-        // `wake_latency` switch carry the field; restore ignores it and the
-        // fleet round-trips bit-exactly.
-        let legacy = text.replacen(
-            "\"fleet_lanes\":true",
-            "\"fleet_lanes\":true,\"wake_latency\":true",
-            1,
+        // latency, feedback-partitioning and lane switches, and weight
+        // tables still had a Fenwick tree, carry those fields; restore
+        // ignores them (lanes off included) and the fleet round-trips
+        // bit-exactly.
+        let legacy = text
+            .replacen(
+                "\"threads\":2",
+                "\"threads\":2,\"partitioned_feedback\":true,\"fleet_lanes\":false,\
+                 \"wake_latency\":true",
+                1,
+            )
+            .replace("\"alias_prob\":", "\"tree\":[],\"alias_prob\":");
+        assert!(legacy.contains("\"fleet_lanes\":false"));
+        assert_eq!(
+            legacy.matches("\"tree\":[]").count(),
+            text.matches("\"alias_prob\":").count()
         );
-        assert_ne!(legacy, text);
         assert_eq!(
             FleetEngine::from_json(&legacy).unwrap().to_json().unwrap(),
             text

@@ -5,7 +5,7 @@
 use smartexp3_core::{
     Environment, NetworkId, Observation, PolicyFactory, PolicyKind, SessionView, SlotIndex,
 };
-use smartexp3_engine::{FleetConfig, FleetEngine, StepContext};
+use smartexp3_engine::{FleetConfig, FleetEngine, SnapshotError, StepContext};
 
 fn rates() -> Vec<(NetworkId, f64)> {
     netsim::setting1_networks()
@@ -133,6 +133,20 @@ fn snapshot_restore_resumes_the_exact_trajectory() {
     let mut first_half = mixed_fleet(config, 200);
     first_half.run_with(cut, independent_feedback);
     let checkpoint = first_half.to_json().unwrap();
+    // Ids are the session indices and seed the RNG streams: a rewound
+    // `next_id` would hand later sessions the streams of sessions 0.., and
+    // a repeated id would share one stream between two sessions.
+    let snapshot = first_half.snapshot().unwrap();
+    let mut rewound = snapshot.clone();
+    rewound.next_id = 0;
+    let mut repeated = snapshot;
+    repeated.sessions[1].id = 0;
+    for (what, broken) in [("a rewound next id", rewound), ("a repeated id", repeated)] {
+        match FleetEngine::from_snapshot(broken) {
+            Err(SnapshotError::Malformed(_)) => {}
+            other => panic!("{what}: expected a malformed snapshot, got {other:?}"),
+        }
+    }
     drop(first_half);
 
     let mut resumed = FleetEngine::from_json(&checkpoint).unwrap();

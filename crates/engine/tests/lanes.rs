@@ -1,8 +1,9 @@
 //! Fleet-lane equivalence properties: a mixed fleet — monomorphized lanes
 //! interleaved with boxed fallback sessions in one engine — must agree
-//! **decision-for-decision** with an all-boxed engine under session churn
-//! (fleets added mid-run) and mid-run snapshot/restore, including restores
-//! that cross the [`FleetConfig::fleet_lanes`] toggle in both directions.
+//! **decision-for-decision** with an all-boxed engine (the same sessions
+//! added one by one through [`FleetEngine::add_session`]) under session
+//! churn (fleets added mid-run) and mid-run snapshot/restore, including the
+//! restore that routes the boxed engine's EXP3-family states into lanes.
 
 use smartexp3_core::{NetworkId, Observation, PolicyFactory, PolicyKind};
 use smartexp3_engine::{FleetConfig, FleetEngine, StepContext};
@@ -18,17 +19,34 @@ fn rates() -> Vec<(NetworkId, f64)> {
 
 /// Interleaves lane-eligible kinds (Smart EXP3, EXP3, the ablations) with
 /// boxed-only baselines so the lanes engine ends up with many alternating
-/// segments while the boxed engine holds one long fallback lane.
-fn add_mixed_wave(fleet: &mut FleetEngine, factory: &mut PolicyFactory, scale: usize) {
-    for (kind, count) in [
+/// segments.
+fn mixed_wave(scale: usize) -> [(PolicyKind, usize); 6] {
+    [
         (PolicyKind::SmartExp3, 5 * scale),
         (PolicyKind::Exp3, 3 * scale),
         (PolicyKind::Greedy, 2 * scale),
         (PolicyKind::BlockExp3, 3 * scale),
         (PolicyKind::FixedRandom, scale),
         (PolicyKind::Exp3, 2 * scale),
-    ] {
+    ]
+}
+
+/// Adds a mixed wave through [`FleetEngine::add_fleet`], which routes the
+/// EXP3-family kinds into lanes.
+fn add_mixed_wave(fleet: &mut FleetEngine, factory: &mut PolicyFactory, scale: usize) {
+    for (kind, count) in mixed_wave(scale) {
         fleet.add_fleet(factory, kind, count).unwrap();
+    }
+}
+
+/// Adds the same wave one session at a time through
+/// [`FleetEngine::add_session`], which keeps every session on the boxed
+/// fallback lane.
+fn add_boxed_wave(fleet: &mut FleetEngine, factory: &mut PolicyFactory, scale: usize) {
+    for (kind, count) in mixed_wave(scale) {
+        for _ in 0..count {
+            fleet.add_session(kind, factory.build(kind).unwrap());
+        }
     }
 }
 
@@ -56,31 +74,16 @@ fn step_both(lanes: &mut FleetEngine, boxed: &mut FleetEngine, label: &str) {
     );
 }
 
-/// The lane/boxed split is storage, not behaviour: serialized states must
-/// match byte-for-byte once the routing flag itself is normalised.
-fn normalised_json(fleet: &FleetEngine) -> String {
-    fleet
-        .to_json()
-        .unwrap()
-        .replace("\"fleet_lanes\":false", "\"fleet_lanes\":true")
-}
-
 #[test]
 fn mixed_lane_fleets_match_all_boxed_fleets_under_churn_and_restore() {
     let mut factory = PolicyFactory::new(rates()).unwrap();
-    let mut lanes = FleetEngine::new(
-        FleetConfig::with_root_seed(97)
-            .with_threads(2)
-            .with_shard_size(8),
-    );
-    let mut boxed = FleetEngine::new(
-        FleetConfig::with_root_seed(97)
-            .with_threads(2)
-            .with_shard_size(8)
-            .with_fleet_lanes(false),
-    );
+    let config = FleetConfig::with_root_seed(97)
+        .with_threads(2)
+        .with_shard_size(8);
+    let mut lanes = FleetEngine::new(config.clone());
+    let mut boxed = FleetEngine::new(config);
     add_mixed_wave(&mut lanes, &mut factory, 4);
-    add_mixed_wave(&mut boxed, &mut factory, 4);
+    add_boxed_wave(&mut boxed, &mut factory, 4);
     assert_eq!(lanes.len(), boxed.len());
 
     for _ in 0..12 {
@@ -90,7 +93,7 @@ fn mixed_lane_fleets_match_all_boxed_fleets_under_churn_and_restore() {
     // Churn: grow both fleets mid-run — appends must merge/extend lanes
     // without disturbing the established sessions' streams.
     add_mixed_wave(&mut lanes, &mut factory, 2);
-    add_mixed_wave(&mut boxed, &mut factory, 2);
+    add_boxed_wave(&mut boxed, &mut factory, 2);
     // Direct single-session adds land on the boxed fallback lane in both.
     for _ in 0..3 {
         let policy = factory.build(PolicyKind::Greedy).unwrap();
@@ -104,23 +107,18 @@ fn mixed_lane_fleets_match_all_boxed_fleets_under_churn_and_restore() {
         step_both(&mut lanes, &mut boxed, "after churn");
     }
 
-    // Mid-run snapshot/restore, crossing the toggle both ways: the lanes
-    // engine restores into a boxed-only engine and vice versa; both resumed
-    // copies must keep agreeing decision-for-decision.
-    let mut lanes_to_boxed = lanes.snapshot().unwrap();
-    lanes_to_boxed.config.fleet_lanes = false;
-    let mut lanes = FleetEngine::from_snapshot(lanes_to_boxed).unwrap();
-    let mut boxed_to_lanes = boxed.snapshot().unwrap();
-    boxed_to_lanes.config.fleet_lanes = true;
-    let mut boxed = FleetEngine::from_snapshot(boxed_to_lanes).unwrap();
+    // Mid-run snapshot/restore: the boxed engine's EXP3-family states come
+    // back in lanes, and the resumed copy must keep agreeing with the lanes
+    // engine decision-for-decision.
+    let mut boxed = FleetEngine::from_snapshot(boxed.snapshot().unwrap()).unwrap();
 
     for _ in 0..10 {
-        step_both(&mut lanes, &mut boxed, "after crossed restore");
+        step_both(&mut lanes, &mut boxed, "after restore into lanes");
     }
 
     // More churn after the restore, then a plain JSON round-trip of each.
     add_mixed_wave(&mut lanes, &mut factory, 1);
-    add_mixed_wave(&mut boxed, &mut factory, 1);
+    add_boxed_wave(&mut boxed, &mut factory, 1);
     let mut lanes = FleetEngine::from_json(&lanes.to_json().unwrap()).unwrap();
     let mut boxed = FleetEngine::from_json(&boxed.to_json().unwrap()).unwrap();
     for _ in 0..8 {
@@ -129,14 +127,14 @@ fn mixed_lane_fleets_match_all_boxed_fleets_under_churn_and_restore() {
 
     assert_eq!(lanes.metrics(), boxed.metrics());
     assert_eq!(
-        normalised_json(&lanes),
-        normalised_json(&boxed),
+        lanes.to_json().unwrap(),
+        boxed.to_json().unwrap(),
         "serialized state must be independent of lane routing"
     );
 }
 
 #[test]
-fn two_phase_stepping_agrees_across_the_lane_toggle() {
+fn two_phase_stepping_agrees_between_lanes_and_boxes() {
     // The split choose/observe path (congestion-style coupled feedback) over
     // a mixed fleet: the observation handed to session `i` depends on every
     // session's choice, so segment boundaries in the choices mirror would
@@ -147,10 +145,13 @@ fn two_phase_stepping_agrees_across_the_lane_toggle() {
         let mut fleet = FleetEngine::new(
             FleetConfig::with_root_seed(31)
                 .with_threads(8)
-                .with_shard_size(5)
-                .with_fleet_lanes(lanes_enabled),
+                .with_shard_size(5),
         );
-        add_mixed_wave(&mut fleet, &mut factory, 3);
+        if lanes_enabled {
+            add_mixed_wave(&mut fleet, &mut factory, 3);
+        } else {
+            add_boxed_wave(&mut fleet, &mut factory, 3);
+        }
         for _ in 0..25 {
             let slot = fleet.slot();
             let choices = fleet.choose_all().to_vec();
@@ -172,7 +173,7 @@ fn two_phase_stepping_agrees_across_the_lane_toggle() {
                 .collect();
             fleet.observe_all(&observations);
         }
-        (fleet.last_choices().to_vec(), normalised_json(&fleet))
+        (fleet.last_choices().to_vec(), fleet.to_json().unwrap())
     };
     let (lane_choices, lane_json) = run(true);
     let (boxed_choices, boxed_json) = run(false);

@@ -164,7 +164,7 @@ fn build_gossip_plan(
 }
 
 /// A cooperative-feedback wrapper around any [`Environment`]. See the
-/// [module documentation](self).
+/// `cooperative` module documentation.
 pub struct CooperativeEnvironment {
     inner: Box<dyn Environment>,
     config: GossipConfig,

@@ -63,7 +63,7 @@ impl Default for DutyCycleConfig {
 }
 
 /// A duty-cycle wrapper around any [`Environment`]. See the
-/// [module documentation](self).
+/// `duty_cycle` module documentation.
 pub struct DutyCycleEnvironment {
     inner: Box<dyn Environment>,
     /// Cadence assignment, round-robin by session index (never empty, every

@@ -1,23 +1,22 @@
 //! # smartexp3-env
 //!
 //! Fleet-scale **scenario library**: every world the paper evaluates, packaged
-//! as an [`Environment`] plus a pre-populated
-//! [`FleetEngine`](smartexp3_engine::FleetEngine) so it can be stepped through
-//! `run_env` with millions of sessions — sharded over worker threads,
-//! bit-identical at any thread count, and checkpointable mid-run.
+//! as an [`Environment`] plus a pre-populated [`FleetEngine`] so it can be
+//! stepped through `run_env` with millions of sessions — sharded over worker
+//! threads, bit-identical at any thread count, and checkpointable mid-run.
 //!
 //! The catalog (one builder per world):
 //!
 //! | builder | world | dynamics exercised |
 //! |---|---|---|
 //! | [`equal_share`] | replicated service areas, each a 4/7/22 Mbps shared-bandwidth congestion game | joint-choice coupling |
-//! | [`dynamic_bandwidth`] | the same areas, but every area's 22 Mbps network collapses and recovers on schedule | pending [`BandwidthEvent`](netsim::BandwidthEvent)s |
+//! | [`dynamic_bandwidth`] | the same areas, but every area's 22 Mbps network collapses and recovers on schedule | pending [`BandwidthEvent`]s |
 //! | [`area_mobility`] | replicated Figure-1 maps; 8 of every 20 devices walk food court → study area → bus stop | visibility churn, `on_networks_changed` |
 //! | [`trace_driven`] | every session replays the §VI-B WiFi/cellular trace pairs, phase-shifted per session | non-stationary rates, switching delays |
 //! | [`cooperative`] | the equal-share areas with a Co-Bandit gossip layer: sessions share observed rates within their area | shared feedback, `Policy::observe_shared` |
-//! | [`dense_urban`] | dense-spectrum city blocks: one macro cell, a band of small cells and hundreds of weak APs per area (256–1024 networks visible per device) | large-K sampling ([`SamplerStrategy`](smartexp3_core::SamplerStrategy)) |
+//! | [`dense_urban`] | dense-spectrum city blocks: one macro cell, a band of small cells and hundreds of weak APs per area (256–1024 networks visible per device) | large-K sampling ([`SamplerStrategy`]) |
 //! | [`duty_cycle`] | the equal-share areas with heterogeneous wake cadences (1/2/4/8 round-robin, staggered) and periodic cellular bandwidth bursts | event-driven stepping ([`FleetEngine::step_events`](smartexp3_engine::FleetEngine::step_events)), wake-to-decision latency |
-//! | [`dense_duty_cycle`] | the [`dense_urban`] city blocks under the [`duty_cycle`] wake protocol: large-K catalogs whose weights freeze across sleep intervals, punctuated by macro-cell bandwidth bursts | amortised-O(1) sampling ([`SamplerStrategy::Alias`](smartexp3_core::SamplerStrategy::Alias)) on static-weight phases |
+//! | [`dense_duty_cycle`] | the [`dense_urban`] city blocks under the [`duty_cycle`] wake protocol: large-K catalogs whose weights freeze across sleep intervals, punctuated by macro-cell bandwidth bursts | amortised-O(1) sampling ([`SamplerStrategy::Alias`]) on static-weight phases |
 //!
 //! Scale: sessions are grouped into independent replicas (100 devices per
 //! congestion area, 20 per mobility map, [`DenseUrbanConfig::devices_per_area`]
@@ -315,7 +314,7 @@ pub struct DenseUrbanConfig {
     /// CDF-inversion strategy for every EXP3-family policy in the world.
     /// Golden decision pins are **per policy config**: trajectories are
     /// bit-stable for a fixed strategy, but [`SamplerStrategy::Linear`] and
-    /// [`SamplerStrategy::Tree`] runs are distinct pinned configurations.
+    /// [`SamplerStrategy::Alias`] runs are distinct pinned configurations.
     pub sampler: SamplerStrategy,
 }
 
@@ -324,7 +323,7 @@ impl Default for DenseUrbanConfig {
         DenseUrbanConfig {
             networks_per_area: 512,
             devices_per_area: 64,
-            sampler: SamplerStrategy::Tree,
+            sampler: SamplerStrategy::Alias,
         }
     }
 }
@@ -355,8 +354,8 @@ fn dense_area_networks(area: usize, k: usize) -> Vec<NetworkSpec> {
 /// shared-bandwidth congestion game over
 /// [`DenseUrbanConfig::networks_per_area`] networks (one 22 Mbps macro cell,
 /// a band of small cells, hundreds of weak APs). This is the large-K
-/// stress world for the sublinear sampler: with
-/// [`SamplerStrategy::Tree`] each draw costs O(log K) instead of O(K).
+/// stress world for the constant-time sampler: with
+/// [`SamplerStrategy::Alias`] each draw costs amortised O(1) instead of O(K).
 ///
 /// # Errors
 ///
@@ -447,7 +446,7 @@ fn dense_world(
 /// [`DutyCycleConfig::burst_period`] slots each block's macro cell collapses
 /// to 2 Mbps, recovering half a period later. Between a session's wakes its
 /// weight table is untouched — this is the static-weight phase
-/// [`SamplerStrategy::Alias`](smartexp3_core::SamplerStrategy::Alias)
+/// [`SamplerStrategy::Alias`]
 /// amortises its table freeze across, which is why this world is the
 /// headline benchmark for the alias sampler.
 ///

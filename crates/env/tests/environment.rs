@@ -39,8 +39,6 @@ fn scenario_fingerprint(scenario: &Scenario) -> String {
         .expect("distributed fleets snapshot");
     snapshot.config.threads = None;
     snapshot.config.shard_size = 0;
-    snapshot.config.partitioned_feedback = true;
-    snapshot.config.fleet_lanes = true;
     snapshot.wake_queue = None;
     serde_json::to_string(&snapshot).expect("snapshots serialize")
 }
@@ -67,7 +65,8 @@ fn build_config(config: FleetConfig, world: &str) -> Scenario {
         "cooperative" => {
             cooperative(180, PolicyKind::SmartExp3, config, GossipConfig::push(0.4)).unwrap()
         }
-        // Large-K world on the Fenwick sampler: covers the tree cache and the
+        // Large-K world on the linear sampler (the alias matrix covers the
+        // same world under Alias): covers the O(K) walk at large K and the
         // sharded `begin_slot` refresh under the thread-identity and
         // snapshot-round-trip matrices.
         "dense_urban" => dense_urban(
@@ -77,7 +76,7 @@ fn build_config(config: FleetConfig, world: &str) -> Scenario {
             DenseUrbanConfig {
                 networks_per_area: 96,
                 devices_per_area: 16,
-                ..DenseUrbanConfig::default()
+                sampler: SamplerStrategy::Linear,
             },
         )
         .unwrap(),
@@ -111,36 +110,6 @@ fn every_world_is_bit_identical_at_any_thread_count() {
                 "{world} diverged at {threads} threads"
             );
         }
-        // The sequential feedback fallback (partitioning disabled) must
-        // produce the same trajectory decision-for-decision.
-        let mut sequential = build_config(
-            FleetConfig::with_root_seed(42)
-                .with_threads(2)
-                .with_shard_size(16)
-                .with_partitioned_feedback(false),
-            world,
-        );
-        sequential.run(40);
-        assert_eq!(
-            scenario_fingerprint(&sequential),
-            expected,
-            "{world} diverged with partitioned feedback disabled"
-        );
-        // The boxed fallback (fleet lanes disabled) must also match: lane
-        // routing is a storage decision, never a behavioural one.
-        let mut boxed = build_config(
-            FleetConfig::with_root_seed(42)
-                .with_threads(2)
-                .with_shard_size(16)
-                .with_fleet_lanes(false),
-            world,
-        );
-        boxed.run(40);
-        assert_eq!(
-            scenario_fingerprint(&boxed),
-            expected,
-            "{world} diverged with fleet lanes disabled"
-        );
     }
 }
 
@@ -150,7 +119,7 @@ fn uniform_cadence_event_stepping_is_bit_identical_to_sync_on_every_world() {
     // the wake protocol, so every session runs the default uniform cadence 1
     // and `step_events` must reproduce `step_env` bit-for-bit — same
     // choices, same RNG streams, same environment state — at 1/2/8 threads,
-    // with partitioned feedback on or off and fleet lanes on or off.
+    // with sequential (1 thread) and partitioned feedback.
     for world in [
         "equal_share",
         "dynamic_bandwidth",
@@ -173,14 +142,6 @@ fn uniform_cadence_event_stepping_is_bit_identical_to_sync_on_every_world() {
             FleetConfig::with_root_seed(42)
                 .with_threads(8)
                 .with_shard_size(16),
-            FleetConfig::with_root_seed(42)
-                .with_threads(2)
-                .with_shard_size(16)
-                .with_partitioned_feedback(false),
-            FleetConfig::with_root_seed(42)
-                .with_threads(2)
-                .with_shard_size(16)
-                .with_fleet_lanes(false),
         ];
         for (index, config) in event_configs.into_iter().enumerate() {
             let mut scenario = build_config(config, world);
@@ -236,14 +197,6 @@ fn duty_cycle_trajectories_are_identical_at_any_thread_count() {
         FleetConfig::with_root_seed(42)
             .with_threads(8)
             .with_shard_size(16),
-        FleetConfig::with_root_seed(42)
-            .with_threads(2)
-            .with_shard_size(16)
-            .with_partitioned_feedback(false),
-        FleetConfig::with_root_seed(42)
-            .with_threads(2)
-            .with_shard_size(16)
-            .with_fleet_lanes(false),
         // Cohorts sliced at every shard edge (one session per shard), cut
         // mid-cadence-group (5 is coprime to the 4-cadence round-robin), and
         // held whole inside a single shard.
@@ -322,8 +275,8 @@ fn alias_sampler_trajectories_are_bit_identical_at_any_thread_count() {
     // The tentpole determinism anchor: overlay patches, dirty-mass rebuild
     // triggers and the sampler counters are all structural (driven by the
     // per-session update stream), so alias runs must be bit-identical at any
-    // thread count, with partitioned feedback on or off and fleet lanes on
-    // or off — on the sync path and the event-driven path alike.
+    // thread count, with sequential (1 thread) and partitioned feedback —
+    // on the sync path and the event-driven path alike.
     for world in ["dense_urban", "duty_cycle", "dense_duty_cycle"] {
         let mut reference = build_alias_world(
             FleetConfig::with_root_seed(42)
@@ -343,14 +296,6 @@ fn alias_sampler_trajectories_are_bit_identical_at_any_thread_count() {
             FleetConfig::with_root_seed(42)
                 .with_threads(8)
                 .with_shard_size(16),
-            FleetConfig::with_root_seed(42)
-                .with_threads(2)
-                .with_shard_size(16)
-                .with_partitioned_feedback(false),
-            FleetConfig::with_root_seed(42)
-                .with_threads(2)
-                .with_shard_size(16)
-                .with_fleet_lanes(false),
         ]
         .into_iter()
         .enumerate()
@@ -383,15 +328,11 @@ fn alias_sampler_trajectories_are_bit_identical_at_any_thread_count() {
 
 #[test]
 fn sampler_strategy_survives_snapshot_round_trips() {
-    // All three strategies must round-trip through `FleetSnapshot` — the
+    // Both strategies must round-trip through `FleetSnapshot` — the
     // serialized policy state carries the strategy and, for Alias, the
     // frozen table, overlay and counters — and continue bit-identically when
     // restored at a different thread count.
-    for sampler in [
-        SamplerStrategy::Linear,
-        SamplerStrategy::Tree,
-        SamplerStrategy::Alias,
-    ] {
+    for sampler in [SamplerStrategy::Linear, SamplerStrategy::Alias] {
         let dense = DenseUrbanConfig {
             networks_per_area: 96,
             devices_per_area: 16,
@@ -577,27 +518,12 @@ fn mid_scenario_snapshots_restore_bit_identically() {
 
         let mut resumed = build(8, world);
         resumed.fleet =
-            FleetEngine::from_snapshot_env(snapshot.clone(), resumed.environment.as_mut()).unwrap();
+            FleetEngine::from_snapshot_env(snapshot, resumed.environment.as_mut()).unwrap();
         resumed.run(25);
         assert_eq!(
             scenario_fingerprint(&resumed),
             expected,
             "{world} diverged after snapshot/restore"
-        );
-
-        // Crossed restore: a snapshot taken with lanes on restores into a
-        // boxed-only engine (and continues bit-identically) when the restored
-        // config disables lanes — checkpoints are portable across the toggle.
-        let mut crossed_snapshot = snapshot;
-        crossed_snapshot.config.fleet_lanes = false;
-        let mut crossed = build(2, world);
-        crossed.fleet =
-            FleetEngine::from_snapshot_env(crossed_snapshot, crossed.environment.as_mut()).unwrap();
-        crossed.run(25);
-        assert_eq!(
-            scenario_fingerprint(&crossed),
-            expected,
-            "{world} diverged after a lanes-on -> lanes-off crossed restore"
         );
     }
 }
@@ -681,12 +607,8 @@ fn degenerate_partitions_match_the_sequential_fallback_decision_for_decision() {
                 .with_threads(8)
                 .with_shard_size(4),
         );
-        let mut sequential = degenerate_world(
-            layout,
-            FleetConfig::with_root_seed(77)
-                .with_threads(1)
-                .with_partitioned_feedback(false),
-        );
+        let mut sequential =
+            degenerate_world(layout, FleetConfig::with_root_seed(77).with_threads(1));
         partitioned.run(30);
         sequential.run(30);
         assert_eq!(

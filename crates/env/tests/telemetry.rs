@@ -1,8 +1,8 @@
 //! Streaming-telemetry integration tests:
 //!
-//! * the per-slot metric series is **value-identical at 1/2/8 threads** and
-//!   with the partitioned feedback phase on or off, for every world in the
-//!   catalog — the partition accumulators merge in canonical partition
+//! * the per-slot metric series is **value-identical at 1/2/8 threads**
+//!   (sequential feedback at 1 thread, partitioned above) for every world in
+//!   the catalog — the partition accumulators merge in canonical partition
 //!   order, so the f64 sums never depend on scheduling;
 //! * the same holds for a trace world split into many small phase groups,
 //!   where the merge order actually has something to get wrong;
@@ -83,12 +83,6 @@ fn metric_series_is_identical_across_threads_and_partitioning() {
                 "{world} telemetry diverged at {threads} threads"
             );
         }
-        let mut sequential = build_config(config(2).with_partitioned_feedback(false), world);
-        assert_eq!(
-            metric_series(&mut sequential, SLOTS),
-            expected,
-            "{world} telemetry diverged with partitioned feedback disabled"
-        );
     }
 }
 
@@ -137,7 +131,6 @@ fn scenario_fingerprint(scenario: &Scenario) -> String {
         .expect("distributed fleets snapshot");
     snapshot.config.threads = None;
     snapshot.config.shard_size = 0;
-    snapshot.config.partitioned_feedback = true;
     serde_json::to_string(&snapshot).expect("snapshots serialize")
 }
 

@@ -23,7 +23,7 @@ use std::process::ExitCode;
 
 const USAGE: &str =
     "usage: repro <experiment> [--runs N] [--slots N] [--threads N] [--seed N] [--paper-scale]
-                  [--telemetry PATH] [--sampler linear|tree|alias]
+                  [--telemetry PATH] [--sampler linear|alias]
 
 flags:
   --telemetry PATH  stream per-slot fleet telemetry (JSONL, tailable) to PATH
@@ -31,7 +31,7 @@ flags:
                     an event-driven duty-cycle run (with wake-to-decision
                     latency percentiles) for the events experiment
   --sampler NAME    restrict the dense experiment's sweep to one
-                    CDF-inversion strategy (default: all three)
+                    CDF-inversion strategy (default: both)
 
 experiments:
   fig2     number of network switches (Figure 2)
@@ -48,7 +48,7 @@ experiments:
   fig14    controlled testbed, dynamic     fig15   controlled testbed, mixed
   wild     in-the-wild 500 MB download (§VII-B)
   coop     Co-Bandit gossip vs isolated convergence (follow-up paper)
-  dense    dense-urban large-K sampling, linear vs tree vs alias throughput
+  dense    dense-urban large-K sampling, linear vs alias throughput
   events   event-driven stepping: sync vs wake-queue trajectories + latency
   all      everything above";
 
@@ -130,7 +130,6 @@ fn parse_scale(
                     .ok_or_else(|| format!("missing value for {flag}"))?;
                 sampler = Some(match value.as_str() {
                     "linear" => SamplerStrategy::Linear,
-                    "tree" => SamplerStrategy::Tree,
                     "alias" => SamplerStrategy::Alias,
                     other => return Err(format!("unknown sampler `{other}`")),
                 });

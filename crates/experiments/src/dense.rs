@@ -1,11 +1,10 @@
-//! Dense-urban large-K sampling — linear vs tree vs alias CDF inversion.
+//! Dense-urban large-K sampling — linear vs alias CDF inversion.
 //!
 //! The paper's settings top out at a handful of networks per area, where the
 //! O(K) linear CDF walk is free. A dense urban block advertises hundreds of
 //! candidate networks, and at that scale sampling dominates the per-slot
 //! cost. This experiment runs the scenario library's [`dense_urban`] world
-//! once per strategy from the same root seed — the O(K) linear walk, the
-//! O(log K) Fenwick descent ([`SamplerStrategy::Tree`]) and the
+//! once per strategy from the same root seed — the O(K) linear walk and the
 //! amortised-O(1) alias table ([`SamplerStrategy::Alias`]) — and reports
 //! decisions/sec for each, plus the achieved mean gain so the
 //! configurations can be checked for equivalent decision quality, and the
@@ -23,18 +22,14 @@ use std::fmt;
 use std::time::Instant;
 
 /// Networks per city block in the default comparison — the acceptance
-/// point for the sublinear samplers.
+/// point for the alias sampler.
 pub const DEFAULT_NETWORKS: usize = 512;
 
 /// Sessions in the default comparison (eight 64-device blocks).
 pub const DEFAULT_SESSIONS: usize = 512;
 
 /// The full sweep: every CDF-inversion strategy the weight table supports.
-pub const ALL_STRATEGIES: [SamplerStrategy; 3] = [
-    SamplerStrategy::Linear,
-    SamplerStrategy::Tree,
-    SamplerStrategy::Alias,
-];
+pub const ALL_STRATEGIES: [SamplerStrategy; 2] = [SamplerStrategy::Linear, SamplerStrategy::Alias];
 
 /// One timed run of the dense-urban world under a fixed sampler strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,9 +42,9 @@ pub struct StrategyMeasurement {
     pub decisions: u64,
     /// Fleet-wide mean per-decision gain — the decision-quality check.
     pub mean_gain: f64,
-    /// Alias-table freezes across the run (0 for Linear/Tree).
+    /// Alias-table freezes across the run (0 for Linear).
     pub sampler_rebuilds: u64,
-    /// Draws resolved from the dirty-arm overlay (0 for Linear/Tree).
+    /// Draws resolved from the dirty-arm overlay (0 for Linear).
     pub overlay_hits: u64,
 }
 
@@ -92,13 +87,6 @@ impl DenseResult {
         let linear = self.strategy(SamplerStrategy::Linear)?.decisions_per_sec();
         let other = self.strategy(strategy)?.decisions_per_sec();
         (linear > 0.0).then(|| other / linear)
-    }
-
-    /// Tree throughput over linear throughput (the historical headline).
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.speedup_over_linear(SamplerStrategy::Tree)
-            .unwrap_or(f64::INFINITY)
     }
 }
 
@@ -157,7 +145,7 @@ pub fn run_strategies(
     }
 }
 
-/// Runs the full three-way comparison on a world of `networks_per_area`
+/// Runs the full two-way comparison on a world of `networks_per_area`
 /// networks and `sessions` sessions.
 #[must_use]
 pub fn run_with(scale: &Scale, networks_per_area: usize, sessions: usize) -> DenseResult {
@@ -165,7 +153,7 @@ pub fn run_with(scale: &Scale, networks_per_area: usize, sessions: usize) -> Den
 }
 
 /// Runs the default comparison: [`DEFAULT_NETWORKS`] networks per block,
-/// [`DEFAULT_SESSIONS`] sessions, all three strategies.
+/// [`DEFAULT_SESSIONS`] sessions, both strategies.
 #[must_use]
 pub fn run(scale: &Scale) -> DenseResult {
     run_with(scale, DEFAULT_NETWORKS, DEFAULT_SESSIONS)
@@ -197,14 +185,8 @@ impl fmt::Display for DenseResult {
             }
             writeln!(f)?;
         }
-        for strategy in [SamplerStrategy::Tree, SamplerStrategy::Alias] {
-            if let Some(speedup) = self.speedup_over_linear(strategy) {
-                writeln!(
-                    f,
-                    "{} / linear speedup: {speedup:.2}x",
-                    format!("{strategy:?}").to_lowercase()
-                )?;
-            }
+        if let Some(speedup) = self.speedup_over_linear(SamplerStrategy::Alias) {
+            writeln!(f, "alias / linear speedup: {speedup:.2}x")?;
         }
         Ok(())
     }
@@ -218,28 +200,22 @@ mod tests {
     fn all_strategies_reach_the_same_decision_quality() {
         let scale = Scale::quick().with_slots(60);
         let result = run_with(&scale, 64, 32);
-        assert_eq!(result.measurements.len(), 3);
+        assert_eq!(result.measurements.len(), 2);
         let linear = result.strategy(SamplerStrategy::Linear).unwrap();
-        let tree = result.strategy(SamplerStrategy::Tree).unwrap();
         let alias = result.strategy(SamplerStrategy::Alias).unwrap();
-        assert_eq!(linear.decisions, tree.decisions);
         assert_eq!(linear.decisions, alias.decisions);
         assert_eq!(linear.decisions, 60 * 32);
         // Same world, same seed, different pinned sampler configs: the
         // trajectories differ decision-for-decision but the achieved mean
-        // gain must agree closely (all samplers invert the same CDF).
-        for m in [tree, alias] {
-            let (a, b) = (linear.mean_gain, m.mean_gain);
-            assert!(a > 0.0 && b > 0.0);
-            assert!(
-                (a - b).abs() / a.max(b) < 0.25,
-                "sampler strategies diverged in quality: linear {a:.4} vs {:?} {b:.4}",
-                m.strategy
-            );
-        }
+        // gain must agree closely (both samplers invert the same CDF).
+        let (a, b) = (linear.mean_gain, alias.mean_gain);
+        assert!(a > 0.0 && b > 0.0);
+        assert!(
+            (a - b).abs() / a.max(b) < 0.25,
+            "sampler strategies diverged in quality: linear {a:.4} vs alias {b:.4}"
+        );
         // Only the alias run freezes tables; the counters prove the path ran.
         assert_eq!(linear.sampler_rebuilds, 0);
-        assert_eq!(tree.sampler_rebuilds, 0);
         assert!(alias.sampler_rebuilds > 0);
         let text = result.to_string();
         assert!(text.contains("Dense urban"));

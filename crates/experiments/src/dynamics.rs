@@ -1,6 +1,6 @@
 //! Figures 7 and 8 — adaptability to devices joining and leaving the service
 //! area (dynamic settings 1 and 2 of §VI-A), driven through the unified
-//! engine path ([`run_environment`](crate::runner::run_environment)).
+//! engine path ([`run_environment`]).
 
 use crate::config::Scale;
 use crate::report::format_series;

@@ -19,7 +19,7 @@
 //! | [`controlled`] | Figures 13–15 + Table VII — testbed emulation |
 //! | [`wild`] | §VII-B — 500 MB download in the wild |
 //! | [`cooperative`] | Co-Bandit follow-up — gossip vs isolated convergence |
-//! | [`dense`] | dense-urban large-K worlds — linear vs tree vs alias sampling throughput |
+//! | [`dense`] | dense-urban large-K worlds — linear vs alias sampling throughput |
 //! | [`events`] | event-driven stepping — sync vs wake-queue trajectories and latency |
 //!
 //! Every experiment takes a [`Scale`] (number of runs, slots, threads, seed)

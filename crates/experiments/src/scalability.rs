@@ -4,7 +4,7 @@
 //! sweep measuring raw engine throughput on the replicated-congestion world.
 //!
 //! All runs go through the unified engine path
-//! ([`run_environment`](crate::runner::run_environment)).
+//! ([`run_environment`]).
 
 use crate::config::Scale;
 use crate::report::{cell, format_table};

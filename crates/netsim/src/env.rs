@@ -748,7 +748,7 @@ fn build_partitions(
 /// windows, scheduled bandwidth events, equal-share or noisy bandwidth
 /// sharing, technology-dependent switching delays and per-device goodput
 /// accounting — partitioned per independent area for the sharded feedback
-/// path. See the [module documentation](self).
+/// path. See the `env` module documentation.
 pub struct CongestionEnvironment {
     config: SimulationConfig,
     profiles: Vec<DeviceProfile>,

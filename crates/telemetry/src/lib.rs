@@ -1,6 +1,6 @@
 //! Streaming fleet telemetry.
 //!
-//! The dense [`netsim`] recorder keeps one `SelectionRecord` per session per
+//! The dense `netsim` recorder keeps one `SelectionRecord` per session per
 //! slot, which is fine at paper scale (tens of devices) and hopeless at fleet
 //! scale (millions of sessions). This crate provides the memory-bounded
 //! alternative: per-partition [`SlotMetrics`] accumulators that environments
@@ -218,7 +218,7 @@ impl LatencyStats {
 /// Both counters are cumulative (monotone across a run's records) and
 /// **deterministic** — they count structural events of the sampling
 /// algorithm, not host timing — so they are identical at any thread count.
-/// They stay 0 for fleets on the linear and tree sampler strategies; under
+/// They stay 0 for fleets on the linear sampler strategy; under
 /// the alias strategy a climbing `rebuilds` slope is the signature of a
 /// rebuild storm (weights churning faster than draws amortise the freeze).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]

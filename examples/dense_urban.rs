@@ -1,15 +1,14 @@
 //! Dense-urban spectrum demo: city blocks advertising hundreds of networks,
 //! where the per-draw cost of sampling dominates the slot — run from the
-//! same seed once per CDF-inversion strategy, to show the O(log K) Fenwick
-//! sampler's throughput win over the O(K) linear walk and the amortised-O(1)
-//! alias table's win over both once weights go quiet.
+//! same seed once per CDF-inversion strategy, to compare the amortised-O(1)
+//! alias table with the O(K) linear walk.
 //!
 //! ```text
 //! cargo run --release --example dense_urban [sessions] [slots] [networks] [threads] \
-//!     [--sampler linear|tree|alias]
+//!     [--sampler linear|alias]
 //! ```
 //!
-//! Defaults build a 512-network, 4096-session world and sweep **all three**
+//! Defaults build a 512-network, 4096-session world and sweep **both**
 //! samplers with per-phase timing; `--sampler` restricts the run to one.
 //! Each strategy is a distinct pinned policy configuration (the sampler is
 //! part of the config), bit-stable on its own; distributionally the samplers
@@ -25,7 +24,7 @@ use std::time::Instant;
 fn usage() -> ! {
     eprintln!(
         "usage: dense_urban [sessions] [slots] [networks] [threads] \
-         [--sampler linear|tree|alias]"
+         [--sampler linear|alias]"
     );
     std::process::exit(2);
 }
@@ -40,10 +39,9 @@ fn parse_arg(value: &str, name: &str) -> usize {
 fn parse_sampler(value: &str) -> SamplerStrategy {
     match value {
         "linear" => SamplerStrategy::Linear,
-        "tree" => SamplerStrategy::Tree,
         "alias" => SamplerStrategy::Alias,
         other => {
-            eprintln!("error: unknown sampler `{other}` (expected linear, tree or alias)");
+            eprintln!("error: unknown sampler `{other}` (expected linear or alias)");
             usage();
         }
     }
@@ -86,11 +84,7 @@ fn main() {
 
     let samplers: Vec<SamplerStrategy> = match only {
         Some(sampler) => vec![sampler],
-        None => vec![
-            SamplerStrategy::Linear,
-            SamplerStrategy::Tree,
-            SamplerStrategy::Alias,
-        ],
+        None => vec![SamplerStrategy::Linear, SamplerStrategy::Alias],
     };
 
     let mut results = Vec::new();

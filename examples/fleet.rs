@@ -8,52 +8,41 @@
 //! round-trip, and the measured decision throughput.
 //!
 //! ```text
-//! cargo run --release --example fleet [sessions] [slots] [threads] [--fleet-lanes on|off]
+//! cargo run --release --example fleet [sessions] [slots] [threads]
 //! ```
 //!
 //! `threads` overrides the engine's worker-thread count (0 or absent =
 //! machine parallelism); results are bit-identical at any value.
-//! `--fleet-lanes off` forces every session onto the boxed fallback lane
-//! (the historical layout) — decisions are bit-identical either way, only
-//! the throughput differs.
 
 use smartexp3::core::{NetworkId, Observation, PolicyFactory, PolicyKind};
 use smartexp3::engine::{FleetConfig, FleetEngine};
 use smartexp3::netsim::setting1_networks;
 use std::time::Instant;
 
+fn usage() -> ! {
+    eprintln!("usage: fleet [sessions] [slots] [threads]");
+    std::process::exit(2);
+}
+
 fn parse_arg(value: Option<String>, name: &str, default: usize) -> usize {
     match value {
         None => default,
         Some(raw) => raw.parse().unwrap_or_else(|_| {
             eprintln!("error: {name} must be a non-negative integer, got `{raw}`");
-            eprintln!("usage: fleet [sessions] [slots] [threads]");
-            std::process::exit(2);
+            usage();
         }),
     }
 }
 
 fn main() {
-    // Split off the lane toggle before positional parsing.
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut fleet_lanes = true;
-    if let Some(index) = raw.iter().position(|a| a == "--fleet-lanes") {
-        let value = raw.get(index + 1).cloned().unwrap_or_default();
-        fleet_lanes = match value.as_str() {
-            "on" => true,
-            "off" => false,
-            other => {
-                eprintln!("error: --fleet-lanes expects `on` or `off`, got `{other}`");
-                eprintln!("usage: fleet [sessions] [slots] [threads] [--fleet-lanes on|off]");
-                std::process::exit(2);
-            }
-        };
-        raw.drain(index..=index + 1);
-    }
-    let mut args = raw.into_iter();
+    let mut args = std::env::args().skip(1);
     let sessions = parse_arg(args.next(), "sessions", 100_000);
     let slots = parse_arg(args.next(), "slots", 60);
     let threads = parse_arg(args.next(), "threads", 0);
+    if let Some(extra) = args.next() {
+        eprintln!("error: unexpected argument `{extra}`");
+        usage();
+    }
     let devices_per_area = 100usize;
     let areas = sessions.div_ceil(devices_per_area);
 
@@ -61,7 +50,7 @@ fn main() {
     let rates: Vec<(NetworkId, f64)> = networks.iter().map(|n| (n.id, n.bandwidth_mbps)).collect();
 
     let mut factory = PolicyFactory::new(rates.clone()).expect("valid networks");
-    let mut config = FleetConfig::with_root_seed(2024).with_fleet_lanes(fleet_lanes);
+    let mut config = FleetConfig::with_root_seed(2024);
     if threads > 0 {
         config = config.with_threads(threads);
     }
@@ -80,10 +69,8 @@ fn main() {
         .expect("valid fleet");
 
     println!(
-        "fleet: {} sessions in {areas} areas × {devices_per_area} devices, {slots} slots, \
-         fleet lanes {}",
-        fleet.len(),
-        if fleet_lanes { "on" } else { "off" }
+        "fleet: {} sessions in {areas} areas × {devices_per_area} devices, {slots} slots",
+        fleet.len()
     );
 
     let start = Instant::now();

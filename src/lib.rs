@@ -9,15 +9,15 @@
 //!
 //! This facade crate re-exports the individual crates of the workspace:
 //!
-//! * [`core`] (`smartexp3-core`) — [`SmartExp3`](core::SmartExp3), EXP3 and
-//!   the other baseline policies, plus the [`Policy`](core::Policy) trait;
+//! * [`core`] (`smartexp3-core`) — [`SmartExp3`], EXP3 and the other
+//!   baseline policies, plus the [`Policy`] trait;
 //! * [`game`] (`congestion-game`) — Nash equilibria, ε-equilibria, fairness
 //!   and distance metrics;
 //! * [`netsim`] — networks, devices, mobility, delays and the simulator;
 //! * [`tracegen`] — synthetic WiFi/cellular traces and trace-driven runs;
 //! * [`experiments`] — one runner per paper table/figure and the `repro` CLI;
-//! * [`engine`] (`smartexp3-engine`) — the [`FleetEngine`](engine::FleetEngine)
-//!   hosting thousands-to-millions of concurrent sessions with batched
+//! * [`engine`] (`smartexp3-engine`) — the [`FleetEngine`] hosting
+//!   thousands-to-millions of concurrent sessions with batched
 //!   parallel stepping and bit-identical snapshot/restore;
 //! * [`scenarios`] (`smartexp3-env`) — the fleet-scale scenario library:
 //!   every paper world (shared congestion, bandwidth dynamics, area
@@ -37,9 +37,8 @@
 //! contiguously in a monomorphized per-policy-type *fleet lane*, or behind
 //! `Box<dyn Policy>` on the fallback lane — with a private RNG stream
 //! derived from a fleet-wide root seed and its session id, so batched steps
-//! parallelise freely and results are identical at any thread count (and
-//! with lanes on or off). See [`engine`] for the lane layout, seeding model
-//! and checkpoint format.
+//! parallelise freely and results are identical at any thread count. See
+//! [`engine`] for the lane layout, seeding model and checkpoint format.
 //!
 //! ## Quickstart
 //!

@@ -6,13 +6,25 @@
 //! and enums whose variants are unit, tuple or struct-like. Newtype (1-field
 //! tuple) structs and variants serialize transparently, matching upstream
 //! serde's externally-tagged representation.
+//!
+//! The one supported attribute is `#[serde(skip)]` on a named field: the
+//! field is left out on write and set to `Default::default()` on read, as
+//! upstream does. Any other `serde` attribute is a compile error rather
+//! than silently ignored.
 
-use proc_macro::{Delimiter, TokenStream, TokenTree};
+use proc_macro::{Delimiter, Group, TokenStream, TokenTree};
+
+#[derive(Debug)]
+struct Field {
+    name: String,
+    /// `#[serde(skip)]`: not written, read as `Default::default()`.
+    skip: bool,
+}
 
 #[derive(Debug)]
 enum Fields {
     Unit,
-    Named(Vec<String>),
+    Named(Vec<Field>),
     Tuple(usize),
 }
 
@@ -35,13 +47,13 @@ enum Item {
 }
 
 /// Derives the offline `serde::Serialize` trait.
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, gen_serialize)
 }
 
 /// Derives the offline `serde::Deserialize` trait.
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, gen_deserialize)
 }
@@ -64,7 +76,7 @@ fn expand(input: TokenStream, gen: fn(&Item) -> String) -> TokenStream {
 fn parse_item(input: TokenStream) -> Result<Item, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut pos = 0;
-    skip_attributes_and_visibility(&tokens, &mut pos);
+    skip_attributes_and_visibility(&tokens, &mut pos)?;
 
     let keyword = expect_ident(&tokens, &mut pos)?;
     let name = expect_ident(&tokens, &mut pos)?;
@@ -81,7 +93,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
                     Fields::Named(parse_named_fields(g.stream())?)
                 }
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                    Fields::Tuple(count_tuple_fields(g.stream()))
+                    Fields::Tuple(count_tuple_fields(g.stream())?)
                 }
                 Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
                 other => return Err(format!("unexpected token after `struct {name}`: {other:?}")),
@@ -104,10 +116,25 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     }
 }
 
-fn skip_attributes_and_visibility(tokens: &[TokenTree], pos: &mut usize) {
+/// Skips outer attributes and a visibility qualifier where `#[serde(skip)]`
+/// is not allowed (items, variants, tuple fields).
+fn skip_attributes_and_visibility(tokens: &[TokenTree], pos: &mut usize) -> Result<(), String> {
+    if parse_attributes_and_visibility(tokens, pos)? {
+        return Err("`#[serde(skip)]` is supported on named fields only".to_string());
+    }
+    Ok(())
+}
+
+/// Skips outer attributes and a visibility qualifier, returning whether one
+/// of the attributes was `#[serde(skip)]`.
+fn parse_attributes_and_visibility(tokens: &[TokenTree], pos: &mut usize) -> Result<bool, String> {
+    let mut skip = false;
     loop {
         match tokens.get(*pos) {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
+                if let Some(TokenTree::Group(attribute)) = tokens.get(*pos + 1) {
+                    skip |= is_serde_skip(attribute)?;
+                }
                 *pos += 2; // `#` and the following `[...]` group
             }
             Some(TokenTree::Ident(i)) if i.to_string() == "pub" => {
@@ -117,8 +144,30 @@ fn skip_attributes_and_visibility(tokens: &[TokenTree], pos: &mut usize) {
                     *pos += 1; // `pub(crate)` etc.
                 }
             }
-            _ => return,
+            _ => return Ok(skip),
         }
+    }
+}
+
+/// `true` for the attribute body `serde(skip)`, `false` for a non-`serde`
+/// attribute (docs, lints, other derives' helpers), an error for any other
+/// `serde(...)` body.
+fn is_serde_skip(attribute: &Group) -> Result<bool, String> {
+    let tokens: Vec<TokenTree> = attribute.stream().into_iter().collect();
+    if !matches!(tokens.first(), Some(TokenTree::Ident(i)) if i.to_string() == "serde") {
+        return Ok(false);
+    }
+    match tokens.as_slice() {
+        [_, TokenTree::Group(args)]
+            if args.delimiter() == Delimiter::Parenthesis
+                && args.stream().to_string() == "skip" =>
+        {
+            Ok(true)
+        }
+        _ => Err(format!(
+            "serde derive (offline subset) supports only `#[serde(skip)]`, found `#[{}]`",
+            attribute.stream()
+        )),
     }
 }
 
@@ -149,12 +198,12 @@ fn skip_type(tokens: &[TokenTree], pos: &mut usize) {
     }
 }
 
-fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
+fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
     let tokens: Vec<TokenTree> = body.into_iter().collect();
     let mut pos = 0;
     let mut fields = Vec::new();
     while pos < tokens.len() {
-        skip_attributes_and_visibility(&tokens, &mut pos);
+        let skip = parse_attributes_and_visibility(&tokens, &mut pos)?;
         if pos >= tokens.len() {
             break;
         }
@@ -169,20 +218,17 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<String>, String> {
         }
         skip_type(&tokens, &mut pos);
         pos += 1; // the separating comma, if any
-        fields.push(name);
+        fields.push(Field { name, skip });
     }
     Ok(fields)
 }
 
-fn count_tuple_fields(body: TokenStream) -> usize {
+fn count_tuple_fields(body: TokenStream) -> Result<usize, String> {
     let tokens: Vec<TokenTree> = body.into_iter().collect();
-    if tokens.is_empty() {
-        return 0;
-    }
     let mut pos = 0;
     let mut count = 0;
     while pos < tokens.len() {
-        skip_attributes_and_visibility(&tokens, &mut pos);
+        skip_attributes_and_visibility(&tokens, &mut pos)?;
         if pos >= tokens.len() {
             break;
         }
@@ -190,7 +236,7 @@ fn count_tuple_fields(body: TokenStream) -> usize {
         pos += 1; // the separating comma, if any
         count += 1;
     }
-    count
+    Ok(count)
 }
 
 fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
@@ -198,7 +244,7 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
     let mut pos = 0;
     let mut variants = Vec::new();
     while pos < tokens.len() {
-        skip_attributes_and_visibility(&tokens, &mut pos);
+        skip_attributes_and_visibility(&tokens, &mut pos)?;
         if pos >= tokens.len() {
             break;
         }
@@ -206,7 +252,7 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
         let fields = match tokens.get(pos) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 pos += 1;
-                Fields::Tuple(count_tuple_fields(g.stream()))
+                Fields::Tuple(count_tuple_fields(g.stream())?)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 pos += 1;
@@ -254,9 +300,8 @@ fn gen_serialize(item: &Item) -> String {
 fn serialize_struct_body(fields: &Fields) -> String {
     match fields {
         Fields::Unit => "::serde::Value::Null".to_string(),
-        Fields::Named(names) => {
-            let entries: Vec<String> = names
-                .iter()
+        Fields::Named(fields) => {
+            let entries: Vec<String> = written(fields)
                 .map(|f| {
                     format!(
                         "(::std::string::String::from({f:?}), \
@@ -303,8 +348,9 @@ fn serialize_enum_body(name: &str, variants: &[Variant]) -> String {
                         binds.join(", ")
                     )
                 }
-                Fields::Named(field_names) => {
-                    let entries: Vec<String> = field_names
+                Fields::Named(fields) => {
+                    let names: Vec<&str> = written(fields).collect();
+                    let entries: Vec<String> = names
                         .iter()
                         .map(|f| {
                             format!(
@@ -313,11 +359,12 @@ fn serialize_enum_body(name: &str, variants: &[Variant]) -> String {
                             )
                         })
                         .collect();
+                    let pattern: Vec<&str> = names.iter().copied().chain([".."]).collect();
                     format!(
                         "{name}::{tag} {{ {} }} => ::serde::Value::Map(::std::vec![\
                          (::std::string::String::from({tag:?}), \
                          ::serde::Value::Map(::std::vec![{}]))])",
-                        field_names.join(", "),
+                        pattern.join(", "),
                         entries.join(", ")
                     )
                 }
@@ -325,6 +372,22 @@ fn serialize_enum_body(name: &str, variants: &[Variant]) -> String {
         })
         .collect();
     format!("match self {{\n{}\n}}", arms.join(",\n"))
+}
+
+/// The names of the fields that are written (not `#[serde(skip)]`).
+fn written(fields: &[Field]) -> impl Iterator<Item = &str> {
+    fields.iter().filter(|f| !f.skip).map(|f| f.name.as_str())
+}
+
+/// One field initializer of a generated `from_value`: read from the map
+/// `entries`, or `Default::default()` for a skipped field.
+fn field_init(field: &Field, entries: &str, context: &str) -> String {
+    let f = &field.name;
+    if field.skip {
+        format!("{f}: ::std::default::Default::default()")
+    } else {
+        format!("{f}: ::serde::from_field({entries}, {f:?}, {context:?})?")
+    }
 }
 
 fn gen_deserialize(item: &Item) -> String {
@@ -345,10 +408,10 @@ fn gen_deserialize(item: &Item) -> String {
 fn deserialize_struct_body(name: &str, fields: &Fields) -> String {
     match fields {
         Fields::Unit => format!("::std::result::Result::Ok({name})"),
-        Fields::Named(names) => {
-            let inits: Vec<String> = names
+        Fields::Named(fields) => {
+            let inits: Vec<String> = fields
                 .iter()
-                .map(|f| format!("{f}: ::serde::from_field(__entries, {f:?}, {name:?})?"))
+                .map(|f| field_init(f, "__entries", name))
                 .collect();
             format!(
                 "let __entries = __value.as_map().ok_or_else(|| \
@@ -408,10 +471,10 @@ fn deserialize_enum_body(name: &str, variants: &[Variant]) -> String {
                         inits.join(", ")
                     )
                 }
-                Fields::Named(field_names) => {
-                    let inits: Vec<String> = field_names
+                Fields::Named(fields) => {
+                    let inits: Vec<String> = fields
                         .iter()
-                        .map(|f| format!("{f}: ::serde::from_field(__fields, {f:?}, {context:?})?"))
+                        .map(|f| field_init(f, "__fields", &context))
                         .collect();
                     format!(
                         "{{ let __fields = __payload.as_map().ok_or_else(|| \

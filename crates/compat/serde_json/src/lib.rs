@@ -581,4 +581,43 @@ mod tests {
         let back: Vec<(u32, f64)> = from_str(&text).unwrap();
         assert_eq!(xs, back);
     }
+
+    /// `#[serde(skip)]` leaves a field out on write and reads it as its
+    /// `Default`, also from text that carries it.
+    #[test]
+    fn skipped_fields_are_not_written_and_read_as_default() {
+        #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+        struct Cached {
+            kept: u32,
+            #[serde(skip)]
+            cache: Vec<u32>,
+        }
+        #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+        enum Wrapped {
+            Cached {
+                #[serde(skip)]
+                cache: u32,
+                kept: u32,
+            },
+        }
+        let value = Cached {
+            kept: 3,
+            cache: vec![7],
+        };
+        assert_eq!(to_string(&value).unwrap(), "{\"kept\":3}");
+        let plain = Cached {
+            kept: 3,
+            cache: Vec::new(),
+        };
+        for text in ["{\"kept\":3}", "{\"kept\":3,\"cache\":[7]}"] {
+            assert_eq!(from_str::<Cached>(text).unwrap(), plain, "{text}");
+        }
+        let variant = Wrapped::Cached { cache: 9, kept: 4 };
+        let text = to_string(&variant).unwrap();
+        assert_eq!(text, "{\"Cached\":{\"kept\":4}}");
+        assert_eq!(
+            from_str::<Wrapped>(&text).unwrap(),
+            Wrapped::Cached { cache: 0, kept: 4 }
+        );
+    }
 }

@@ -81,14 +81,16 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionView<'a> {
     /// `false` when the session sits this slot out (outside its activity
-    /// window); the engine then neither asks its policy to choose nor
-    /// delivers feedback.
+    /// window, or with no network to choose from); the engine then neither
+    /// asks its policy to choose nor delivers feedback. A session whose
+    /// visible set is empty must be reported inactive: a policy cannot
+    /// choose from an empty set.
     pub active: bool,
     /// `Some(networks)` exactly when the session's set of visible networks
     /// changed entering this slot (mobility, AP churn, first activation into
     /// an area that differs from the one its policy was built for). The
     /// engine forwards it to [`Policy::on_networks_changed`] before the
-    /// session chooses.
+    /// session chooses, and also when the session is inactive.
     ///
     /// [`Policy::on_networks_changed`]: crate::Policy::on_networks_changed
     pub networks_changed: Option<&'a [NetworkId]>,

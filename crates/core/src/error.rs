@@ -75,18 +75,31 @@ pub(crate) fn check_positive(parameter: &'static str, value: f64) -> Result<(), 
     }
 }
 
-/// Validates an arm list: non-empty and free of duplicates.
+/// Validates an arm list: non-empty and free of duplicates. A duplicate is
+/// reported as the first network, in list order, that repeats an earlier
+/// one.
+///
+/// One sort of `(network, position)` pairs rather than a set insert per
+/// network: policies are built per session, and at hundreds of networks the
+/// set's per-node allocations were most of a dense world's build time.
 pub(crate) fn check_networks(networks: &[crate::NetworkId]) -> Result<(), ConfigError> {
     if networks.is_empty() {
         return Err(ConfigError::NoNetworks);
     }
-    let mut seen = std::collections::BTreeSet::new();
-    for &n in networks {
-        if !seen.insert(n) {
-            return Err(ConfigError::DuplicateNetwork(n));
-        }
+    let mut positioned: Vec<(crate::NetworkId, usize)> =
+        networks.iter().copied().zip(0..).collect();
+    positioned.sort_unstable();
+    // Within a run of equal networks the positions ascend, so each adjacent
+    // equal pair's second position is a repeat; the earliest is the first.
+    match positioned
+        .windows(2)
+        .filter(|pair| pair[0].0 == pair[1].0)
+        .map(|pair| pair[1].1)
+        .min()
+    {
+        Some(repeat) => Err(ConfigError::DuplicateNetwork(networks[repeat])),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -115,6 +128,16 @@ mod tests {
             Err(ConfigError::DuplicateNetwork(NetworkId(1)))
         );
         assert!(check_networks(&[NetworkId(0), NetworkId(1)]).is_ok());
+        // The first repeat in list order is reported, not the smallest id.
+        let ids = |raw: &[u32]| raw.iter().copied().map(NetworkId).collect::<Vec<_>>();
+        assert_eq!(
+            check_networks(&ids(&[5, 2, 9, 2, 5, 5])),
+            Err(ConfigError::DuplicateNetwork(NetworkId(2)))
+        );
+        assert_eq!(
+            check_networks(&ids(&[7, 3, 3, 7])),
+            Err(ConfigError::DuplicateNetwork(NetworkId(3)))
+        );
     }
 
     #[test]

@@ -46,6 +46,12 @@ pub struct Exp3 {
     weights: WeightTable,
     decisions: usize,
     current: Option<NetworkId>,
+    /// Table position `current` was drawn at, so `observe` can update it
+    /// without the arm lookup. A cache of `current`, checked before use and
+    /// not serialized: a restore or an arm-set change leaves it stale, and
+    /// `observe` then falls back to the lookup.
+    #[serde(skip)]
+    current_position: usize,
     current_probability: f64,
     current_gamma: f64,
     last_kind: SelectionKind,
@@ -67,6 +73,7 @@ impl Exp3 {
             weights: WeightTable::uniform_with_strategy(&networks, config.sampler),
             decisions: 0,
             current: None,
+            current_position: 0,
             current_probability: 1.0,
             current_gamma: config.gamma.value(1),
             last_kind: SelectionKind::Random,
@@ -99,7 +106,8 @@ impl Policy for Exp3 {
     fn choose(&mut self, _slot: SlotIndex, rng: &mut dyn RngCore) -> NetworkId {
         self.decisions += 1;
         self.current_gamma = self.config.gamma.value(self.decisions);
-        let (network, probability) = self.weights.sample(self.current_gamma, rng);
+        let (position, probability) = self.weights.sample_position(self.current_gamma, rng);
+        let network = self.weights.arms()[position];
         if let Some(previous) = self.current {
             if previous != network {
                 self.stats.switches += 1;
@@ -107,6 +115,7 @@ impl Policy for Exp3 {
         }
         self.stats.blocks += 1;
         self.current = Some(network);
+        self.current_position = position;
         self.current_probability = probability;
         self.last_kind = SelectionKind::Random;
         network
@@ -118,8 +127,18 @@ impl Policy for Exp3 {
             return;
         }
         let estimated = observation.scaled_gain / self.current_probability.max(f64::MIN_POSITIVE);
-        self.weights
-            .multiplicative_update(observation.network, self.current_gamma, estimated);
+        // Arms are unique, so a position still holding the observed network
+        // is its position.
+        if self.weights.arms().get(self.current_position) == Some(&observation.network) {
+            self.weights.multiplicative_update_at(
+                self.current_position,
+                self.current_gamma,
+                estimated,
+            );
+        } else {
+            self.weights
+                .multiplicative_update(observation.network, self.current_gamma, estimated);
+        }
     }
 
     fn observe_shared(&mut self, shared: &crate::SharedFeedback, _rng: &mut dyn RngCore) {
@@ -350,5 +369,45 @@ mod tests {
         let before = policy.probabilities();
         policy.observe(&Observation::bandit(0, other, 22.0, 1.0), &mut rng);
         assert_eq!(before, policy.probabilities());
+    }
+
+    /// `observe` updates the drawn arm by its position, and falls back to
+    /// the arm lookup once that position is stale: after an arm listed
+    /// before the drawn one is removed between choose and observe, and
+    /// after a restore (the position is not serialized).
+    #[test]
+    fn observe_updates_the_drawn_arm_when_its_position_is_stale() {
+        let mut policy = Exp3::new(nets(6), Exp3Config::default()).unwrap();
+        run_slots(&mut policy, NetworkId(4), 30, 2);
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut draw_past_the_first_arm = |policy: &mut Exp3| loop {
+            let chosen = policy.choose(30, &mut rng);
+            if policy.weights.position(chosen) != Some(0) {
+                return chosen;
+            }
+        };
+        let observe_against_a_twin = |policy: &mut Exp3, chosen: NetworkId| {
+            let observation = Observation::bandit(30, chosen, 11.0, 0.5);
+            let mut twin = policy.weights.clone();
+            let estimated = 0.5 / policy.current_probability.max(f64::MIN_POSITIVE);
+            twin.multiplicative_update(chosen, policy.current_gamma, estimated);
+            policy.observe(&observation, &mut StdRng::seed_from_u64(0));
+            assert_eq!(policy.weights, twin);
+        };
+
+        let chosen = draw_past_the_first_arm(&mut policy);
+        let first = policy.weights.arms()[0];
+        let remaining: Vec<NetworkId> = nets(6).into_iter().filter(|&n| n != first).collect();
+        policy.on_networks_changed(&remaining, &mut StdRng::seed_from_u64(0));
+        assert_ne!(
+            policy.weights.arms().get(policy.current_position),
+            Some(&chosen)
+        );
+        observe_against_a_twin(&mut policy, chosen);
+
+        let chosen = draw_past_the_first_arm(&mut policy);
+        let mut restored = Exp3::from_value(&policy.to_value()).unwrap();
+        assert_eq!(restored.current_position, 0);
+        observe_against_a_twin(&mut restored, chosen);
     }
 }

@@ -51,6 +51,11 @@ pub struct FullInformation {
 }
 
 impl FullInformation {
+    /// The exponential weight table.
+    pub(crate) fn weights(&self) -> &WeightTable {
+        &self.weights
+    }
+
     /// Creates the forecaster over `networks`.
     ///
     /// # Errors

@@ -83,6 +83,11 @@ pub struct SmartExp3 {
 }
 
 impl SmartExp3 {
+    /// The EXP3 weight table.
+    pub(crate) fn weights(&self) -> &WeightTable {
+        &self.weights
+    }
+
     /// Creates a Smart EXP3 policy over `networks`.
     ///
     /// # Errors

@@ -53,6 +53,24 @@ impl PolicyState {
         }
     }
 
+    /// Checks the shape of the weight table an EXP3-family state (EXP3,
+    /// Smart EXP3, the full-information forecaster) carries; see
+    /// [`WeightTable::check_shape`](crate::WeightTable::check_shape). States
+    /// without a table always pass.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violated shape condition.
+    pub fn check_shape(&self) -> Result<(), String> {
+        let weights = match self {
+            PolicyState::Exp3(p) => p.weights(),
+            PolicyState::SmartExp3(p) => p.weights(),
+            PolicyState::FullInformation(p) => p.weights(),
+            PolicyState::Greedy(_) | PolicyState::FixedRandom(_) => return Ok(()),
+        };
+        weights.check_shape()
+    }
+
     /// The [`PolicyKind`] family this state belongs to.
     ///
     /// Smart EXP3 feature ablations cannot be distinguished from the state

@@ -1,7 +1,7 @@
 //! Per-network gain statistics used by greedy choices and reset detection.
 
 use crate::NetworkId;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Running statistics about the gains observed from each network.
 ///
@@ -11,18 +11,22 @@ use serde::{Deserialize, Serialize};
 /// baseline uses them as its whole decision rule.
 ///
 /// These counters sit on the per-slot hot path of every session a fleet
-/// engine hosts, so they are stored as a flat vector sorted by network id
-/// (one contiguous allocation, binary-searched) rather than a tree map; with
-/// the handful of networks a device ever sees, every lookup touches a single
-/// cache line. Iteration order (ascending id) and the serialized shape (a
-/// sequence of `[id, entry]` pairs) are identical to the previous
-/// `BTreeMap`-backed representation.
+/// engine hosts, so they are stored as flat vectors sorted by network id
+/// (binary-searched) rather than a tree map. The ids live apart from the
+/// entries: a search walks a dense array of 4-byte keys and touches one
+/// entry, which matters once hundreds of networks per session (7–16 KB of
+/// entries) no longer fit in cache. Iteration order (ascending id) and the
+/// serialized shape (a sequence of `[id, entry]` pairs under
+/// `per_network`) are those of the previous `BTreeMap`-backed
+/// representation.
 ///
 /// [`Greedy`]: crate::Greedy
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetworkStats {
-    /// `(network, entry)` pairs sorted by network id.
-    per_network: Vec<(NetworkId, PerNetwork)>,
+    /// Networks with an entry, ascending.
+    ids: Vec<NetworkId>,
+    /// `entries[i]` belongs to `ids[i]`.
+    entries: Vec<PerNetwork>,
     /// Running `(network, slots)` of the most-used network — the reset
     /// heuristic polls it every slot, and slot counts only ever grow by one,
     /// so the argmax is maintained incrementally instead of rescanned.
@@ -47,21 +51,28 @@ impl NetworkStats {
 
     /// Mutable entry for `network`, inserted (default) if absent.
     fn entry_mut(&mut self, network: NetworkId) -> &mut PerNetwork {
-        match self.per_network.binary_search_by_key(&network, |&(n, _)| n) {
-            Ok(i) => &mut self.per_network[i].1,
+        let i = match self.ids.binary_search(&network) {
+            Ok(i) => i,
             Err(i) => {
-                self.per_network.insert(i, (network, PerNetwork::default()));
-                &mut self.per_network[i].1
+                self.ids.insert(i, network);
+                self.entries.insert(i, PerNetwork::default());
+                i
             }
-        }
+        };
+        &mut self.entries[i]
     }
 
     /// Shared entry for `network`, if present.
     fn entry(&self, network: NetworkId) -> Option<&PerNetwork> {
-        self.per_network
-            .binary_search_by_key(&network, |&(n, _)| n)
+        self.ids
+            .binary_search(&network)
             .ok()
-            .map(|i| &self.per_network[i].1)
+            .map(|i| &self.entries[i])
+    }
+
+    /// `(network, entry)` pairs, ascending by network.
+    fn pairs(&self) -> impl Iterator<Item = (NetworkId, &PerNetwork)> + '_ {
+        self.ids.iter().copied().zip(&self.entries)
     }
 
     /// Records one slot's scaled gain on `network`.
@@ -121,10 +132,9 @@ impl NetworkStats {
     /// lowest identifier. `None` when nothing has been observed yet.
     #[must_use]
     pub fn best_average(&self) -> Option<NetworkId> {
-        self.per_network
-            .iter()
+        self.pairs()
             .filter(|(_, e)| e.slots > 0)
-            .map(|&(n, ref e)| (n, e.total_gain / e.slots as f64))
+            .map(|(n, e)| (n, e.total_gain / e.slots as f64))
             .fold(
                 None,
                 |best: Option<(NetworkId, f64)>, (n, avg)| match best {
@@ -146,11 +156,10 @@ impl NetworkStats {
     /// Recomputes the most-used cache from scratch (after bulk mutations).
     fn rescan_most_used(&mut self) {
         self.most_used_cache = self
-            .per_network
-            .iter()
+            .pairs()
             .filter(|(_, e)| e.slots > 0)
             .max_by_key(|(_, e)| e.slots)
-            .map(|&(n, ref e)| (n, e.slots));
+            .map(|(n, e)| (n, e.slots));
     }
 
     /// Folds another statistics table into this one, summing slot counts,
@@ -160,7 +169,7 @@ impl NetworkStats {
     /// fleet engine always merges in session order so the floating-point gain
     /// totals are reproducible too.
     pub fn merge(&mut self, other: &NetworkStats) {
-        for &(network, ref stats) in &other.per_network {
+        for (network, stats) in other.pairs() {
             let entry = self.entry_mut(network);
             entry.slots += stats.slots;
             entry.blocks += stats.blocks;
@@ -172,31 +181,79 @@ impl NetworkStats {
     /// Total slots recorded across all networks.
     #[must_use]
     pub fn total_slots(&self) -> u64 {
-        self.per_network.iter().map(|(_, e)| e.slots).sum()
+        self.entries.iter().map(|e| e.slots).sum()
     }
 
     /// Total gain recorded across all networks.
     #[must_use]
     pub fn total_gain(&self) -> f64 {
-        self.per_network.iter().map(|(_, e)| e.total_gain).sum()
+        self.entries.iter().map(|e| e.total_gain).sum()
     }
 
     /// The networks with at least one recorded slot or block, ascending.
     pub fn networks(&self) -> impl Iterator<Item = NetworkId> + '_ {
-        self.per_network.iter().map(|&(n, _)| n)
+        self.ids.iter().copied()
     }
 
     /// Forgets everything (used by Smart EXP3's minimal reset, which clears
     /// the data backing greedy decisions while *keeping* the EXP3 weights).
     pub fn clear(&mut self) {
-        self.per_network.clear();
+        self.ids.clear();
+        self.entries.clear();
         self.most_used_cache = None;
     }
 
     /// Drops statistics about networks not in `available` (after mobility).
     pub fn retain_networks(&mut self, available: &[NetworkId]) {
-        self.per_network.retain(|(n, _)| available.contains(n));
+        // Stable in-place compaction of both arrays in lockstep.
+        let mut kept = 0;
+        for i in 0..self.ids.len() {
+            if available.contains(&self.ids[i]) {
+                self.ids.swap(kept, i);
+                self.entries.swap(kept, i);
+                kept += 1;
+            }
+        }
+        self.ids.truncate(kept);
+        self.entries.truncate(kept);
         self.rescan_most_used();
+    }
+}
+
+/// Writes `(network, entry)` pairs,
+/// `{"per_network":[[id,{…}],…],"most_used_cache":…}`, so checkpoints do not
+/// see the split layout.
+impl Serialize for NetworkStats {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            (
+                "per_network".to_string(),
+                Value::Seq(self.pairs().map(|pair| pair.to_value()).collect()),
+            ),
+            (
+                "most_used_cache".to_string(),
+                self.most_used_cache.to_value(),
+            ),
+        ])
+    }
+}
+
+impl Deserialize for NetworkStats {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let fields = value.as_map().ok_or_else(|| {
+            serde::Error::custom(format!(
+                "expected map for struct `NetworkStats`, found {}",
+                value.kind()
+            ))
+        })?;
+        let pairs: Vec<(NetworkId, PerNetwork)> =
+            serde::from_field(fields, "per_network", "NetworkStats")?;
+        let (ids, entries) = pairs.into_iter().unzip();
+        Ok(NetworkStats {
+            ids,
+            entries,
+            most_used_cache: serde::from_field(fields, "most_used_cache", "NetworkStats")?,
+        })
     }
 }
 
@@ -285,5 +342,33 @@ mod tests {
         assert_eq!(stats.most_used(), Some(NetworkId(1)));
         stats.clear();
         assert_eq!(stats.most_used(), None);
+    }
+
+    #[test]
+    fn serialized_shape_is_the_pair_layout() {
+        let mut stats = NetworkStats::new();
+        for (id, gain) in [(7, 0.25), (2, 0.5), (7, 0.125), (4, 1.0)] {
+            stats.record_slot(NetworkId(id), gain);
+        }
+        stats.record_block(NetworkId(9));
+        stats.record_block(NetworkId(2));
+        let mut other = NetworkStats::new();
+        other.record_slot(NetworkId(4), 0.75);
+        other.record_slot(NetworkId(1), 0.0625);
+        other.record_block(NetworkId(1));
+        stats.merge(&other);
+        stats.retain_networks(&[NetworkId(1), NetworkId(2), NetworkId(4), NetworkId(7)]);
+        // Written by the `Vec<(NetworkId, PerNetwork)>` layout this type had
+        // before its ids and entries were split; checkpoints keep it.
+        const WIRE: &str = "{\"per_network\":[\
+            [1,{\"slots\":1,\"blocks\":1,\"total_gain\":0.0625}],\
+            [2,{\"slots\":1,\"blocks\":1,\"total_gain\":0.5}],\
+            [4,{\"slots\":2,\"blocks\":0,\"total_gain\":1.75}],\
+            [7,{\"slots\":2,\"blocks\":0,\"total_gain\":0.375}]],\
+            \"most_used_cache\":[7,2]}";
+        assert_eq!(serde_json::to_string(&stats).unwrap(), WIRE);
+        let back: NetworkStats = serde_json::from_str(WIRE).unwrap();
+        assert_eq!(back, stats);
+        assert_eq!(serde_json::to_string(&back).unwrap(), WIRE);
     }
 }

@@ -20,7 +20,10 @@
 //! Ito's "Fast EXP3 Algorithms"): alongside the log-weights it stores the
 //! max-shifted exponentials `e_i = exp(lw_i − max_lw)` and their running sum.
 //! A [`multiplicative_update`](WeightTable::multiplicative_update) then costs
-//! one `exp` plus a constant-time sum adjustment; a full O(k) rebuild happens
+//! one `exp` plus a constant-time sum adjustment, after an O(log k) arm
+//! lookup that
+//! [`multiplicative_update_at`](WeightTable::multiplicative_update_at) skips
+//! for a caller that kept the drawn position. A full O(k) rebuild happens
 //! only when the maximum shifts, when an arm is added/removed/reset, or
 //! periodically to keep floating-point drift of the running sum far below
 //! any observable level (see `PATCH_LIMIT`).
@@ -397,6 +400,65 @@ impl WeightTable {
         self.overlay_hits
     }
 
+    /// Checks that the table's arrays agree with its arm list: the
+    /// conditions every draw and update indexes by. A table deserialized
+    /// from text the program did not write can violate them, and the first
+    /// draw or update would then panic, so checkpoint restores run this
+    /// before use. Finiteness and probability sums are not checked.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violated condition: `log_weights`, `exp_weights`
+    /// or `index` not as long as `arms`; an `index` that is not strictly
+    /// ascending by arm or points at a position holding another arm; alias
+    /// arrays that are not all empty or all `arms.len()` long, or an alias
+    /// index out of range; a dirty position out of range.
+    pub fn check_shape(&self) -> Result<(), String> {
+        let k = self.arms.len();
+        for (name, len) in [
+            ("log_weights", self.log_weights.len()),
+            ("exp_weights", self.exp_weights.len()),
+            ("index", self.index.len()),
+        ] {
+            if len != k {
+                return Err(format!("`{name}` holds {len} entries for {k} arms"));
+            }
+        }
+        if let Some(pair) = self.index.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
+            return Err(format!(
+                "`index` is not strictly ascending at arm {}",
+                pair[1].0 .0
+            ));
+        }
+        if let Some(&(arm, position)) = self
+            .index
+            .iter()
+            .find(|&&(arm, position)| self.arms.get(position) != Some(&arm))
+        {
+            return Err(format!(
+                "`index` maps arm {} to position {position}, which holds another arm",
+                arm.0
+            ));
+        }
+        let alias = [
+            self.alias_prob.len(),
+            self.alias_idx.len(),
+            self.alias_mass.len(),
+        ];
+        if alias != [0; 3] && alias != [k; 3] {
+            return Err(format!(
+                "alias arrays hold {alias:?} entries for {k} arms (all empty or all {k})"
+            ));
+        }
+        if let Some(&column) = self.alias_idx.iter().find(|&&column| column >= k) {
+            return Err(format!("`alias_idx` names column {column} of {k}"));
+        }
+        if let Some(&position) = self.dirty.iter().find(|&&position| position >= k) {
+            return Err(format!("`dirty` names position {position} of {k}"));
+        }
+        Ok(())
+    }
+
     /// Rebuilds the sorted arm index (positions shift after a removal).
     fn rebuild_index(&mut self) {
         self.index.clear();
@@ -422,14 +484,22 @@ impl WeightTable {
     /// whole distribution, so the update is dropped and the table left
     /// unchanged.
     pub fn multiplicative_update(&mut self, arm: NetworkId, gamma: f64, estimated_gain: f64) {
-        if !estimated_gain.is_finite() {
+        if let Some(i) = self.position(arm) {
+            self.multiplicative_update_at(i, gamma, estimated_gain);
+        }
+    }
+
+    /// [`multiplicative_update`](Self::multiplicative_update) on the arm at
+    /// table position `i` (see [`sample_position`](Self::sample_position)),
+    /// skipping the O(log k) arm lookup — at large K the sorted index does
+    /// not stay in cache, so the lookup is a chain of dependent misses.
+    /// Out-of-range positions and non-finite estimates are ignored.
+    pub fn multiplicative_update_at(&mut self, i: usize, gamma: f64, estimated_gain: f64) {
+        if !estimated_gain.is_finite() || i >= self.arms.len() {
             return;
         }
-        let k = self.arms.len().max(1) as f64;
+        let k = self.arms.len() as f64;
         let delta = gamma * estimated_gain / k;
-        let Some(i) = self.position(arm) else {
-            return;
-        };
         if delta == 0.0 {
             return;
         }
@@ -633,6 +703,20 @@ impl WeightTable {
     ///
     /// Panics if the table is empty.
     pub fn sample(&mut self, gamma: f64, rng: &mut dyn RngCore) -> (NetworkId, f64) {
+        let (i, probability) = self.sample_position(gamma, rng);
+        (self.arms[i], probability)
+    }
+
+    /// [`sample`](Self::sample), returning the drawn arm's table position
+    /// instead of its id (the same draw, RNG use and overlay count). A
+    /// caller that keeps the position can update the arm with
+    /// [`multiplicative_update_at`](Self::multiplicative_update_at) while
+    /// the arm set is unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table is empty.
+    pub fn sample_position(&mut self, gamma: f64, rng: &mut dyn RngCore) -> (usize, f64) {
         let target: f64 = rng.gen();
         let (i, overlay) = self.invert_at(gamma, target);
         // `&mut self` exists solely for this count: overlay traffic is the
@@ -640,7 +724,7 @@ impl WeightTable {
         if overlay {
             self.overlay_hits += 1;
         }
-        (self.arms[i], self.probability_at(i, gamma))
+        (i, self.probability_at(i, gamma))
     }
 
     /// Deterministic core of [`sample`](Self::sample): inverts the CDF at
@@ -1380,5 +1464,97 @@ mod tests {
         let (arm, p) = table.sample(0.1, &mut rng);
         assert!(table.arms().contains(&arm));
         assert!(p.is_finite() && p > 0.0);
+    }
+
+    /// The position forms are the arm forms without the lookup: over random
+    /// tables under both strategies with add/remove/reset churn, an update
+    /// by position leaves the table equal to a twin updated by arm, and a
+    /// drawn position names the arm, probability and overlay count `sample`
+    /// draws from the same RNG state.
+    #[test]
+    fn position_forms_match_the_arm_forms() {
+        for strategy in [SamplerStrategy::Linear, SamplerStrategy::Alias] {
+            let mut by_position = WeightTable::uniform_with_strategy(&arms(10), strategy);
+            let mut by_arm = by_position.clone();
+            let mut rng = StdRng::seed_from_u64(77);
+            let mut next_arm = 10u32;
+            for step in 0..3_000 {
+                match rng.gen::<u32>() % 16 {
+                    0 => {
+                        by_position.add_arm(NetworkId(next_arm));
+                        by_arm.add_arm(NetworkId(next_arm));
+                        next_arm += 1;
+                    }
+                    1 if by_arm.len() > 2 => {
+                        let victim = by_arm.arms()[rng.gen::<usize>() % by_arm.len()];
+                        by_position.remove_arm(victim);
+                        by_arm.remove_arm(victim);
+                    }
+                    2 if step % 400 == 2 => {
+                        by_position.reset_uniform();
+                        by_arm.reset_uniform();
+                    }
+                    _ => {
+                        let arm = by_arm.arms()[rng.gen::<usize>() % by_arm.len()];
+                        let gamma = 0.05 + 0.9 * rng.gen::<f64>();
+                        let gain = rng.gen::<f64>() * 40.0 - 5.0;
+                        let position = by_position.position(arm).unwrap();
+                        by_position.multiplicative_update_at(position, gamma, gain);
+                        by_arm.multiplicative_update(arm, gamma, gain);
+                    }
+                }
+                assert_eq!(by_position, by_arm, "{strategy:?} step {step}: update");
+                let gamma = rng.gen::<f64>();
+                let seed = rng.gen::<u64>();
+                let (i, p) = by_position.sample_position(gamma, &mut StdRng::seed_from_u64(seed));
+                let (arm, q) = by_arm.sample(gamma, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(by_position.arms()[i], arm, "{strategy:?} step {step}: draw");
+                assert_eq!(p.to_bits(), q.to_bits(), "{strategy:?} step {step}: draw");
+                assert_eq!(
+                    by_position, by_arm,
+                    "{strategy:?} step {step}: overlay count"
+                );
+            }
+            // Out-of-range positions and non-finite gains change nothing.
+            let before = by_position.clone();
+            by_position.multiplicative_update_at(before.len(), 0.3, 2.0);
+            by_position.multiplicative_update_at(0, 0.3, f64::NAN);
+            by_position.multiplicative_update_at(0, 0.3, f64::INFINITY);
+            assert_eq!(by_position, before);
+        }
+    }
+
+    /// Tables built by the program pass the shape check, and each array that
+    /// disagrees with the arm list fails it.
+    #[test]
+    fn shape_check_names_each_broken_array() {
+        let mut table = WeightTable::uniform_with_strategy(&arms(4), SamplerStrategy::Alias);
+        table.multiplicative_update(NetworkId(2), 0.2, 0.5);
+        assert!(!table.dirty.is_empty());
+        assert_eq!(table.check_shape(), Ok(()));
+        assert_eq!(WeightTable::uniform(&arms(3)).check_shape(), Ok(()));
+        type Break = fn(&mut WeightTable);
+        let breaks: [(&str, Break); 8] = [
+            ("log_weights", |t| {
+                t.log_weights.pop();
+            }),
+            ("exp_weights", |t| t.exp_weights.push(1.0)),
+            ("index", |t| {
+                t.index.pop();
+            }),
+            ("index", |t| t.index.swap(0, 1)),
+            ("index", |t| t.index[0].1 = 1),
+            ("alias", |t| {
+                t.alias_mass.pop();
+            }),
+            ("alias_idx", |t| t.alias_idx[0] = 4),
+            ("dirty", |t| t.dirty.push(4)),
+        ];
+        for (name, break_table) in breaks {
+            let mut broken = table.clone();
+            break_table(&mut broken);
+            let error = broken.check_shape().unwrap_err();
+            assert!(error.contains(name), "{name}: {error}");
+        }
     }
 }

@@ -1887,8 +1887,9 @@ impl FleetEngine {
     ///
     /// Returns [`SnapshotError::UnsupportedVersion`] for snapshots from an
     /// incompatible engine version, and [`SnapshotError::Malformed`] for
-    /// session ids or a wake queue the engine cannot have written (see
-    /// [`WakeEntry`]).
+    /// session ids, a weight table whose arrays disagree with its arm list
+    /// (see [`PolicyState::check_shape`]) or a wake queue the engine cannot
+    /// have written (see [`WakeEntry`]).
     pub fn from_snapshot(snapshot: FleetSnapshot) -> Result<Self, SnapshotError> {
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(snapshot.version));
@@ -1913,6 +1914,14 @@ impl FleetEngine {
                 "next id {} does not follow the {sessions} sessions",
                 snapshot.next_id
             )));
+        }
+        // A weight table whose arrays disagree with its arm list would panic
+        // on the session's first draw or update.
+        for (index, session) in snapshot.sessions.iter().enumerate() {
+            session
+                .policy
+                .check_shape()
+                .map_err(|error| SnapshotError::Malformed(format!("session {index}: {error}")))?;
         }
         let wakes = snapshot
             .wake_queue

@@ -3,7 +3,8 @@
 //! sessions mid-slot.
 
 use smartexp3_core::{
-    Environment, NetworkId, Observation, PolicyFactory, PolicyKind, SessionView, SlotIndex,
+    Environment, Exp3, Exp3Config, NetworkId, Observation, PolicyFactory, PolicyKind,
+    SamplerStrategy, SessionView, SlotIndex,
 };
 use smartexp3_engine::{FleetConfig, FleetEngine, SnapshotError, StepContext};
 
@@ -160,6 +161,56 @@ fn snapshot_restore_resumes_the_exact_trajectory() {
         reference.to_json().unwrap(),
         "resumed fleet must be bit-identical to the uninterrupted one"
     );
+}
+
+/// Replaces the contents of the first `"field":[…]` list in `text` with
+/// `edit(contents)`.
+fn edit_first_list(text: &str, field: &str, edit: impl Fn(&str) -> String) -> String {
+    let start = text.find(&format!("\"{field}\":[")).unwrap() + field.len() + 4;
+    let end = start + text[start..].find(']').unwrap();
+    format!(
+        "{}{}{}",
+        &text[..start],
+        edit(&text[start..end]),
+        &text[end..]
+    )
+}
+
+#[test]
+fn restore_rejects_weight_tables_that_disagree_with_their_arms() {
+    let networks: Vec<NetworkId> = rates().iter().map(|&(n, _)| n).collect();
+    let config = Exp3Config {
+        sampler: SamplerStrategy::Alias,
+        ..Exp3Config::default()
+    };
+    let mut fleet = FleetEngine::new(FleetConfig::with_root_seed(17));
+    for _ in 0..2 {
+        let policy = Exp3::new(networks.clone(), config).unwrap();
+        fleet.add_session(PolicyKind::Exp3, Box::new(policy));
+    }
+    fleet.run_with(5, independent_feedback);
+    let text = fleet.to_json().unwrap();
+    assert!(FleetEngine::from_json(&text).is_ok());
+    // Session 0's table is the first in the text. Both edits used to
+    // restore, and the next step then panicked indexing the arrays.
+    let short = edit_first_list(&text, "log_weights", |list| {
+        list.rsplit_once(',').unwrap().0.to_string()
+    });
+    let out_of_range = edit_first_list(&text, "alias_idx", |list| {
+        format!("{}{}", networks.len(), &list[list.find(',').unwrap()..])
+    });
+    for (what, broken) in [
+        ("a short log_weights", short),
+        ("an out-of-range alias index", out_of_range),
+    ] {
+        assert_ne!(broken, text);
+        match FleetEngine::from_json(&broken) {
+            Err(SnapshotError::Malformed(message)) => {
+                assert!(message.starts_with("session 0: "), "{what}: {message}");
+            }
+            other => panic!("{what}: expected a malformed snapshot, got {other:?}"),
+        }
+    }
 }
 
 /// An environment that misbehaves on purpose: every session is reported

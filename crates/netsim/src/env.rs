@@ -313,6 +313,37 @@ impl ShareState {
     }
 }
 
+/// One graded choice resolved against the world tables, so the load and
+/// grading passes search the visibility list, the universe and the
+/// partition's networks once per choice rather than once per pass.
+#[derive(Debug, Clone, Copy)]
+struct ResolvedChoice {
+    /// Dense universe index of the chosen network (`None` for an id the
+    /// world does not know).
+    dense: Option<usize>,
+    /// Partition-local index of the chosen network when the session can see
+    /// it and the partition owns it: the share queue it draws from.
+    local: Option<usize>,
+}
+
+impl ResolvedChoice {
+    fn new(
+        universe: &[NetworkId],
+        networks: &[usize],
+        device: &DeviceDyn,
+        available_sorted: bool,
+        chosen: NetworkId,
+    ) -> Self {
+        let dense = universe.binary_search(&chosen).ok();
+        let local = if sees(&device.available, available_sorted, chosen) {
+            dense.and_then(|d| networks.binary_search(&d).ok())
+        } else {
+            None
+        };
+        ResolvedChoice { dense, local }
+    }
+}
+
 /// One independent feedback partition: a contiguous session range, the
 /// networks only those sessions can ever load, and every per-slot buffer
 /// grading them needs. All buffers persist across slots, so partitioned
@@ -322,6 +353,9 @@ struct FeedbackPartition {
     /// Dense universe indices of the networks this partition owns, ascending.
     networks: Vec<usize>,
     state: ShareState,
+    /// This slot's graded choices resolved in the load pass, in session
+    /// order, for the grading pass.
+    resolved: Vec<ResolvedChoice>,
     /// `(global session index, chosen)` of this slot's graded choices and
     /// their queued selection records — populated only when a recorder is
     /// attached, then reduced into the global buffers in partition order.
@@ -340,7 +374,8 @@ struct GradeTables<'a> {
     config: &'a SimulationConfig,
     universe: &'a [NetworkId],
     bandwidth_by_index: &'a [f64],
-    delay_models: &'a BTreeMap<NetworkId, DelayModel>,
+    /// Switching-delay model per dense universe index.
+    delay_by_index: &'a [DelayModel],
     gain_scale: f64,
 }
 
@@ -420,12 +455,12 @@ fn recycle_full_gains(observation: Observation, pool: &mut Vec<Vec<(NetworkId, f
     }
 }
 
-/// Grades one session's chosen network: pulls its bandwidth share from the
-/// partition's share queues, samples the switching delay from `rng`, updates
-/// goodput accounting and attaches counterfactual gains for full-information
-/// devices. The canonical feedback computation — the legacy shared-RNG
-/// driver, the sequential fallback and the partitioned path all funnel
-/// through here.
+/// Grades one session's chosen network, `resolved` against the world
+/// tables: pulls its bandwidth share from the partition's share queues,
+/// samples the switching delay from `rng`, updates goodput accounting and
+/// attaches counterfactual gains for full-information devices. The
+/// canonical feedback computation — the legacy shared-RNG driver, the
+/// sequential fallback and the partitioned path all funnel through here.
 #[allow(clippy::too_many_arguments)]
 fn grade_session(
     tables: &GradeTables<'_>,
@@ -435,15 +470,12 @@ fn grade_session(
     pool: &mut Vec<Vec<(NetworkId, f64)>>,
     profile: &DeviceProfile,
     device: &mut DeviceDyn,
-    available_sorted: bool,
     chosen: NetworkId,
+    resolved: ResolvedChoice,
     slot: SlotIndex,
 ) -> Observation {
-    let valid = sees(&device.available, available_sorted, chosen);
-    let dense = tables.universe.binary_search(&chosen).ok();
-    let local = dense.and_then(|d| networks.binary_search(&d).ok());
-    let observed_rate = match local {
-        Some(j) if valid => {
+    let observed_rate = match resolved.local {
+        Some(j) => {
             let share = state.shares[j]
                 .get(state.next_share_index[j])
                 .copied()
@@ -451,7 +483,7 @@ fn grade_session(
             state.next_share_index[j] += 1;
             share
         }
-        _ => 0.0,
+        None => 0.0,
     };
 
     let switched = match device.current {
@@ -459,11 +491,9 @@ fn grade_session(
         None => false,
     };
     let delay = if switched {
-        let model = tables
-            .delay_models
-            .get(&chosen)
-            .copied()
-            .unwrap_or(DelayModel::None);
+        let model = resolved
+            .dense
+            .map_or(DelayModel::None, |d| tables.delay_by_index[d]);
         model.sample(tables.config.slot_duration_s, rng)
     } else {
         0.0
@@ -531,18 +561,21 @@ impl FeedbackPartition {
             self.metrics.clear();
         }
         self.state.load.fill(0);
-        let mut graded = 0usize;
+        self.resolved.clear();
         for (i, choice) in choices.iter().enumerate() {
-            match choice {
+            match *choice {
                 Some(chosen) => {
-                    graded += 1;
-                    if sees(&devices[i].available, visibility[i].sorted, *chosen) {
-                        if let Ok(dense) = tables.universe.binary_search(chosen) {
-                            if let Ok(local) = self.networks.binary_search(&dense) {
-                                self.state.load[local] += 1;
-                            }
-                        }
+                    let resolved = ResolvedChoice::new(
+                        tables.universe,
+                        &self.networks,
+                        &devices[i],
+                        visibility[i].sorted,
+                        chosen,
+                    );
+                    if let Some(local) = resolved.local {
+                        self.state.load[local] += 1;
                     }
+                    self.resolved.push(resolved);
                 }
                 None => {
                     if let Some(stale) = out[i].take() {
@@ -567,6 +600,7 @@ impl FeedbackPartition {
         // the partition owns, split evenly over the sessions graded this
         // slot (the streaming analogue of the recorder's
         // `distance_from_average_bit_rate`).
+        let graded = self.resolved.len();
         let fair_share = if telemetry && graded > 0 {
             let aggregate: f64 = self
                 .networks
@@ -578,8 +612,11 @@ impl FeedbackPartition {
             0.0
         };
         let mut shortfall_sum = 0.0;
-        for (i, choice) in choices.iter().enumerate() {
-            let Some(chosen) = *choice else { continue };
+        let chosen = choices
+            .iter()
+            .enumerate()
+            .filter_map(|(i, choice)| choice.map(|chosen| (i, chosen)));
+        for ((i, chosen), &resolved) in chosen.zip(&self.resolved) {
             if let Some(previous) = out[i].take() {
                 recycle_full_gains(previous, &mut self.full_gains_pool);
             }
@@ -591,8 +628,8 @@ impl FeedbackPartition {
                 &mut self.full_gains_pool,
                 &profiles[i],
                 &mut devices[i],
-                visibility[i].sorted,
                 chosen,
+                resolved,
                 slot,
             );
             if telemetry {
@@ -762,7 +799,9 @@ pub struct CongestionEnvironment {
     universe: Vec<NetworkId>,
     bandwidths: BTreeMap<NetworkId, f64>,
     bandwidth_by_index: Vec<f64>,
-    delay_models: BTreeMap<NetworkId, DelayModel>,
+    /// Switching-delay model per dense universe index (`DelayModel::None`
+    /// for ids without a network spec), parallel to `bandwidth_by_index`.
+    delay_by_index: Vec<DelayModel>,
     area_networks: Vec<(AreaId, Vec<NetworkId>)>,
     /// Sorted `(area id, index into area_networks)` lookup — visibility
     /// refresh runs per active device per slot, so it must not scan the
@@ -830,8 +869,6 @@ impl CongestionEnvironment {
         );
         let bandwidths: BTreeMap<NetworkId, f64> =
             networks.iter().map(|n| (n.id, n.bandwidth_mbps)).collect();
-        let delay_models: BTreeMap<NetworkId, DelayModel> =
-            networks.iter().map(|n| (n.id, n.delay_model())).collect();
         let gain_scale = config.gain_scale_mbps.unwrap_or_else(|| {
             networks
                 .iter()
@@ -868,6 +905,13 @@ impl CongestionEnvironment {
         for (i, &network) in universe.iter().enumerate() {
             bandwidth_by_index[i] = bandwidths.get(&network).copied().unwrap_or(0.0);
         }
+        // Later specs of a repeated id win, as in `bandwidths`.
+        let mut delay_by_index = vec![DelayModel::None; network_count];
+        for spec in &networks {
+            if let Ok(dense) = universe.binary_search(&spec.id) {
+                delay_by_index[dense] = spec.delay_model();
+            }
+        }
         let devices = vec![DeviceDyn::default(); profiles.len()];
 
         let (ranges, partition_networks) =
@@ -885,6 +929,7 @@ impl CongestionEnvironment {
                 range,
                 state: ShareState::new(networks.len()),
                 networks,
+                resolved: Vec::new(),
                 choices: Vec::new(),
                 records: Vec::new(),
                 full_gains_pool: Vec::new(),
@@ -918,7 +963,7 @@ impl CongestionEnvironment {
             universe,
             bandwidths,
             bandwidth_by_index,
-            delay_models,
+            delay_by_index,
             area_networks,
             area_index,
             game,
@@ -1132,10 +1177,17 @@ impl CongestionEnvironment {
             config: &self.config,
             universe: &self.universe,
             bandwidth_by_index: &self.bandwidth_by_index,
-            delay_models: &self.delay_models,
+            delay_by_index: &self.delay_by_index,
             gain_scale: self.gain_scale,
         };
         let partition = &mut self.partitions[partition];
+        let resolved = ResolvedChoice::new(
+            &self.universe,
+            &partition.networks,
+            &self.devices[index],
+            self.visibility[index].sorted,
+            chosen,
+        );
         let observation = grade_session(
             &tables,
             &partition.networks,
@@ -1144,8 +1196,8 @@ impl CongestionEnvironment {
             &mut self.full_gains_pool,
             &self.profiles[index],
             &mut self.devices[index],
-            self.visibility[index].sorted,
             chosen,
+            resolved,
             slot,
         );
         if self.recorder.is_some() {
@@ -1246,7 +1298,10 @@ impl Environment for CongestionEnvironment {
     fn session_view(&self, session: usize, _slot: SlotIndex) -> SessionView<'_> {
         let device = &self.devices[session];
         SessionView {
-            active: device.active_now,
+            // A device in an area without networks has nothing to choose
+            // from: it sits the slot out, but still hears that its set
+            // changed (to empty, or back from empty).
+            active: device.active_now && !device.available.is_empty(),
             networks_changed: device.pending_change.then_some(device.available.as_slice()),
         }
     }
@@ -1290,7 +1345,7 @@ impl Environment for CongestionEnvironment {
             config,
             universe,
             bandwidth_by_index,
-            delay_models,
+            delay_by_index,
             gain_scale,
             choices: global_choices,
             records: global_records,
@@ -1301,7 +1356,7 @@ impl Environment for CongestionEnvironment {
             config,
             universe,
             bandwidth_by_index,
-            delay_models,
+            delay_by_index,
             gain_scale: *gain_scale,
         };
         let tables = &tables;

@@ -178,10 +178,11 @@ impl Simulation {
                 }
             }
 
-            // 3. Selections.
+            // 3. Selections. A device that sees no network sits the slot
+            // out, as on the fleet path.
             env.begin_choices();
             for (index, device) in devices.iter_mut().enumerate() {
-                if !device.is_active_at(slot) {
+                if !device.is_active_at(slot) || env.available(index).is_empty() {
                     continue;
                 }
                 let chosen = device.policy.choose(slot, &mut rng);

@@ -1,6 +1,6 @@
 //! Environment-driven stepping throughput: decisions per second when the
 //! fleet is driven through `FleetEngine::run_env` over the scenario
-//! library's worlds, rather than through closure feedback.
+//! library's worlds.
 //!
 //! This is the perf trajectory of the *coupled* path — joint-choice
 //! congestion sharing, visibility bookkeeping, event application — which is

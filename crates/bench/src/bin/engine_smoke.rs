@@ -1,14 +1,12 @@
 //! Quick-mode fleet-engine throughput smoke run.
 //!
-//! Steps a Smart EXP3 fleet through fused choose+observe slots (the same
-//! workload as the `engine_throughput` Criterion bench) **and** through the
-//! equal-share congestion scenario of the environment layer (the
-//! `scenario_throughput` workload) — the latter twice: plain, and with
-//! streaming telemetry on (the observability overhead datapoint). One JSON
-//! record per configuration is appended to `BENCH_engine.json`; every record
-//! names its `world`, `threads` and `feedback` mode explicitly (older
-//! records lack those fields but keep parsing — readers treat them as
-//! additive).
+//! Steps a Smart EXP3 fleet through the equal-share congestion scenario of
+//! the environment layer (the `scenario_throughput` workload) twice: plain,
+//! and with streaming telemetry on (the observability overhead datapoint),
+//! then through the cooperative world. One JSON record per configuration is
+//! appended to `BENCH_engine.json`; every record names its `world`,
+//! `threads` and `feedback` mode explicitly (older records lack those fields
+//! but keep parsing — readers treat them as additive).
 //!
 //! A **duty-cycle pair** records the event-driven engine path: the same
 //! world stepped slot-synchronously and through the wake queue
@@ -30,12 +28,12 @@
 //! parallel scaling.
 //!
 //! `--only SUBSTR` runs only the datapoint groups whose name contains
-//! `SUBSTR` (groups: `closure`, `equal_share`, `equal_share_telemetry`,
+//! `SUBSTR` (groups: `equal_share`, `equal_share_telemetry`,
 //! `cooperative`, `dense_urban`, `duty_cycle`, `dense_duty_cycle`) — e.g.
 //! `--only equal_share` runs everything on that world.
 
-use smartexp3_core::{NetworkId, Observation, PolicyFactory, PolicyKind, SamplerStrategy};
-use smartexp3_engine::{FleetConfig, FleetEngine, StepContext};
+use smartexp3_core::{PolicyKind, SamplerStrategy};
+use smartexp3_engine::FleetConfig;
 use smartexp3_env::{
     cooperative, dense_duty_cycle, dense_urban, duty_cycle, equal_share, DenseUrbanConfig,
     DutyCycleConfig, GossipConfig, Scenario,
@@ -51,39 +49,6 @@ const DENSE_SESSIONS: usize = 64;
 
 /// Networks per block in the dense-urban datapoints (the arm count K).
 const DENSE_NETWORKS: usize = 512;
-
-fn feedback(ctx: &mut StepContext<'_>) -> Observation {
-    let gain = if ctx.chosen == NetworkId(2) {
-        0.85
-    } else {
-        0.25
-    };
-    Observation::bandit(ctx.slot, ctx.chosen, gain * 22.0, gain)
-}
-
-fn build_fleet(sessions: usize, config: &FleetConfig) -> FleetEngine {
-    let rates = vec![
-        (NetworkId(0), 4.0),
-        (NetworkId(1), 7.0),
-        (NetworkId(2), 22.0),
-    ];
-    let mut factory = PolicyFactory::new(rates).expect("valid rates");
-    let mut fleet = FleetEngine::new(config.clone());
-    fleet
-        .add_fleet(&mut factory, PolicyKind::SmartExp3, sessions)
-        .expect("valid fleet");
-    fleet
-}
-
-/// Steps `fleet` for `slots` fused slots and returns decisions per second.
-fn measure(fleet: &mut FleetEngine, slots: usize) -> f64 {
-    let sessions = fleet.len();
-    let start = Instant::now();
-    for _ in 0..slots {
-        fleet.step_with(feedback);
-    }
-    (sessions * slots) as f64 / start.elapsed().as_secs_f64()
-}
 
 /// Warm-up through the all-fresh opening slots, so the measurement starts
 /// from steady state, then `slots` timed environment-driven slots; returns
@@ -370,23 +335,7 @@ fn main() {
         extra: String::new(),
     };
 
-    let mut closure = None;
-    if wanted("closure") {
-        let mut fleet = build_fleet(sessions, &config);
-        // Warm-up: drives the fleet out of its all-fresh-decision opening
-        // slots and populates the per-shard scratch buffers.
-        let _ = measure(&mut fleet, slots.div_ceil(4).max(1));
-        let rate = measure(&mut fleet, slots);
-        records.push(smart_record(
-            "engine_throughput/step",
-            "closure",
-            "fused",
-            rate,
-        ));
-        closure = Some(rate);
-    }
-
-    // Environment-driven datapoint: the same fleet size stepped through the
+    // Environment-driven datapoint: the fleet stepped through the
     // equal-share congestion scenario via `run_env`, with the feedback phase
     // fanned out over the partitions whenever the pool has more than one
     // worker.
@@ -586,14 +535,12 @@ fn main() {
         eprintln!("error: cannot write {out}: {error}");
         std::process::exit(1);
     }
-    if let (Some(closure), Some(partitioned_rate), Some(streaming_rate), Some(coop_rate)) =
-        (closure, partitioned_rate, streaming_rate, coop_rate)
+    if let (Some(partitioned_rate), Some(streaming_rate), Some(coop_rate)) =
+        (partitioned_rate, streaming_rate, coop_rate)
     {
         eprintln!(
-            "closure {:.2}M, scenario {:.2}M (telemetry {:.2}M = {:+.1}%), cooperative {:.2}M \
-             decisions/sec over {sessions} sessions x {slots} slots, {threads} threads -> \
-             appended to {out}",
-            closure / 1e6,
+            "scenario {:.2}M (telemetry {:.2}M = {:+.1}%), cooperative {:.2}M decisions/sec \
+             over {sessions} sessions x {slots} slots, {threads} threads -> appended to {out}",
             partitioned_rate / 1e6,
             streaming_rate / 1e6,
             (streaming_rate / partitioned_rate - 1.0) * 100.0,

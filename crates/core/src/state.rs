@@ -53,14 +53,14 @@ impl PolicyState {
         }
     }
 
-    /// Checks the shape of the weight table an EXP3-family state (EXP3,
-    /// Smart EXP3, the full-information forecaster) carries; see
+    /// Checks the shape and finiteness of the weight table an EXP3-family
+    /// state (EXP3, Smart EXP3, the full-information forecaster) carries; see
     /// [`WeightTable::check_shape`](crate::WeightTable::check_shape). States
     /// without a table always pass.
     ///
     /// # Errors
     ///
-    /// Describes the first violated shape condition.
+    /// Describes the first violated condition.
     pub fn check_shape(&self) -> Result<(), String> {
         let weights = match self {
             PolicyState::Exp3(p) => p.weights(),

@@ -400,11 +400,12 @@ impl WeightTable {
         self.overlay_hits
     }
 
-    /// Checks that the table's arrays agree with its arm list: the
-    /// conditions every draw and update indexes by. A table deserialized
-    /// from text the program did not write can violate them, and the first
-    /// draw or update would then panic, so checkpoint restores run this
-    /// before use. Finiteness and probability sums are not checked.
+    /// Checks that the table's arrays agree with its arm list and that its
+    /// weights and caches are finite: the conditions every draw and update
+    /// relies on. A table deserialized from text the program did not write
+    /// can violate them, and the first draw or update would then panic or
+    /// silently poison the distribution, so checkpoint restores run this
+    /// before use. Probability sums are not checked.
     ///
     /// # Errors
     ///
@@ -412,7 +413,12 @@ impl WeightTable {
     /// or `index` not as long as `arms`; an `index` that is not strictly
     /// ascending by arm or points at a position holding another arm; alias
     /// arrays that are not all empty or all `arms.len()` long, or an alias
-    /// index out of range; a dirty position out of range.
+    /// index out of range; a dirty position out of range; a non-finite entry
+    /// of `log_weights`, `exp_weights`, `alias_prob` or `alias_mass`, a
+    /// non-finite `alias_total` or `dirty_mass`; and, when the table has
+    /// arms, a non-finite `max_log_weight` or an `exp_sum` that is not finite
+    /// and positive. (An empty table — a device that sees no network — holds
+    /// `max_log_weight = -inf` legitimately.)
     pub fn check_shape(&self) -> Result<(), String> {
         let k = self.arms.len();
         for (name, len) in [
@@ -455,6 +461,37 @@ impl WeightTable {
         }
         if let Some(&position) = self.dirty.iter().find(|&&position| position >= k) {
             return Err(format!("`dirty` names position {position} of {k}"));
+        }
+        for (name, values) in [
+            ("log_weights", &self.log_weights),
+            ("exp_weights", &self.exp_weights),
+            ("alias_prob", &self.alias_prob),
+            ("alias_mass", &self.alias_mass),
+        ] {
+            if let Some((position, value)) = values
+                .iter()
+                .enumerate()
+                .find(|(_, value)| !value.is_finite())
+            {
+                return Err(format!("`{name}` holds {value} at position {position}"));
+            }
+        }
+        for (name, value) in [
+            ("alias_total", self.alias_total),
+            ("dirty_mass", self.dirty_mass),
+        ] {
+            if !value.is_finite() {
+                return Err(format!("`{name}` is {value}"));
+            }
+        }
+        if k > 0 && !self.max_log_weight.is_finite() {
+            return Err(format!("`max_log_weight` is {}", self.max_log_weight));
+        }
+        if k > 0 && !(self.exp_sum.is_finite() && self.exp_sum > 0.0) {
+            return Err(format!(
+                "`exp_sum` is {}, not finite and positive",
+                self.exp_sum
+            ));
         }
         Ok(())
     }
@@ -1524,8 +1561,9 @@ mod tests {
         }
     }
 
-    /// Tables built by the program pass the shape check, and each array that
-    /// disagrees with the arm list fails it.
+    /// Tables built by the program pass the shape check (an empty one with
+    /// its `-inf` maximum included), and each array that disagrees with the
+    /// arm list or holds a non-finite value fails it.
     #[test]
     fn shape_check_names_each_broken_array() {
         let mut table = WeightTable::uniform_with_strategy(&arms(4), SamplerStrategy::Alias);
@@ -1533,8 +1571,11 @@ mod tests {
         assert!(!table.dirty.is_empty());
         assert_eq!(table.check_shape(), Ok(()));
         assert_eq!(WeightTable::uniform(&arms(3)).check_shape(), Ok(()));
+        let empty = WeightTable::uniform(&[]);
+        assert_eq!(empty.max_log_weight, f64::NEG_INFINITY);
+        assert_eq!(empty.check_shape(), Ok(()));
         type Break = fn(&mut WeightTable);
-        let breaks: [(&str, Break); 8] = [
+        let breaks: [(&str, Break); 16] = [
             ("log_weights", |t| {
                 t.log_weights.pop();
             }),
@@ -1549,6 +1590,14 @@ mod tests {
             }),
             ("alias_idx", |t| t.alias_idx[0] = 4),
             ("dirty", |t| t.dirty.push(4)),
+            ("log_weights", |t| t.log_weights[1] = f64::NAN),
+            ("exp_weights", |t| t.exp_weights[0] = f64::INFINITY),
+            ("alias_prob", |t| t.alias_prob[3] = f64::NEG_INFINITY),
+            ("alias_mass", |t| t.alias_mass[2] = f64::NAN),
+            ("alias_total", |t| t.alias_total = f64::INFINITY),
+            ("dirty_mass", |t| t.dirty_mass = f64::NAN),
+            ("max_log_weight", |t| t.max_log_weight = f64::NEG_INFINITY),
+            ("exp_sum", |t| t.exp_sum = 0.0),
         ];
         for (name, break_table) in breaks {
             let mut broken = table.clone();

@@ -35,12 +35,14 @@
 //!
 //! ## Batched stepping
 //!
-//! [`FleetEngine::choose_all`] / [`FleetEngine::observe_all`] run one slot in
-//! two phases (useful when feedback couples sessions, e.g. congestion
-//! sharing), while [`FleetEngine::step_with`] fuses both into a single
-//! parallel traversal for independent-feedback workloads. Sessions are
-//! processed in shards of [`FleetConfig::shard_size`] distributed over rayon
-//! workers.
+//! A fleet steps through an [`Environment`], the world its sessions live in:
+//! it reports which sessions are active and which networks they see
+//! ([`Environment::session_view`]), then grades the joint choice
+//! ([`Environment::feedback`]), so feedback may couple sessions (congestion
+//! sharing). [`FleetEngine::step_env`] runs one slot for every session and
+//! [`FleetEngine::step_events`] one cohort of due sessions; both run the same
+//! pipeline, with sessions processed in shards of
+//! [`FleetConfig::shard_size`] distributed over rayon workers.
 //!
 //! ## Checkpointing
 //!
@@ -52,8 +54,41 @@
 //! stable text format.
 //!
 //! ```rust
-//! use smartexp3_core::{NetworkId, Observation, PolicyFactory, PolicyKind};
+//! use smartexp3_core::{
+//!     Environment, NetworkId, Observation, PolicyFactory, PolicyKind, SessionView, SlotIndex,
+//! };
 //! use smartexp3_engine::{FleetConfig, FleetEngine};
+//!
+//! /// Every session sees every network every slot; network 2 pays best.
+//! struct Static {
+//!     sessions: usize,
+//! }
+//!
+//! impl Environment for Static {
+//!     fn sessions(&self) -> usize {
+//!         self.sessions
+//!     }
+//!
+//!     fn begin_slot(&mut self, _slot: SlotIndex) {}
+//!
+//!     fn session_view(&self, _session: usize, _slot: SlotIndex) -> SessionView<'_> {
+//!         SessionView::active_static()
+//!     }
+//!
+//!     fn feedback(
+//!         &mut self,
+//!         slot: SlotIndex,
+//!         choices: &[Option<NetworkId>],
+//!         out: &mut [Option<Observation>],
+//!     ) {
+//!         for (choice, out) in choices.iter().zip(out) {
+//!             *out = choice.map(|chosen| {
+//!                 let gain = if chosen == NetworkId(2) { 0.9 } else { 0.2 };
+//!                 Observation::bandit(slot, chosen, gain * 22.0, gain)
+//!             });
+//!         }
+//!     }
+//! }
 //!
 //! # fn main() -> Result<(), smartexp3_core::ConfigError> {
 //! let mut factory = PolicyFactory::new(vec![
@@ -63,14 +98,11 @@
 //! ])?;
 //! let mut fleet = FleetEngine::new(FleetConfig::with_root_seed(7));
 //! fleet.add_fleet(&mut factory, PolicyKind::SmartExp3, 1000)?;
-//! for _ in 0..50 {
-//!     fleet.step_with(|ctx| {
-//!         let gain = if ctx.chosen == NetworkId(2) { 0.9 } else { 0.2 };
-//!         Observation::bandit(ctx.slot, ctx.chosen, gain * 22.0, gain)
-//!     });
-//! }
-//! let metrics = fleet.metrics();
-//! assert_eq!(metrics.decisions, 50 * 1000);
+//! let mut world = Static { sessions: fleet.len() };
+//! fleet.run_env(&mut world, 50);
+//! assert_eq!(fleet.metrics().decisions, 50 * 1000);
+//! let restored = FleetEngine::from_json(&fleet.to_json().unwrap()).unwrap();
+//! assert_eq!(restored.metrics(), fleet.metrics());
 //! # Ok(())
 //! # }
 //! ```
@@ -297,7 +329,7 @@ macro_rules! with_lane {
 
 /// Iterates every session of every segment in global session order, binding
 /// `$session` to a `&`/`&mut LaneSession<_>` per the borrow of `$segments`.
-/// Used by the sequential cold paths (metrics, snapshot, broadcast).
+/// Used by the sequential cold paths (metrics, snapshot, sampler counters).
 macro_rules! for_each_lane_session {
     ($segments:expr, |$session:ident| $body:expr) => {
         for segment in $segments {
@@ -322,18 +354,10 @@ macro_rules! for_each_lane_session {
     };
 }
 
-/// Reusable per-shard buffers for batched stepping.
-///
-/// One `SlotScratch` lives per shard, persists across slots, and is handed to
-/// the feedback closure through [`StepContext::scratch`], so grading a slot
-/// never has to allocate: a closure that attaches counterfactual
-/// full-information gains takes the buffer with
-/// [`full_gains_buffer`](Self::full_gains_buffer), and the engine reclaims
-/// the allocation from the observation after the session has consumed it.
+/// Reusable buffers of one shard's observe phase; one lives per shard and
+/// persists across slots, so steady-state stepping allocates nothing.
 #[derive(Debug, Default)]
-pub struct SlotScratch {
-    /// Recycled backing storage for [`Observation::full_gains`].
-    full_gains: Vec<(NetworkId, f64)>,
+struct SlotScratch {
     /// Recycled distribution read buffer (top-choice extraction for
     /// environments whose recorders track stable states).
     probabilities: Vec<(NetworkId, f64)>,
@@ -342,50 +366,6 @@ pub struct SlotScratch {
     /// observe phase, so delivering shared feedback allocates nothing in
     /// steady state.
     shared: SharedFeedback,
-}
-
-impl SlotScratch {
-    /// Creates an empty scratch space.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes the recycled full-gains buffer (cleared, capacity preserved).
-    /// Attach the filled buffer to the returned [`Observation`] via
-    /// [`Observation::with_full_gains`]; the engine recovers the allocation
-    /// after the observation has been consumed.
-    #[must_use]
-    pub fn full_gains_buffer(&mut self) -> Vec<(NetworkId, f64)> {
-        let mut buffer = std::mem::take(&mut self.full_gains);
-        buffer.clear();
-        buffer
-    }
-
-    /// Reclaims recyclable allocations from a consumed observation.
-    fn recycle(&mut self, observation: Observation) {
-        if let Some(mut gains) = observation.full_gains {
-            gains.clear();
-            self.full_gains = gains;
-        }
-    }
-}
-
-/// Everything [`FleetEngine::step_with`] tells the feedback closure about the
-/// decision it must grade, plus the shard's reusable scratch space.
-#[derive(Debug)]
-pub struct StepContext<'a> {
-    /// The deciding session.
-    pub session: SessionId,
-    /// The slot being stepped.
-    pub slot: SlotIndex,
-    /// The network the session chose for this slot.
-    pub chosen: NetworkId,
-    /// The network the session used in the previous slot (`None` on its
-    /// first slot), for switch accounting.
-    pub previous: Option<NetworkId>,
-    /// The shard's reusable buffers (see [`SlotScratch`]).
-    pub scratch: &'a mut SlotScratch,
 }
 
 /// Aggregate behaviour of every session of one [`PolicyKind`] in the fleet.
@@ -554,8 +534,8 @@ pub struct FleetSnapshot {
     /// Every session, in session order.
     pub sessions: Vec<SessionSnapshot>,
     /// Dynamic state of the [`Environment`] the fleet was stepped through
-    /// (its own opaque JSON, see [`Environment::state`]), or `None` for
-    /// closure-driven fleets.
+    /// (its own opaque JSON, see [`Environment::state`]), or `None` when the
+    /// snapshot was taken without one ([`FleetEngine::snapshot`]).
     pub environment: Option<String>,
     /// Pending wakes of the event-driven engine path, sorted ascending by
     /// `(wake, session)` for stable snapshot bytes; `None` when the fleet
@@ -664,37 +644,22 @@ impl ShardSessions<'_> {
 }
 
 /// Every shard of the fleet — exactly the sharding of
-/// [`LaneSegment::shards`] — in global session order, with its global offset.
-fn fleet_shards(
-    segments: &mut [LaneSegment],
-    shard_size: usize,
-) -> Vec<(usize, ShardSessions<'_>)> {
-    let mut offset = 0usize;
-    segments
-        .iter_mut()
-        .flat_map(|segment| segment.shards(shard_size))
-        .map(|shard| {
-            let start = offset;
-            offset += shard.len();
-            (start, shard)
-        })
-        .collect()
-}
-
-/// [`fleet_shards`], each with its slice of the ascending cohort `members`
-/// (empty when no member falls inside it). The cohort is sliced with
-/// `partition_point`, so the cost grows with the shard count, not with how
-/// the cohort is fragmented.
+/// [`LaneSegment::shards`], in global session order — with its global offset
+/// and its slice of the ascending cohort `members` (empty when no member falls
+/// inside it). The cohort is sliced with `partition_point`, so the cost grows
+/// with the shard count, not with how the cohort is fragmented.
 fn cohort_shards<'a>(
     segments: &'a mut [LaneSegment],
     members: &'a [usize],
     shard_size: usize,
 ) -> impl Iterator<Item = (usize, ShardSessions<'a>, &'a [usize])> {
-    let mut rest = members;
-    fleet_shards(segments, shard_size)
-        .into_iter()
-        .map(move |(offset, shard)| {
-            let end = offset + shard.len();
+    let (mut end, mut rest) = (0usize, members);
+    segments
+        .iter_mut()
+        .flat_map(move |segment| segment.shards(shard_size))
+        .map(move |shard| {
+            let offset = end;
+            end += shard.len();
             let (due, tail) = rest.split_at(rest.partition_point(|&index| index < end));
             rest = tail;
             (offset, shard, due)
@@ -739,9 +704,8 @@ pub struct FleetEngine {
     slot: SlotIndex,
     next_id: u64,
     decisions: u64,
-    choices: Vec<NetworkId>,
-    /// Mirror of every session's most recent choice, maintained by all step
-    /// paths so [`last_choices`](Self::last_choices) is a zero-alloc read.
+    /// Mirror of every session's most recent choice, maintained by the choose
+    /// phase so [`last_choices`](Self::last_choices) is a zero-alloc read.
     last: Vec<Option<NetworkId>>,
     /// One persistent [`SlotScratch`] per shard, grown on fleet growth only —
     /// steady-state stepping performs no per-**session** allocation. (A small
@@ -753,9 +717,10 @@ pub struct FleetEngine {
     env_choices: Vec<Option<NetworkId>>,
     env_feedback: Vec<Option<Observation>>,
     env_tops: Vec<Option<(NetworkId, f64)>>,
-    /// Wall-clock phase breakdown of the most recent [`step_env`]
-    /// (`Self::step_env`) slot. Host timing, *not* covered by any
-    /// determinism contract, and deliberately excluded from snapshots.
+    /// Wall-clock phase breakdown of the most recent
+    /// [`step_env`](Self::step_env) slot or [`step_events`](Self::step_events)
+    /// cohort (both set it in `run_cohort`). Host timing, *not* covered by
+    /// any determinism contract, and deliberately excluded from snapshots.
     last_timing: Option<SlotTiming>,
     /// Pending wakes of the event-driven path: a calendar from wake slot to
     /// the sessions due then (in reschedule order; each cohort is sorted
@@ -809,7 +774,6 @@ impl FleetEngine {
             slot: 0,
             next_id: 0,
             decisions: 0,
-            choices: Vec::new(),
             last: Vec::new(),
             scratch: Vec::new(),
             env_choices: Vec::new(),
@@ -960,155 +924,12 @@ impl FleetEngine {
             .sum()
     }
 
-    /// Grows the per-shard scratch pool to cover `shard_count` shards —
-    /// the one place both step paths size their scratch from.
-    fn ensure_scratch(&mut self, shard_count: usize) {
-        if self.scratch.len() < shard_count {
-            self.scratch.resize_with(shard_count, SlotScratch::default);
-        }
-    }
-
     /// Runs `operation` inside this engine's thread pool (or inline when no
     /// explicit pool is configured — rayon then uses available parallelism).
     fn in_pool<R>(pool: &Option<ThreadPool>, operation: impl FnOnce() -> R) -> R {
         match pool {
             Some(pool) => pool.install(operation),
             None => operation(),
-        }
-    }
-
-    /// Phase 1 of a slot: every session picks its network for slot
-    /// [`slot()`](Self::slot), in parallel. Returns the choices in session
-    /// order. Must be followed by [`observe_all`](Self::observe_all) before
-    /// the next `choose_all`.
-    pub fn choose_all(&mut self) -> &[NetworkId] {
-        let slot = self.slot;
-        let shard_size = self.config.shard_size.max(1);
-        let count = self.len();
-        // Choices are written by the parallel workers themselves (the same
-        // pattern as `step_env`'s choose phase) rather than re-read from
-        // `last_choice` afterwards — there is no window in which a session
-        // could be observed without a recorded choice, and no panic path.
-        self.choices.clear();
-        self.choices.resize(count, NetworkId(0));
-        let mut choices = self.choices.as_mut_slice();
-        let mut last = self.last.as_mut_slice();
-        let work: Vec<_> = fleet_shards(&mut self.segments, shard_size)
-            .into_iter()
-            .map(|(_, shard)| {
-                let len = shard.len();
-                (
-                    shard,
-                    split_prefix(&mut choices, len),
-                    split_prefix(&mut last, len),
-                )
-            })
-            .collect();
-        Self::in_pool(&self.pool, || {
-            work.into_par_iter().for_each(|(shard, choices, last)| {
-                with_lane!(shard, |sessions| {
-                    for (i, session) in sessions.iter_mut().enumerate() {
-                        let chosen = session.choose(slot);
-                        choices[i] = chosen;
-                        last[i] = Some(chosen);
-                    }
-                });
-            });
-        });
-        self.decisions += count as u64;
-        &self.choices
-    }
-
-    /// Phase 2 of a slot: delivers one [`Observation`] per session (in
-    /// session order, matching [`choose_all`](Self::choose_all)'s output) and
-    /// advances the fleet to the next slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `observations.len() != self.len()` — feedback and fleet
-    /// must stay aligned.
-    pub fn observe_all(&mut self, observations: &[Observation]) {
-        assert_eq!(
-            observations.len(),
-            self.len(),
-            "one observation per session required"
-        );
-        let shard_size = self.config.shard_size.max(1);
-        let work = fleet_shards(&mut self.segments, shard_size);
-        Self::in_pool(&self.pool, || {
-            work.into_par_iter().for_each(|(offset, shard)| {
-                with_lane!(shard, |sessions| {
-                    for (i, session) in sessions.iter_mut().enumerate() {
-                        session.observe(&observations[offset + i]);
-                    }
-                });
-            });
-        });
-        self.slot += 1;
-        self.wakes_primed = false;
-    }
-
-    /// Fused step: every session chooses, the `feedback` closure grades the
-    /// choice, and the session observes — one parallel traversal, no
-    /// per-session allocation. Each shard threads its persistent
-    /// [`SlotScratch`] through the [`StepContext`], so feedback closures that
-    /// build per-slot structures (e.g. full-information gain vectors) can
-    /// reuse buffers across slots instead of allocating. Use this when
-    /// feedback for a session depends only on that session's own choice; when
-    /// sessions couple (congestion), use [`choose_all`](Self::choose_all) +
-    /// [`observe_all`](Self::observe_all).
-    pub fn step_with<F>(&mut self, feedback: F)
-    where
-        F: Fn(&mut StepContext<'_>) -> Observation + Sync,
-    {
-        let slot = self.slot;
-        let shard_size = self.config.shard_size.max(1);
-        let count = self.len();
-        let shard_count = self.shard_count(shard_size);
-        self.ensure_scratch(shard_count);
-        let mut last = self.last.as_mut_slice();
-        let work: Vec<_> = fleet_shards(&mut self.segments, shard_size)
-            .into_iter()
-            .zip(&mut self.scratch)
-            .map(|((_, shard), scratch)| {
-                let last = split_prefix(&mut last, shard.len());
-                (shard, last, scratch)
-            })
-            .collect();
-        let feedback = &feedback;
-        Self::in_pool(&self.pool, || {
-            work.into_par_iter().for_each(|(shard, last, scratch)| {
-                with_lane!(shard, |sessions| {
-                    for (index, session) in sessions.iter_mut().enumerate() {
-                        let previous = session.last_choice;
-                        let chosen = session.choose(slot);
-                        last[index] = Some(chosen);
-                        let mut context = StepContext {
-                            session: session.id,
-                            slot,
-                            chosen,
-                            previous,
-                            scratch: &mut *scratch,
-                        };
-                        let observation = feedback(&mut context);
-                        session.observe(&observation);
-                        scratch.recycle(observation);
-                    }
-                });
-            });
-        });
-        self.decisions += count as u64;
-        self.slot += 1;
-        self.wakes_primed = false;
-    }
-
-    /// Convenience: runs `slots` fused steps.
-    pub fn run_with<F>(&mut self, slots: usize, feedback: F)
-    where
-        F: Fn(&mut StepContext<'_>) -> Observation + Sync,
-    {
-        for _ in 0..slots {
-            self.step_with(&feedback);
         }
     }
 
@@ -1150,9 +971,8 @@ impl FleetEngine {
     /// thread count and shard size — partitioned or sequential feedback**.
     /// Steady-state stepping allocates nothing per session: joint-choice,
     /// feedback and top-choice buffers persist across slots (a small
-    /// O(shard-count) pairing vector is rebuilt per phase, as in
-    /// [`step_with`](Self::step_with), and the partitioned feedback path
-    /// boxes one job per partition per slot).
+    /// O(shard-count) pairing vector is rebuilt per phase, and the
+    /// partitioned feedback path boxes one job per partition per slot).
     ///
     /// # Panics
     ///
@@ -1223,11 +1043,11 @@ impl FleetEngine {
     /// the slot-synchronous path), counts the decisions taken and advances
     /// the clock to `t + 1`.
     ///
-    /// The fleet is sharded exactly as every other path shards it; each
-    /// shard steps only its slice of the cohort and shards without members
-    /// are skipped, so a timestamp costs O(cohort + shards) engine work
-    /// however the cohort is fragmented. Sessions outside the cohort read as
-    /// absent in the joint-choice buffer, exactly like inactive sessions.
+    /// The fleet keeps fixed shards (see `cohort_shards`); each shard steps
+    /// only its slice of the cohort and shards without members are skipped,
+    /// so a timestamp costs O(cohort + shards) engine work however the
+    /// cohort is fragmented. Sessions outside the cohort read as absent in
+    /// the joint-choice buffer, exactly like inactive sessions.
     /// With `wake_latency`, the cohort's queueing latency (one clock read
     /// per shard) goes to [`last_wake_latency`](Self::last_wake_latency) and
     /// the telemetry record; slot-synchronous records carry none.
@@ -1253,7 +1073,9 @@ impl FleetEngine {
             self.env_choices.fill(None);
         }
         let shard_count = self.shard_count(shard_size);
-        self.ensure_scratch(shard_count);
+        if self.scratch.len() < shard_count {
+            self.scratch.resize_with(shard_count, SlotScratch::default);
+        }
         self.tallies.clear();
         self.tallies.resize(shard_count, (0.0, 0));
         {
@@ -1635,34 +1457,12 @@ impl FleetEngine {
     }
 
     /// Wall-clock phase breakdown of the most recent
-    /// [`step_env`](Self::step_env) slot, or `None` before the first
-    /// environment-driven step. Host timing only — excluded from the
-    /// determinism contract and from snapshots.
+    /// [`step_env`](Self::step_env) slot or [`step_events`](Self::step_events)
+    /// cohort, or `None` before the first one. Host timing only — excluded
+    /// from the determinism contract and from snapshots.
     #[must_use]
     pub fn last_slot_timing(&self) -> Option<SlotTiming> {
         self.last_timing
-    }
-
-    /// Broadcasts a network-set change to every session (e.g. AP churn in the
-    /// area the fleet simulates). Never panics: policies that do not support
-    /// dynamism keep their state (see [`Policy::on_networks_changed`]).
-    pub fn networks_changed(&mut self, available: &[NetworkId]) {
-        let shard_size = self.config.shard_size.max(1);
-        let mut work: Vec<ShardSessions<'_>> = Vec::new();
-        for segment in &mut self.segments {
-            work.extend(segment.shards(shard_size));
-        }
-        Self::in_pool(&self.pool, || {
-            work.into_par_iter().for_each(|shard| {
-                with_lane!(shard, |sessions| {
-                    for session in sessions {
-                        session
-                            .policy
-                            .on_networks_changed(available, &mut session.rng);
-                    }
-                });
-            });
-        });
     }
 
     /// The most recent choice of every session, in session order (`None`
@@ -1994,7 +1794,7 @@ impl FleetEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartexp3_core::Observation;
+    use smartexp3_core::SessionView;
 
     fn rates() -> Vec<(NetworkId, f64)> {
         vec![
@@ -2002,22 +1802,6 @@ mod tests {
             (NetworkId(1), 7.0),
             (NetworkId(2), 22.0),
         ]
-    }
-
-    fn feedback(ctx: &mut StepContext<'_>) -> Observation {
-        // Deterministic per-session environment: network 2 is best, with a
-        // session-dependent wobble so sessions do not all look identical.
-        let wobble = (ctx.session.0 % 7) as f64 / 100.0;
-        let gain = if ctx.chosen == NetworkId(2) {
-            0.85 - wobble
-        } else {
-            0.2 + wobble
-        };
-        let mut obs = Observation::bandit(ctx.slot, ctx.chosen, gain * 22.0, gain);
-        if ctx.previous.is_some_and(|p| p != ctx.chosen) {
-            obs = obs.with_switch(0.5);
-        }
-        obs
     }
 
     fn build_fleet(threads: Option<usize>, shard_size: usize, sessions: usize) -> FleetEngine {
@@ -2061,38 +1845,9 @@ mod tests {
     }
 
     #[test]
-    fn two_phase_and_fused_stepping_agree() {
-        let mut fused = build_fleet(Some(2), 16, 100);
-        let mut phased = build_fleet(Some(2), 16, 100);
-        for _ in 0..30 {
-            fused.step_with(feedback);
-
-            let slot = phased.slot();
-            let previous = phased.last_choices().to_vec();
-            let choices = phased.choose_all().to_vec();
-            let mut scratch = SlotScratch::new();
-            let observations: Vec<Observation> = choices
-                .iter()
-                .enumerate()
-                .map(|(i, &chosen)| {
-                    feedback(&mut StepContext {
-                        session: SessionId(i as u64),
-                        slot,
-                        chosen,
-                        previous: previous[i],
-                        scratch: &mut scratch,
-                    })
-                })
-                .collect();
-            phased.observe_all(&observations);
-        }
-        assert_eq!(fused.metrics(), phased.metrics());
-    }
-
-    #[test]
     fn metrics_aggregate_per_kind() {
         let mut fleet = build_fleet(Some(1), 32, 80);
-        fleet.run_with(50, feedback);
+        fleet.run_env(&mut CadenceEnv::uniform(80), 50);
         let metrics = fleet.metrics();
         assert_eq!(metrics.sessions, 80);
         assert_eq!(metrics.decisions, 50 * 80);
@@ -2114,36 +1869,6 @@ mod tests {
         let display = metrics.to_string();
         assert!(display.contains("80 sessions"));
         assert!(display.contains("Smart EXP3"));
-    }
-
-    #[test]
-    fn scratch_full_gains_buffers_are_recycled() {
-        let mut factory = PolicyFactory::new(rates()).unwrap();
-        let mut fleet = FleetEngine::new(FleetConfig::with_root_seed(9).with_threads(1));
-        fleet
-            .add_fleet(&mut factory, PolicyKind::FullInformation, 8)
-            .unwrap();
-        for _ in 0..30 {
-            fleet.step_with(|ctx| {
-                let mut gains = ctx.scratch.full_gains_buffer();
-                assert!(gains.is_empty(), "recycled buffer must come back clean");
-                gains.extend([
-                    (NetworkId(0), 0.2),
-                    (NetworkId(1), 0.3),
-                    (NetworkId(2), 0.9),
-                ]);
-                let gain = if ctx.chosen == NetworkId(2) {
-                    0.9
-                } else {
-                    0.25
-                };
-                Observation::bandit(ctx.slot, ctx.chosen, gain * 22.0, gain).with_full_gains(gains)
-            });
-        }
-        let metrics = fleet.metrics();
-        assert_eq!(metrics.decisions, 30 * 8);
-        let full = metrics.kind(PolicyKind::FullInformation).unwrap();
-        assert!(full.mean_gain() > 0.0);
     }
 
     #[test]
@@ -2211,15 +1936,12 @@ mod tests {
     #[test]
     fn networks_changed_never_panics_and_retargets() {
         let mut fleet = build_fleet(Some(2), 8, 40);
-        fleet.run_with(10, feedback);
-        // Network 2 disappears; no session may panic, adaptive policies
-        // must stop choosing it.
+        // Network 2 disappears entering slot 10; no session may panic,
+        // adaptive policies must stop choosing it.
         let remaining = [NetworkId(0), NetworkId(1)];
-        fleet.networks_changed(&remaining);
-        fleet.step_with(|ctx| {
-            let gain = 0.4;
-            Observation::bandit(ctx.slot, ctx.chosen, gain * 22.0, gain)
-        });
+        let mut env = CadenceEnv::uniform(40);
+        env.shrink = Some((10, remaining.to_vec()));
+        fleet.run_env(&mut env, 11);
         for index in 0..fleet.len() {
             let kind = fleet.kind(index).unwrap();
             let choice = fleet.last_choices()[index];
@@ -2232,26 +1954,34 @@ mod tests {
         }
     }
 
-    /// Deterministic world for event-engine tests: every session is always
+    /// Deterministic world for engine tests: every session is always
     /// active, feedback is a pure function of `(slot, choice, session)`, the
     /// wake protocol staggers sessions over `cadences` and `events` are
     /// pushed environment timestamps. `begin_slots` records every
-    /// state-advance so tests can assert which timestamps materialised.
+    /// state-advance so tests can assert which timestamps materialised, and
+    /// `shrink = Some((slot, networks))` reports the visible set shrinking
+    /// to `networks` entering `slot`.
     struct CadenceEnv {
         sessions: usize,
         cadences: Vec<usize>,
         events: Vec<SlotIndex>,
         begin_slots: Vec<SlotIndex>,
+        shrink: Option<(SlotIndex, Vec<NetworkId>)>,
     }
 
     impl CadenceEnv {
-        fn uniform(sessions: usize) -> Self {
+        fn new(sessions: usize, cadences: Vec<usize>, events: Vec<SlotIndex>) -> Self {
             CadenceEnv {
                 sessions,
-                cadences: vec![1],
-                events: Vec::new(),
+                cadences,
+                events,
                 begin_slots: Vec::new(),
+                shrink: None,
             }
+        }
+
+        fn uniform(sessions: usize) -> Self {
+            Self::new(sessions, vec![1], Vec::new())
         }
 
         fn cadence_of(&self, session: usize) -> usize {
@@ -2268,12 +1998,15 @@ mod tests {
             self.begin_slots.push(slot);
         }
 
-        fn session_view(
-            &self,
-            _session: usize,
-            _slot: SlotIndex,
-        ) -> smartexp3_core::SessionView<'_> {
-            smartexp3_core::SessionView::active_static()
+        fn session_view(&self, _session: usize, slot: SlotIndex) -> SessionView<'_> {
+            SessionView {
+                active: true,
+                networks_changed: self
+                    .shrink
+                    .as_ref()
+                    .filter(|(at, _)| *at == slot)
+                    .map(|(_, networks)| networks.as_slice()),
+            }
         }
 
         fn feedback(
@@ -2342,12 +2075,7 @@ mod tests {
     #[test]
     fn heterogeneous_cadences_wake_only_due_cohorts() {
         let mut fleet = build_fleet(Some(2), 8, 40);
-        let mut env = CadenceEnv {
-            sessions: 40,
-            cadences: vec![1, 2, 4, 8],
-            events: Vec::new(),
-            begin_slots: Vec::new(),
-        };
+        let mut env = CadenceEnv::new(40, vec![1, 2, 4, 8], Vec::new());
         let until = 16;
         fleet.run_until(&mut env, until);
         assert_eq!(fleet.slot(), until);
@@ -2370,12 +2098,7 @@ mod tests {
     #[test]
     fn env_event_only_timestamps_advance_state_without_decisions() {
         let mut fleet = build_fleet(Some(1), 8, 8);
-        let mut env = CadenceEnv {
-            sessions: 8,
-            cadences: vec![64],
-            events: vec![3, 5],
-            begin_slots: Vec::new(),
-        };
+        let mut env = CadenceEnv::new(8, vec![64], vec![3, 5]);
         // All eight sessions first wake in 0..8 (staggered); the pushed
         // events at 3 and 5 coincide with wakes. Run past every wake, then
         // the next timestamps are event-free: nothing before slot 64.
@@ -2386,12 +2109,7 @@ mod tests {
         // A world with pushed events beyond every wake: the engine
         // materialises the event timestamp, advances state, decides nothing.
         let mut fleet = build_fleet(Some(1), 8, 8);
-        let mut env = CadenceEnv {
-            sessions: 8,
-            cadences: vec![64],
-            events: vec![20],
-            begin_slots: Vec::new(),
-        };
+        let mut env = CadenceEnv::new(8, vec![64], vec![20]);
         fleet.run_until(&mut env, 8);
         let decided_by_8 = fleet.metrics().decisions;
         assert_eq!(fleet.step_events(&mut env), Some(20));
@@ -2403,12 +2121,7 @@ mod tests {
     #[test]
     fn wake_queue_round_trips_through_snapshots() {
         let mut original = build_fleet(Some(2), 8, 40);
-        let mut env = CadenceEnv {
-            sessions: 40,
-            cadences: vec![1, 3, 5],
-            events: Vec::new(),
-            begin_slots: Vec::new(),
-        };
+        let mut env = CadenceEnv::new(40, vec![1, 3, 5], Vec::new());
         for _ in 0..7 {
             original.step_events(&mut env);
         }
@@ -2421,12 +2134,7 @@ mod tests {
         let mut restored = FleetEngine::from_snapshot(snapshot).unwrap();
         // The restored fleet continues on the recorded schedule without
         // re-priming — bit-identical timestamps, choices and bytes.
-        let mut restored_env = CadenceEnv {
-            sessions: 40,
-            cadences: vec![1, 3, 5],
-            events: Vec::new(),
-            begin_slots: Vec::new(),
-        };
+        let mut restored_env = CadenceEnv::new(40, vec![1, 3, 5], Vec::new());
         for _ in 0..9 {
             let expected = original.step_events(&mut env);
             assert_eq!(restored.step_events(&mut restored_env), expected);
@@ -2461,12 +2169,7 @@ mod tests {
     #[test]
     fn run_until_fast_forwards_idle_tails() {
         let mut fleet = build_fleet(Some(1), 8, 8);
-        let mut env = CadenceEnv {
-            sessions: 8,
-            cadences: vec![100],
-            events: Vec::new(),
-            begin_slots: Vec::new(),
-        };
+        let mut env = CadenceEnv::new(8, vec![100], Vec::new());
         // Every session wakes once in 0..8, then nothing until ~100; the
         // clock jumps straight to the horizon.
         fleet.run_until(&mut env, 50);

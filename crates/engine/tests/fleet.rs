@@ -2,14 +2,18 @@
 //! snapshot/restore, and graceful handling of environments that deactivate
 //! sessions mid-slot.
 
+mod common;
+
+use common::{run_independent, single_area_congestion};
+use netsim::setting1_networks;
 use smartexp3_core::{
     Environment, Exp3, Exp3Config, NetworkId, Observation, PolicyFactory, PolicyKind,
     SamplerStrategy, SessionView, SlotIndex,
 };
-use smartexp3_engine::{FleetConfig, FleetEngine, SnapshotError, StepContext};
+use smartexp3_engine::{FleetConfig, FleetEngine, SnapshotError};
 
 fn rates() -> Vec<(NetworkId, f64)> {
-    netsim::setting1_networks()
+    setting1_networks()
         .iter()
         .map(|n| (n.id, n.bandwidth_mbps))
         .collect()
@@ -29,43 +33,13 @@ fn mixed_fleet(config: FleetConfig, sessions: usize) -> FleetEngine {
     fleet
 }
 
-/// Congestion feedback: every session choosing network `n` receives an equal
-/// share of `n`'s bandwidth (the paper's sharing model), so sessions couple
-/// and the two-phase API is required.
+/// Congestion feedback: one service area over the setting-1 networks, so
+/// sessions couple.
 fn run_congestion(config: FleetConfig, sessions: usize, slots: usize) -> FleetEngine {
-    let bandwidth: Vec<(NetworkId, f64)> = rates();
+    let mut env = single_area_congestion(setting1_networks(), sessions, config.environment_seed());
     let mut fleet = mixed_fleet(config, sessions);
-    for _ in 0..slots {
-        let slot = fleet.slot();
-        let choices = fleet.choose_all().to_vec();
-        let mut counts = std::collections::BTreeMap::new();
-        for &chosen in &choices {
-            *counts.entry(chosen).or_insert(0usize) += 1;
-        }
-        let observations: Vec<Observation> = choices
-            .iter()
-            .map(|&chosen| {
-                let capacity = bandwidth
-                    .iter()
-                    .find(|(n, _)| *n == chosen)
-                    .map(|(_, mbps)| *mbps)
-                    .unwrap_or(0.0);
-                let share = capacity / counts[&chosen] as f64;
-                Observation::bandit(slot, chosen, share, (share / 22.0).min(1.0))
-            })
-            .collect();
-        fleet.observe_all(&observations);
-    }
+    fleet.run_env(&mut env, slots);
     fleet
-}
-
-fn independent_feedback(ctx: &mut StepContext<'_>) -> Observation {
-    let gain = if ctx.chosen == NetworkId(2) {
-        0.8 + (ctx.session.0 % 5) as f64 / 50.0
-    } else {
-        0.25
-    };
-    Observation::bandit(ctx.slot, ctx.chosen, gain * 22.0, gain.min(1.0))
 }
 
 #[test]
@@ -128,11 +102,11 @@ fn snapshot_restore_resumes_the_exact_trajectory() {
 
     // Uninterrupted reference run.
     let mut reference = mixed_fleet(config.clone(), 200);
-    reference.run_with(total_slots, independent_feedback);
+    run_independent(&mut reference, total_slots);
 
     // Interrupted run: step to `cut`, checkpoint through JSON, resume.
     let mut first_half = mixed_fleet(config, 200);
-    first_half.run_with(cut, independent_feedback);
+    run_independent(&mut first_half, cut);
     let checkpoint = first_half.to_json().unwrap();
     // Ids are the session indices and seed the RNG streams: a rewound
     // `next_id` would hand later sessions the streams of sessions 0.., and
@@ -153,7 +127,7 @@ fn snapshot_restore_resumes_the_exact_trajectory() {
     let mut resumed = FleetEngine::from_json(&checkpoint).unwrap();
     assert_eq!(resumed.slot(), cut);
     assert_eq!(resumed.len(), 200);
-    resumed.run_with(total_slots - cut, independent_feedback);
+    run_independent(&mut resumed, total_slots - cut);
 
     assert_eq!(resumed.metrics(), reference.metrics());
     assert_eq!(
@@ -179,36 +153,60 @@ fn edit_first_list(text: &str, field: &str, edit: impl Fn(&str) -> String) -> St
 #[test]
 fn restore_rejects_weight_tables_that_disagree_with_their_arms() {
     let networks: Vec<NetworkId> = rates().iter().map(|&(n, _)| n).collect();
-    let config = Exp3Config {
-        sampler: SamplerStrategy::Alias,
-        ..Exp3Config::default()
-    };
-    let mut fleet = FleetEngine::new(FleetConfig::with_root_seed(17));
-    for _ in 0..2 {
-        let policy = Exp3::new(networks.clone(), config).unwrap();
-        fleet.add_session(PolicyKind::Exp3, Box::new(policy));
-    }
-    fleet.run_with(5, independent_feedback);
-    let text = fleet.to_json().unwrap();
-    assert!(FleetEngine::from_json(&text).is_ok());
-    // Session 0's table is the first in the text. Both edits used to
-    // restore, and the next step then panicked indexing the arrays.
-    let short = edit_first_list(&text, "log_weights", |list| {
-        list.rsplit_once(',').unwrap().0.to_string()
-    });
-    let out_of_range = edit_first_list(&text, "alias_idx", |list| {
-        format!("{}{}", networks.len(), &list[list.find(',').unwrap()..])
-    });
-    for (what, broken) in [
-        ("a short log_weights", short),
-        ("an out-of-range alias index", out_of_range),
-    ] {
-        assert_ne!(broken, text);
-        match FleetEngine::from_json(&broken) {
-            Err(SnapshotError::Malformed(message)) => {
-                assert!(message.starts_with("session 0: "), "{what}: {message}");
+    for sampler in [SamplerStrategy::Linear, SamplerStrategy::Alias] {
+        let config = Exp3Config {
+            sampler,
+            ..Exp3Config::default()
+        };
+        let mut fleet = FleetEngine::new(FleetConfig::with_root_seed(17));
+        for _ in 0..2 {
+            let policy = Exp3::new(networks.clone(), config).unwrap();
+            fleet.add_session(PolicyKind::Exp3, Box::new(policy));
+        }
+        run_independent(&mut fleet, 5);
+        let text = fleet.to_json().unwrap();
+        assert!(FleetEngine::from_json(&text).is_ok());
+        // Session 0's table is the first in the text. Every edit used to
+        // restore: the shape edits then panicked on the next step, and a
+        // non-finite weight stepped on and was written back into the next
+        // checkpoint.
+        let mut broken = vec![(
+            "a short log_weights".to_string(),
+            edit_first_list(&text, "log_weights", |list| {
+                list.rsplit_once(',').unwrap().0.to_string()
+            }),
+        )];
+        if sampler == SamplerStrategy::Alias {
+            broken.push((
+                "an out-of-range alias index".to_string(),
+                edit_first_list(&text, "alias_idx", |list| {
+                    format!("{}{}", networks.len(), &list[list.find(',').unwrap()..])
+                }),
+            ));
+        }
+        for token in ["NaN", "inf", "-inf"] {
+            for field in ["log_weights", "exp_weights"] {
+                broken.push((
+                    format!("{token} in {field}"),
+                    edit_first_list(&text, field, |list| {
+                        format!("{token}{}", &list[list.find(',').unwrap()..])
+                    }),
+                ));
             }
-            other => panic!("{what}: expected a malformed snapshot, got {other:?}"),
+        }
+        for (what, broken) in broken {
+            assert_ne!(broken, text, "{what}");
+            match FleetEngine::from_json(&broken) {
+                Err(SnapshotError::Malformed(message)) => {
+                    assert!(
+                        message.starts_with("session 0: "),
+                        "{sampler:?}, {what}: {message}"
+                    );
+                }
+                other => {
+                    panic!("{sampler:?}, {what}: expected a malformed snapshot, got {other:?}")
+                }
+            }
         }
     }
 }
@@ -290,21 +288,12 @@ fn mid_slot_deactivation_is_skipped_gracefully() {
             "session {index} chose at least once and must keep its last choice"
         );
     }
-    // The two-phase path stays usable after the environment-driven slots.
-    let choices = fleet.choose_all().to_vec();
-    assert_eq!(choices.len(), 60);
-    let observations: Vec<Observation> = choices
-        .iter()
-        .map(|&chosen| Observation::bandit(fleet.slot(), chosen, 11.0, 0.5))
-        .collect();
-    fleet.observe_all(&observations);
-    assert_eq!(fleet.slot(), 31);
 }
 
 #[test]
 fn snapshot_of_a_snapshot_is_stable() {
     let mut fleet = mixed_fleet(FleetConfig::with_root_seed(5), 40);
-    fleet.run_with(25, independent_feedback);
+    run_independent(&mut fleet, 25);
     let once = fleet.to_json().unwrap();
     let twice = FleetEngine::from_json(&once).unwrap().to_json().unwrap();
     assert_eq!(once, twice);

@@ -3,18 +3,30 @@
 //! **decision-for-decision** with an all-boxed engine (the same sessions
 //! added one by one through [`FleetEngine::add_session`]) under session
 //! churn (fleets added mid-run) and mid-run snapshot/restore, including the
-//! restore that routes the boxed engine's EXP3-family states into lanes.
+//! restore that routes the boxed engine's EXP3-family states into lanes,
+//! and under coupled (congestion) feedback.
 
-use smartexp3_core::{NetworkId, Observation, PolicyFactory, PolicyKind};
-use smartexp3_engine::{FleetConfig, FleetEngine, StepContext};
+mod common;
+
+use common::{run_independent, single_area_congestion};
+use netsim::NetworkSpec;
+use smartexp3_core::{Environment, NetworkId, PolicyFactory, PolicyKind};
+use smartexp3_engine::{FleetConfig, FleetEngine};
+
+fn networks() -> Vec<NetworkSpec> {
+    vec![
+        NetworkSpec::wifi(0, 4.0),
+        NetworkSpec::wifi(1, 7.0),
+        NetworkSpec::cellular(2, 22.0),
+        NetworkSpec::wifi(3, 11.0),
+    ]
+}
 
 fn rates() -> Vec<(NetworkId, f64)> {
-    vec![
-        (NetworkId(0), 4.0),
-        (NetworkId(1), 7.0),
-        (NetworkId(2), 22.0),
-        (NetworkId(3), 11.0),
-    ]
+    networks()
+        .iter()
+        .map(|n| (n.id, n.bandwidth_mbps))
+        .collect()
 }
 
 /// Interleaves lane-eligible kinds (Smart EXP3, EXP3, the ablations) with
@@ -50,22 +62,11 @@ fn add_boxed_wave(fleet: &mut FleetEngine, factory: &mut PolicyFactory, scale: u
     }
 }
 
-/// Deterministic per-session independent feedback; gains depend on the
-/// session id and choice so any routing error changes the trajectory.
-fn feedback(ctx: &mut StepContext<'_>) -> Observation {
-    let gain = if ctx.chosen == NetworkId(2) {
-        0.7 + (ctx.session.0 % 7) as f64 / 40.0
-    } else {
-        0.2 + ctx.chosen.0 as f64 / 30.0
-    };
-    Observation::bandit(ctx.slot, ctx.chosen, gain * 22.0, gain.min(1.0))
-}
-
-/// Steps both engines one fused slot and asserts every session decided
+/// Steps both engines one slot and asserts every session decided
 /// identically.
 fn step_both(lanes: &mut FleetEngine, boxed: &mut FleetEngine, label: &str) {
-    lanes.step_with(feedback);
-    boxed.step_with(feedback);
+    run_independent(lanes, 1);
+    run_independent(boxed, 1);
     assert_eq!(
         lanes.last_choices(),
         boxed.last_choices(),
@@ -134,13 +135,11 @@ fn mixed_lane_fleets_match_all_boxed_fleets_under_churn_and_restore() {
 }
 
 #[test]
-fn two_phase_stepping_agrees_between_lanes_and_boxes() {
-    // The split choose/observe path (congestion-style coupled feedback) over
-    // a mixed fleet: the observation handed to session `i` depends on every
-    // session's choice, so segment boundaries in the choices mirror would
-    // surface immediately.
-    let bandwidth = rates();
-    let run = |lanes_enabled: bool| -> (Vec<Option<NetworkId>>, String) {
+fn coupled_feedback_agrees_between_lanes_and_boxes() {
+    // Equal-share congestion over a mixed fleet: the observation handed to
+    // session `i` depends on every session's choice, so segment boundaries
+    // in the joint-choice buffer would surface immediately.
+    let run = |lanes_enabled: bool| -> (Vec<Option<NetworkId>>, String, Option<String>) {
         let mut factory = PolicyFactory::new(rates()).unwrap();
         let mut fleet = FleetEngine::new(
             FleetConfig::with_root_seed(31)
@@ -152,31 +151,18 @@ fn two_phase_stepping_agrees_between_lanes_and_boxes() {
         } else {
             add_boxed_wave(&mut fleet, &mut factory, 3);
         }
-        for _ in 0..25 {
-            let slot = fleet.slot();
-            let choices = fleet.choose_all().to_vec();
-            let mut counts = std::collections::BTreeMap::new();
-            for &chosen in &choices {
-                *counts.entry(chosen).or_insert(0usize) += 1;
-            }
-            let observations: Vec<Observation> = choices
-                .iter()
-                .map(|&chosen| {
-                    let capacity = bandwidth
-                        .iter()
-                        .find(|(n, _)| *n == chosen)
-                        .map(|(_, mbps)| *mbps)
-                        .unwrap_or(0.0);
-                    let share = capacity / counts[&chosen] as f64;
-                    Observation::bandit(slot, chosen, share, (share / 22.0).min(1.0))
-                })
-                .collect();
-            fleet.observe_all(&observations);
-        }
-        (fleet.last_choices().to_vec(), fleet.to_json().unwrap())
+        let seed = fleet.config().environment_seed();
+        let mut env = single_area_congestion(networks(), fleet.len(), seed);
+        fleet.run_env(&mut env, 25);
+        (
+            fleet.last_choices().to_vec(),
+            fleet.to_json().unwrap(),
+            env.state(),
+        )
     };
-    let (lane_choices, lane_json) = run(true);
-    let (boxed_choices, boxed_json) = run(false);
+    let (lane_choices, lane_json, lane_env) = run(true);
+    let (boxed_choices, boxed_json, boxed_env) = run(false);
     assert_eq!(lane_choices, boxed_choices);
     assert_eq!(lane_json, boxed_json);
+    assert_eq!(lane_env, boxed_env);
 }

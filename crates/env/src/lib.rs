@@ -106,6 +106,18 @@ fn area_networks(area: usize) -> Vec<NetworkSpec> {
     ]
 }
 
+/// The profile of device `id` starting in `area` with its policy built over
+/// `networks`, asking for counterfactual per-network gains when `kind`
+/// learns from full information.
+fn profile(kind: PolicyKind, id: u32, area: AreaId, networks: Vec<NetworkId>) -> DeviceProfile {
+    let profile = DeviceProfile::new(id, area, networks);
+    if kind.needs_full_information() {
+        profile.with_full_information()
+    } else {
+        profile
+    }
+}
+
 /// Builds the replicated-congestion-area world shared by [`equal_share`],
 /// [`dynamic_bandwidth`], [`cooperative`] and [`duty_cycle`]. The worlds
 /// whose golden pins predate per-policy samplers pass
@@ -141,7 +153,8 @@ fn congestion_world(
         let mut factory = PolicyFactory::new(rates)?.with_sampler(sampler);
         fleet.add_fleet(&mut factory, kind, population)?;
         for device in 0..population {
-            profiles.push(DeviceProfile::new(
+            profiles.push(profile(
+                kind,
                 (area * DEVICES_PER_AREA + device) as u32,
                 AreaId(area as u32),
                 ids.clone(),
@@ -416,7 +429,8 @@ fn dense_world(
         let mut factory = PolicyFactory::new(rates)?.with_sampler(dense.sampler);
         fleet.add_fleet(&mut factory, kind, population)?;
         for device in 0..population {
-            profiles.push(DeviceProfile::new(
+            profiles.push(profile(
+                kind,
                 (area * per_area + device) as u32,
                 AreaId(area as u32),
                 ids.clone(),
@@ -566,17 +580,18 @@ pub fn area_mobility(
                 2 => 1,
                 _ => 2,
             };
-            let mut profile = DeviceProfile::new(
+            let mut device = profile(
+                kind,
                 session as u32,
                 area_sets[start_area].0,
                 area_sets[start_area].2.clone(),
             );
             if group == 0 {
-                profile = profile
+                device = device
                     .moving_to(first_move, area_sets[1].0)
                     .moving_to(second_move, area_sets[2].0);
             }
-            profiles.push(profile);
+            profiles.push(device);
             fleet.add_fleet(&mut factories[start_area], kind, 1)?;
         }
         networks.extend(specs);
@@ -601,6 +616,10 @@ pub fn area_mobility(
 /// World 4 — **trace-driven**: every session replays one of the four §VI-B
 /// synthetic WiFi/cellular trace pairs (`trace_slots` slots each, generated
 /// from the fleet's root seed), phase-shifted by session index.
+///
+/// The world gives bandit feedback only: observations carry no
+/// counterfactual gains, so a [`PolicyKind::FullInformation`] fleet updates
+/// just the arm it chose.
 ///
 /// # Errors
 ///

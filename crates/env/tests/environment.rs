@@ -17,8 +17,8 @@ use netsim::{
 };
 use rand::RngCore;
 use smartexp3_core::{
-    NetworkId, Observation, Policy, PolicyKind, PolicyStats, SamplerStrategy, SelectionKind,
-    SlotIndex,
+    Environment, NetworkId, Observation, PartitionExecutor, Policy, PolicyKind, PolicyStats,
+    SamplerStrategy, SelectionKind, SessionRange, SessionView, SlotIndex,
 };
 use smartexp3_engine::{FleetConfig, FleetEngine, SnapshotError, WakeEntry};
 use smartexp3_env::{
@@ -713,6 +713,148 @@ fn snapshots_without_environment_state_are_rejected() {
     let error = FleetEngine::from_snapshot_env(bare, scenario.environment.as_mut())
         .expect_err("restore must fail without environment state");
     assert!(error.to_string().contains("environment"));
+}
+
+/// Forwards the stepping calls to the world it wraps and checks every
+/// observation that world delivers for counterfactual gains: one per visible
+/// network, `networks` of them, the chosen one among them.
+struct FullGainsSpy {
+    inner: Box<dyn Environment>,
+    networks: usize,
+    observations: u64,
+    with_full_gains: u64,
+}
+
+impl FullGainsSpy {
+    fn count(&mut self, choices: &[Option<NetworkId>], out: &[Option<Observation>]) {
+        for (choice, observation) in choices.iter().zip(out) {
+            let Some(observation) = choice.and(observation.as_ref()) else {
+                continue;
+            };
+            self.observations += 1;
+            if observation.full_gains.as_ref().is_some_and(|gains| {
+                gains.len() == self.networks
+                    && gains
+                        .iter()
+                        .any(|&(network, _)| network == observation.network)
+            }) {
+                self.with_full_gains += 1;
+            }
+        }
+    }
+}
+
+impl Environment for FullGainsSpy {
+    fn sessions(&self) -> usize {
+        self.inner.sessions()
+    }
+
+    fn begin_slot(&mut self, slot: SlotIndex) {
+        self.inner.begin_slot(slot);
+    }
+
+    fn begin_slot_partitioned(&mut self, slot: SlotIndex, executor: &dyn PartitionExecutor) {
+        self.inner.begin_slot_partitioned(slot, executor);
+    }
+
+    fn session_view(&self, session: usize, slot: SlotIndex) -> SessionView<'_> {
+        self.inner.session_view(session, slot)
+    }
+
+    fn feedback(
+        &mut self,
+        slot: SlotIndex,
+        choices: &[Option<NetworkId>],
+        out: &mut [Option<Observation>],
+    ) {
+        self.inner.feedback(slot, choices, out);
+        self.count(choices, out);
+    }
+
+    fn feedback_partitions(&self) -> Option<&[SessionRange]> {
+        self.inner.feedback_partitions()
+    }
+
+    fn feedback_partitioned(
+        &mut self,
+        slot: SlotIndex,
+        choices: &[Option<NetworkId>],
+        out: &mut [Option<Observation>],
+        executor: &dyn PartitionExecutor,
+    ) {
+        self.inner
+            .feedback_partitioned(slot, choices, out, executor);
+        self.count(choices, out);
+    }
+
+    fn wants_top_choices(&self) -> bool {
+        self.inner.wants_top_choices()
+    }
+
+    fn end_slot(
+        &mut self,
+        slot: SlotIndex,
+        choices: &[Option<NetworkId>],
+        tops: &[Option<(NetworkId, f64)>],
+    ) {
+        self.inner.end_slot(slot, choices, tops);
+    }
+}
+
+#[test]
+fn full_information_scenarios_deliver_one_gain_per_visible_network() {
+    // The scenario builders used to leave the full-information flag off
+    // every device profile, so a FullInformation fleet silently fell back to
+    // updating only the arm it chose.
+    type Build = fn(FleetConfig) -> Scenario;
+    let worlds: [(&str, usize, Build); 2] = [
+        ("equal_share", 3, |config| {
+            equal_share(200, PolicyKind::FullInformation, config).unwrap()
+        }),
+        ("dense_urban", 32, |config| {
+            let dense = DenseUrbanConfig {
+                networks_per_area: 32,
+                devices_per_area: 16,
+                sampler: SamplerStrategy::Linear,
+            };
+            dense_urban(48, PolicyKind::FullInformation, config, dense).unwrap()
+        }),
+    ];
+    for (world, networks, build) in worlds {
+        let mut trajectories = Vec::new();
+        for threads in [1, 2] {
+            let mut scenario = build(
+                FleetConfig::with_root_seed(8)
+                    .with_threads(threads)
+                    .with_shard_size(16),
+            );
+            let mut spy = FullGainsSpy {
+                inner: scenario.environment,
+                networks,
+                observations: 0,
+                with_full_gains: 0,
+            };
+            scenario.fleet.run_env(&mut spy, 20);
+            assert_eq!(
+                spy.observations,
+                20 * scenario.fleet.len() as u64,
+                "{world} at {threads} threads"
+            );
+            assert_eq!(
+                spy.with_full_gains, spy.observations,
+                "{world} at {threads} threads: observations without full gains"
+            );
+            scenario.environment = spy.inner;
+            trajectories.push((
+                scenario_fingerprint(&scenario),
+                scenario.environment.state(),
+            ));
+        }
+        assert_eq!(
+            trajectories[0], trajectories[1],
+            "{world} diverged at 2 threads"
+        );
+    }
 }
 
 /// A deterministic (rng-free) policy: explores its networks once in sorted

@@ -1,13 +1,14 @@
 //! A device that walks into a service area without networks sits those
 //! slots out, on the fleet path (slot-synchronous and event-driven, at one
 //! and two threads) and on the legacy sequential driver, instead of asking
-//! its policy to choose from an empty set.
+//! its policy to choose from an empty set; a checkpoint taken while it is
+//! there restores bit-identically.
 
 use netsim::{
     setting1_networks, AreaId, CongestionEnvironment, DeviceProfile, DeviceSetup, ServiceArea,
     Simulation, SimulationConfig, Topology,
 };
-use smartexp3_core::{NetworkId, PolicyFactory, PolicyKind};
+use smartexp3_core::{Environment, NetworkId, PolicyFactory, PolicyKind};
 use smartexp3_engine::{FleetConfig, FleetEngine};
 use std::ops::Range;
 
@@ -120,5 +121,35 @@ fn legacy_devices_in_an_area_without_networks_sit_the_slots_out() {
     }
     for device in simulation.run(9).devices {
         assert_eq!(device.active_slots, SLOTS - AWAY.len(), "{device:?}");
+    }
+}
+
+#[test]
+fn a_checkpoint_taken_in_a_dead_zone_restores_bit_identically() {
+    // At slot 4 both devices are still away: their weight tables are empty,
+    // so the checkpoint carries each table's `-inf` maximum.
+    let cut = AWAY.start + 1;
+    for events in [false, true] {
+        let step = |fleet: &mut FleetEngine, env: &mut CongestionEnvironment, until: usize| {
+            if events {
+                fleet.run_until(env, until);
+            } else {
+                fleet.run_env(env, until - fleet.slot());
+            }
+        };
+        let (mut original, mut env) = fleet_world(1);
+        step(&mut original, &mut env, cut);
+        let snapshot = original.snapshot_env(&env).unwrap();
+        assert!(snapshot.to_json().unwrap().contains("-inf"));
+        let (_, mut resumed_env) = fleet_world(1);
+        let mut resumed = FleetEngine::from_snapshot_env(snapshot, &mut resumed_env).unwrap();
+        step(&mut original, &mut env, SLOTS);
+        step(&mut resumed, &mut resumed_env, SLOTS);
+        assert_eq!(
+            resumed.to_json().unwrap(),
+            original.to_json().unwrap(),
+            "events {events}"
+        );
+        assert_eq!(resumed_env.state(), env.state(), "events {events}");
     }
 }

@@ -84,3 +84,8 @@ pub use smartexp3_core::{
     SmartExp3Config, SmartExp3Features,
 };
 pub use smartexp3_engine::{FleetConfig, FleetEngine, FleetMetrics, SessionId};
+
+/// Compiles and runs the README's Rust example as a doctest.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

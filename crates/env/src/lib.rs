@@ -95,6 +95,24 @@ impl Scenario {
     }
 }
 
+/// Rejects a count below `minimum`, naming the offending parameter.
+fn require(
+    parameter: &'static str,
+    value: usize,
+    minimum: usize,
+    expected: &'static str,
+) -> Result<(), ConfigError> {
+    if value >= minimum {
+        Ok(())
+    } else {
+        Err(ConfigError::ParameterOutOfRange {
+            parameter,
+            value: value as f64,
+            expected,
+        })
+    }
+}
+
 /// The 4/7/22 Mbps network triple of service area `area`, with globally
 /// unique ids.
 fn area_networks(area: usize) -> Vec<NetworkSpec> {
@@ -131,7 +149,7 @@ fn congestion_world(
     sampler: SamplerStrategy,
     name: &'static str,
 ) -> Result<Scenario, ConfigError> {
-    assert!(sessions > 0, "a scenario needs at least one session");
+    require("sessions", sessions, 1, "at least one session")?;
     let areas = sessions.div_ceil(DEVICES_PER_AREA);
     let mut networks = Vec::with_capacity(areas * 3);
     let mut service_areas = Vec::with_capacity(areas);
@@ -184,7 +202,8 @@ fn congestion_world(
 ///
 /// # Errors
 ///
-/// Propagates [`ConfigError`] from policy construction.
+/// Returns [`ConfigError::ParameterOutOfRange`] when `sessions == 0`, and
+/// propagates [`ConfigError`] from policy construction.
 pub fn equal_share(
     sessions: usize,
     kind: PolicyKind,
@@ -206,7 +225,8 @@ pub fn equal_share(
 ///
 /// # Errors
 ///
-/// Propagates [`ConfigError`] from policy construction.
+/// Returns [`ConfigError::ParameterOutOfRange`] when `sessions == 0`, and
+/// propagates [`ConfigError`] from policy construction.
 pub fn dynamic_bandwidth(
     sessions: usize,
     kind: PolicyKind,
@@ -239,7 +259,8 @@ pub fn dynamic_bandwidth(
 ///
 /// # Errors
 ///
-/// Propagates [`ConfigError`] from policy construction.
+/// Returns [`ConfigError::ParameterOutOfRange`] when `sessions == 0`, and
+/// propagates [`ConfigError`] from policy construction.
 pub fn cooperative(
     sessions: usize,
     kind: PolicyKind,
@@ -283,7 +304,8 @@ pub fn cooperative(
 ///
 /// # Errors
 ///
-/// Propagates [`ConfigError`] from policy construction.
+/// Returns [`ConfigError::ParameterOutOfRange`] when `sessions == 0`, and
+/// propagates [`ConfigError`] from policy construction.
 pub fn duty_cycle(
     sessions: usize,
     kind: PolicyKind,
@@ -372,12 +394,9 @@ fn dense_area_networks(area: usize, k: usize) -> Vec<NetworkSpec> {
 ///
 /// # Errors
 ///
-/// Propagates [`ConfigError`] from policy construction.
-///
-/// # Panics
-///
-/// Panics when `sessions == 0`, `networks_per_area < 2` or
-/// `devices_per_area == 0`.
+/// Returns [`ConfigError::ParameterOutOfRange`] when `sessions == 0`,
+/// `networks_per_area < 2` or `devices_per_area == 0`, and propagates
+/// [`ConfigError`] from policy construction.
 pub fn dense_urban(
     sessions: usize,
     kind: PolicyKind,
@@ -397,15 +416,19 @@ fn dense_world(
     events: Vec<BandwidthEvent>,
     name: &'static str,
 ) -> Result<Scenario, ConfigError> {
-    assert!(sessions > 0, "a scenario needs at least one session");
-    assert!(
-        dense.networks_per_area >= 2,
-        "a bandit needs at least two arms"
-    );
-    assert!(
-        dense.devices_per_area > 0,
-        "a block needs at least one device"
-    );
+    require("sessions", sessions, 1, "at least one session")?;
+    require(
+        "networks_per_area",
+        dense.networks_per_area,
+        2,
+        "at least two networks per block",
+    )?;
+    require(
+        "devices_per_area",
+        dense.devices_per_area,
+        1,
+        "at least one device per block",
+    )?;
     let per_area = dense.devices_per_area;
     let k = dense.networks_per_area;
     let areas = sessions.div_ceil(per_area);
@@ -470,12 +493,9 @@ fn dense_world(
 ///
 /// # Errors
 ///
-/// Propagates [`ConfigError`] from policy construction.
-///
-/// # Panics
-///
-/// Panics when `sessions == 0`, `networks_per_area < 2` or
-/// `devices_per_area == 0`.
+/// Returns [`ConfigError::ParameterOutOfRange`] when `sessions == 0`,
+/// `networks_per_area < 2` or `devices_per_area == 0`, and propagates
+/// [`ConfigError`] from policy construction.
 pub fn dense_duty_cycle(
     sessions: usize,
     kind: PolicyKind,
@@ -512,7 +532,8 @@ pub fn dense_duty_cycle(
 ///
 /// # Errors
 ///
-/// Propagates [`ConfigError`] from policy construction.
+/// Returns [`ConfigError::ParameterOutOfRange`] when `sessions == 0`, and
+/// propagates [`ConfigError`] from policy construction.
 pub fn area_mobility(
     sessions: usize,
     kind: PolicyKind,
@@ -520,7 +541,7 @@ pub fn area_mobility(
     first_move: usize,
     second_move: usize,
 ) -> Result<Scenario, ConfigError> {
-    assert!(sessions > 0, "a scenario needs at least one session");
+    require("sessions", sessions, 1, "at least one session")?;
     let maps = sessions.div_ceil(DEVICES_PER_MAP);
     let mut networks = Vec::with_capacity(maps * 5);
     let mut service_areas = Vec::with_capacity(maps * 3);
@@ -623,14 +644,17 @@ pub fn area_mobility(
 ///
 /// # Errors
 ///
-/// Propagates [`ConfigError`] from policy construction.
+/// Returns [`ConfigError::ParameterOutOfRange`] when `sessions == 0` or
+/// `trace_slots == 0`, and propagates [`ConfigError`] from policy
+/// construction.
 pub fn trace_driven(
     sessions: usize,
     kind: PolicyKind,
     config: FleetConfig,
     trace_slots: usize,
 ) -> Result<Scenario, ConfigError> {
-    assert!(sessions > 0, "a scenario needs at least one session");
+    require("sessions", sessions, 1, "at least one session")?;
+    require("trace_slots", trace_slots, 1, "at least one slot per trace")?;
     let pairs: Vec<_> = (1..=4)
         .map(|index| paper_trace_pair(index, trace_slots, config.root_seed ^ index as u64))
         .collect();
@@ -799,6 +823,48 @@ mod tests {
         let metrics = scenario.fleet.metrics();
         let exp3 = metrics.kind(PolicyKind::Exp3).unwrap();
         assert!(exp3.policy.sampler_rebuilds > 0);
+    }
+
+    #[test]
+    fn builders_reject_degenerate_worlds_with_typed_errors() {
+        let config = || FleetConfig::with_root_seed(1);
+        let kind = PolicyKind::SmartExp3;
+        let duty = DutyCycleConfig::default;
+        let dense = |networks_per_area, devices_per_area| DenseUrbanConfig {
+            networks_per_area,
+            devices_per_area,
+            ..DenseUrbanConfig::default()
+        };
+        let out_of_range = |result: Result<Scenario, ConfigError>, parameter: &str| match result {
+            Err(ConfigError::ParameterOutOfRange { parameter: got, .. }) => {
+                assert_eq!(got, parameter);
+            }
+            Err(other) => panic!("{parameter}: unexpected error {other}"),
+            Ok(scenario) => panic!("{parameter}: built {}", scenario.name),
+        };
+        out_of_range(equal_share(0, kind, config()), "sessions");
+        out_of_range(dynamic_bandwidth(0, kind, config(), 4, 8), "sessions");
+        out_of_range(
+            cooperative(0, kind, config(), GossipConfig::broadcast()),
+            "sessions",
+        );
+        out_of_range(duty_cycle(0, kind, config(), duty()), "sessions");
+        out_of_range(area_mobility(0, kind, config(), 4, 8), "sessions");
+        out_of_range(trace_driven(0, kind, config(), 20), "sessions");
+        out_of_range(trace_driven(4, kind, config(), 0), "trace_slots");
+        for (sessions, networks, devices, parameter) in [
+            (0, 8, 4, "sessions"),
+            (8, 1, 4, "networks_per_area"),
+            (8, 0, 4, "networks_per_area"),
+            (8, 8, 0, "devices_per_area"),
+        ] {
+            let shape = dense(networks, devices);
+            out_of_range(dense_urban(sessions, kind, config(), shape), parameter);
+            out_of_range(
+                dense_duty_cycle(sessions, kind, config(), shape, duty()),
+                parameter,
+            );
+        }
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! WiFi/cellular trace pairs of §VI-B, shifted by a per-session phase so a
 //! million sessions do not all see the same slot of the same trace.
 //!
-//! Sessions are fully independent — the only coupling in the old
-//! implementation was one shared RNG for switching-delay sampling — so the
-//! world partitions into contiguous **phase groups** of
+//! Sessions are fully independent, so the world partitions into contiguous
+//! **phase groups** of
 //! [`partition_sessions`](TraceEnvironment::with_partition_sessions)
 //! sessions, each with its own delay-sampling RNG stream advanced in
 //! canonical session order. Group 0 keeps the historical single-stream seed
@@ -45,8 +44,8 @@ struct TraceEnvState {
 /// Replays a set of [`TracePair`]s for an arbitrary number of sessions:
 /// session `i` follows pair `i % pairs` with a phase offset derived from its
 /// index (traces wrap around), pays sampled switching delays, and receives
-/// bandit feedback — the fleet-scale generalisation of
-/// [`tracegen::run_policy_on_pair`].
+/// bandit feedback. Session 0 replays pair 0 from its first slot, so a
+/// one-session world over one pair is the single device of §VI-B.
 pub struct TraceEnvironment {
     pairs: Vec<TracePair>,
     sessions: Vec<TraceSessionDyn>,

@@ -7,12 +7,12 @@
 
 use crate::config::Scale;
 use crate::report::{cell2, format_series, format_table};
-use crate::runner::{average_series, downsample, run_many};
-use crate::settings::{controlled_simulation, mixed_simulation};
+use crate::runner::{average_series, downsample, run_environment, run_many};
+use crate::settings::{controlled_environment, mixed_environment};
 use congestion_game::standard_deviation;
 use congestion_game::{median, optimal_distance_from_average_bit_rate, ResourceSelectionGame};
-use netsim::testbed::{testbed_networks, TESTBED_DEVICES};
-use netsim::{SharingModel, SimulationConfig};
+use netsim::testbed::{testbed_config, testbed_networks, TESTBED_DEVICES};
+use netsim::SimulationConfig;
 use smartexp3_core::PolicyKind;
 use std::fmt;
 
@@ -97,9 +97,10 @@ pub fn run(scale: &Scale, scenario: ControlledScenario) -> ControlledResult {
             };
             for kind in algorithms {
                 let runs: Vec<(Vec<f64>, Vec<f64>)> = run_many(scale, |seed| {
-                    let simulation = controlled_simulation(kind, slots, leave_after)
-                        .expect("testbed scenario construction cannot fail");
-                    let result = simulation.run(seed);
+                    let (env, fleet) =
+                        controlled_environment(kind, leave_after, scale.fleet_config(seed))
+                            .expect("testbed scenario construction cannot fail");
+                    let result = run_environment(env, fleet, slots);
                     let percents: Vec<f64> = result
                         .devices
                         .iter()
@@ -118,18 +119,17 @@ pub fn run(scale: &Scale, scenario: ControlledScenario) -> ControlledResult {
             // One simulation contains both populations; the Definition-4
             // series is computed per population from the kept selections.
             let runs: Vec<(Vec<f64>, Vec<f64>)> = run_many(scale, |seed| {
-                let (simulation, kinds) = mixed_simulation(
+                let ((env, fleet), kinds) = mixed_environment(
                     testbed_networks(),
                     &[(PolicyKind::SmartExp3, 7), (PolicyKind::Greedy, 7)],
                     SimulationConfig {
-                        total_slots: slots,
-                        sharing: SharingModel::testbed(),
                         keep_selections: true,
-                        ..SimulationConfig::default()
+                        ..testbed_config()
                     },
+                    scale.fleet_config(seed),
                 )
                 .expect("mixed testbed scenario construction cannot fail");
-                let result = simulation.run(seed);
+                let result = run_environment(env, fleet, slots);
                 let selections = result.selections.as_ref().expect("selections were kept");
                 let mut smart = Vec::new();
                 let mut greedy = Vec::new();

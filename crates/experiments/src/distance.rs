@@ -4,9 +4,8 @@
 
 use crate::config::Scale;
 use crate::report::format_series;
-use crate::runner::{average_series, downsample, run_many};
-use crate::settings::{homogeneous_simulation, StaticSetting};
-use netsim::SimulationConfig;
+use crate::runner::{average_series, downsample, run_many, run_static};
+use crate::settings::StaticSetting;
 use smartexp3_core::PolicyKind;
 use std::fmt;
 
@@ -66,17 +65,7 @@ pub fn run_for(scale: &Scale, algorithms: &[PolicyKind]) -> DistanceResult {
     for setting in StaticSetting::both() {
         for &algorithm in algorithms {
             let runs: Vec<(Vec<f64>, f64, f64)> = run_many(scale, |seed| {
-                let simulation = homogeneous_simulation(
-                    setting.networks(),
-                    algorithm,
-                    setting.devices(),
-                    SimulationConfig {
-                        total_slots: scale.slots,
-                        ..SimulationConfig::default()
-                    },
-                )
-                .expect("static scenario construction cannot fail");
-                let result = simulation.run(seed);
+                let result = run_static(setting, algorithm, scale, seed);
                 (
                     result.distance_to_nash,
                     result.fraction_time_at_nash,

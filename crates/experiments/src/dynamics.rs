@@ -65,10 +65,8 @@ pub fn run(scale: &Scale, setting: DynamicSetting) -> DynamicsResult {
                 let (env, fleet) = setting
                     .build_environment(
                         algorithm,
-                        SimulationConfig {
-                            total_slots: scale.slots,
-                            ..SimulationConfig::default()
-                        },
+                        scale.slots,
+                        SimulationConfig::default(),
                         scale.fleet_config(seed),
                     )
                     .expect("dynamic scenario construction cannot fail");

@@ -3,10 +3,9 @@
 
 use crate::config::Scale;
 use crate::report::{cell, format_table};
-use crate::runner::run_many;
-use crate::settings::{homogeneous_simulation, StaticSetting};
+use crate::runner::{run_many, run_static};
+use crate::settings::StaticSetting;
 use congestion_game::{jain_index, standard_deviation};
-use netsim::SimulationConfig;
 use smartexp3_core::PolicyKind;
 use std::fmt;
 
@@ -48,17 +47,7 @@ pub fn run_for(scale: &Scale, algorithms: &[PolicyKind]) -> FairnessResult {
     for setting in StaticSetting::both() {
         for &algorithm in algorithms {
             let per_run: Vec<(f64, f64)> = run_many(scale, |seed| {
-                let simulation = homogeneous_simulation(
-                    setting.networks(),
-                    algorithm,
-                    setting.devices(),
-                    SimulationConfig {
-                        total_slots: scale.slots,
-                        ..SimulationConfig::default()
-                    },
-                )
-                .expect("static scenario construction cannot fail");
-                let result = simulation.run(seed);
+                let result = run_static(setting, algorithm, scale, seed);
                 let downloads_mb: Vec<f64> = result
                     .devices
                     .iter()

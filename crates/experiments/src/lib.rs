@@ -1,8 +1,10 @@
 //! # experiments
 //!
 //! Scenario runners that regenerate every table and figure of the Smart EXP3
-//! paper's evaluation (§VI and §VII) on top of the `smartexp3-core`,
-//! `congestion-game`, `netsim` and `tracegen` crates.
+//! paper's evaluation (§VI and §VII). Every run is a fleet of
+//! `smartexp3-engine` sessions stepping a `netsim` congestion world (built
+//! by [`settings`], driven by [`runner::run_environment`]) or a
+//! `smartexp3-env` trace world.
 //!
 //! | module | paper artifact |
 //! |---|---|

@@ -14,11 +14,8 @@
 
 use crate::config::Scale;
 use crate::report::{cell, format_series, format_table};
-use crate::runner::{average_series, downsample, run_environment, run_many};
-use crate::settings::{
-    homogeneous_environment, mobility_environment, mobility_group_labels, DynamicSetting,
-    StaticSetting,
-};
+use crate::runner::{average_series, downsample, run_environment, run_many, run_static};
+use crate::settings::{mobility_environment, mobility_group_labels, DynamicSetting, StaticSetting};
 use congestion_game::{nash_allocation, ResourceSelectionGame};
 use netsim::{figure1_networks, SimulationConfig};
 use smartexp3_core::PolicyKind;
@@ -70,7 +67,6 @@ pub fn run_for(scale: &Scale, algorithms: &[PolicyKind]) -> MobilityResult {
             .collect::<Vec<_>>(),
     );
     let config = SimulationConfig {
-        total_slots: scale.slots,
         keep_selections: true,
         ..SimulationConfig::default()
     };
@@ -79,7 +75,7 @@ pub fn run_for(scale: &Scale, algorithms: &[PolicyKind]) -> MobilityResult {
     for &algorithm in algorithms {
         let per_run: Vec<Vec<Vec<f64>>> = run_many(scale, |seed| {
             let ((env, fleet), groups) =
-                mobility_environment(algorithm, config, scale.fleet_config(seed))
+                mobility_environment(algorithm, scale.slots, config, scale.fleet_config(seed))
                     .expect("mobility scenario construction cannot fail");
             let result = run_environment(env, fleet, scale.slots);
             let equilibrium = nash_allocation(&game, groups.len());
@@ -105,24 +101,12 @@ pub fn run_for(scale: &Scale, algorithms: &[PolicyKind]) -> MobilityResult {
 /// Smart EXP3, across the static and dynamic settings.
 #[must_use]
 pub fn persistent_switches(scale: &Scale) -> Vec<(String, f64)> {
-    let config = SimulationConfig {
-        total_slots: scale.slots,
-        ..SimulationConfig::default()
-    };
+    let config = SimulationConfig::default();
     let mut rows = Vec::new();
 
     for setting in StaticSetting::both() {
         let switches: Vec<f64> = run_many(scale, |seed| {
-            let (env, fleet) = homogeneous_environment(
-                setting.networks(),
-                PolicyKind::SmartExp3,
-                setting.devices(),
-                config,
-                scale.fleet_config(seed),
-            )
-            .expect("static scenario construction cannot fail");
-            let result = run_environment(env, fleet, scale.slots);
-            mean(&result.switch_counts())
+            mean(&run_static(setting, PolicyKind::SmartExp3, scale, seed).switch_counts())
         });
         rows.push((format!("static ({})", setting.label()), mean(&switches)));
     }
@@ -140,7 +124,12 @@ pub fn persistent_switches(scale: &Scale) -> Vec<(String, f64)> {
         let persistent = setting.persistent_devices();
         let switches: Vec<f64> = run_many(scale, |seed| {
             let (env, fleet) = setting
-                .build_environment(PolicyKind::SmartExp3, config, scale.fleet_config(seed))
+                .build_environment(
+                    PolicyKind::SmartExp3,
+                    scale.slots,
+                    config,
+                    scale.fleet_config(seed),
+                )
                 .expect("dynamic scenario construction cannot fail");
             let result = run_environment(env, fleet, scale.slots);
             let persistent_counts: Vec<f64> = result
@@ -158,10 +147,8 @@ pub fn persistent_switches(scale: &Scale) -> Vec<(String, f64)> {
     let moving_and_static: Vec<(f64, f64)> = run_many(scale, |seed| {
         let ((env, fleet), groups) = mobility_environment(
             PolicyKind::SmartExp3,
-            SimulationConfig {
-                total_slots: scale.slots,
-                ..SimulationConfig::default()
-            },
+            scale.slots,
+            config,
             scale.fleet_config(seed),
         )
         .expect("mobility scenario construction cannot fail");

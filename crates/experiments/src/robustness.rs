@@ -3,8 +3,8 @@
 
 use crate::config::Scale;
 use crate::report::format_series;
-use crate::runner::{average_series, downsample, run_many};
-use crate::settings::mixed_simulation;
+use crate::runner::{average_series, downsample, run_environment, run_many};
+use crate::settings::mixed_environment;
 use congestion_game::{
     distance_to_nash_given, nash_allocation, DeviceState, ResourceSelectionGame,
 };
@@ -99,20 +99,20 @@ pub fn run(scale: &Scale) -> RobustnessResult {
         .into_iter()
         .map(|scenario| {
             let per_run: Vec<(Vec<f64>, Vec<f64>)> = run_many(scale, |seed| {
-                let (simulation, kinds) = mixed_simulation(
+                let ((env, fleet), kinds) = mixed_environment(
                     setting1_networks(),
                     &[
                         (PolicyKind::SmartExp3, scenario.smart_devices),
                         (PolicyKind::Greedy, scenario.greedy_devices),
                     ],
                     SimulationConfig {
-                        total_slots: scale.slots,
                         keep_selections: true,
                         ..SimulationConfig::default()
                     },
+                    scale.fleet_config(seed),
                 )
                 .expect("robustness scenario construction cannot fail");
-                let result = simulation.run(seed);
+                let result = run_environment(env, fleet, scale.slots);
                 let selections = result.selections.as_ref().expect("selections were kept");
                 let equilibrium = nash_allocation(&game, kinds.len());
                 let mut smart = Vec::new();

@@ -1,17 +1,16 @@
-//! Fan-out of independent evaluation runs, and the engine-path driver that
-//! turns an environment-driven fleet into the same [`RunResult`] the
-//! sequential simulator produces.
+//! Fan-out of independent evaluation runs, and the driver that turns an
+//! environment-driven fleet into the paper's metrics ([`RunResult`]).
 //!
-//! Since the environment-layer refactor, both levels of parallelism run on
-//! the same substrate: each *run* of an experiment is an independent fleet
-//! driven through `FleetEngine::run_env`, and the runs themselves are fanned
-//! out over a rayon pool (replacing the hand-rolled scoped-thread chunking
-//! this module used to carry).
+//! Both levels of parallelism run on the same substrate: each *run* of an
+//! experiment is an independent fleet driven through `FleetEngine::run_env`,
+//! and the runs themselves are fanned out over a rayon pool.
 
 use crate::config::Scale;
-use netsim::{CongestionEnvironment, RunResult};
+use crate::settings::{homogeneous_environment, StaticSetting};
+use netsim::{CongestionEnvironment, RunResult, SimulationConfig};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
+use smartexp3_core::PolicyKind;
 use smartexp3_engine::FleetEngine;
 
 /// Executes `scale.runs` independent evaluations of `job` (one per seed) and
@@ -54,9 +53,8 @@ where
         .collect()
 }
 
-/// Drives a recorder-equipped [`CongestionEnvironment`] fleet to completion
-/// through the unified engine path and assembles the [`RunResult`] — the
-/// engine-side equivalent of `Simulation::run`.
+/// Drives a recorder-equipped [`CongestionEnvironment`] fleet for `slots`
+/// slots through `FleetEngine::run_env` and assembles the [`RunResult`].
 ///
 /// # Panics
 ///
@@ -76,6 +74,26 @@ pub fn run_environment(
         .collect();
     env.into_result(outcomes)
         .expect("run_environment requires a recorder-equipped environment")
+}
+
+/// One run of a static setting (§VI-A): the setting's devices all running
+/// `algorithm` for `scale.slots` slots, with `seed` as the fleet's root seed.
+#[must_use]
+pub fn run_static(
+    setting: StaticSetting,
+    algorithm: PolicyKind,
+    scale: &Scale,
+    seed: u64,
+) -> RunResult {
+    let (env, fleet) = homogeneous_environment(
+        setting.networks(),
+        algorithm,
+        setting.devices(),
+        SimulationConfig::default(),
+        scale.fleet_config(seed),
+    )
+    .expect("static scenario construction cannot fail");
+    run_environment(env, fleet, scale.slots)
 }
 
 /// Averages per-slot series element-wise, ignoring series that are shorter
@@ -114,9 +132,9 @@ pub fn downsample(series: &[f64], bucket: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::settings::homogeneous_environment;
-    use netsim::{setting1_networks, SimulationConfig};
-    use smartexp3_core::PolicyKind;
+    use crate::settings::{mobility_environment, DynamicSetting};
+    use netsim::setting1_networks;
+    use smartexp3_engine::FleetConfig;
 
     #[test]
     fn sequential_and_parallel_agree() {
@@ -136,8 +154,8 @@ mod tests {
             setting1_networks(),
             PolicyKind::SmartExp3,
             10,
-            SimulationConfig::quick(40),
-            smartexp3_engine::FleetConfig::with_root_seed(5),
+            SimulationConfig::default(),
+            FleetConfig::with_root_seed(5),
         )
         .unwrap();
         let result = run_environment(env, fleet, 40);
@@ -145,6 +163,138 @@ mod tests {
         assert_eq!(result.devices.len(), 10);
         assert!(result.total_download_megabits() > 0.0);
         assert_eq!(result.distance_to_nash.len(), 40);
+    }
+
+    fn slots(slots: usize) -> Scale {
+        Scale::quick().with_slots(slots)
+    }
+
+    #[test]
+    fn centralized_devices_sit_at_equilibrium_from_the_start() {
+        let result = run_static(
+            StaticSetting::Setting1,
+            PolicyKind::Centralized,
+            &slots(50),
+            1,
+        );
+        assert_eq!(result.fraction_time_at_nash, 1.0);
+        assert!(result.distance_to_nash.iter().all(|&d| d < 1e-9));
+        assert!(result.devices.iter().all(|d| d.switches == 0));
+        assert_eq!(result.unutilized_megabits, 0.0);
+    }
+
+    #[test]
+    fn smart_exp3_converges_towards_equilibrium_in_setting1() {
+        let result = run_static(
+            StaticSetting::Setting1,
+            PolicyKind::SmartExp3,
+            &slots(600),
+            7,
+        );
+        let early = result.mean_distance_to_nash(0, 100);
+        let late = result.mean_distance_to_nash(500, 600);
+        assert!(
+            late < early,
+            "distance should shrink over time: early {early:.1}%, late {late:.1}%"
+        );
+        assert!(late < 60.0, "late distance still {late:.1}%");
+    }
+
+    #[test]
+    fn downloads_are_bounded_by_capacity_and_reproducible_from_the_seed() {
+        let run = |seed| {
+            run_static(
+                StaticSetting::Setting2,
+                PolicyKind::Greedy,
+                &slots(200),
+                seed,
+            )
+        };
+        let result = run(11);
+        // Capacity over the run: 33 Mbps * 200 slots * 15 s.
+        let total = result.total_download_megabits();
+        assert!(total > 0.0 && total <= 33.0 * 200.0 * 15.0, "total {total}");
+        assert!(result.devices.iter().all(|d| d.active_slots == 200));
+        assert_eq!(run(11), result);
+        assert_ne!(run(12).devices, result.devices);
+    }
+
+    #[test]
+    fn device_activity_windows_are_respected() {
+        let (env, fleet) = DynamicSetting::DevicesLeave
+            .build_environment(
+                PolicyKind::SmartExp3,
+                100,
+                SimulationConfig::default(),
+                FleetConfig::with_root_seed(5),
+            )
+            .unwrap();
+        let result = run_environment(env, fleet, 100);
+        for (id, device) in result.devices.iter().enumerate() {
+            let expected = if id < 4 { 100 } else { 50 };
+            assert_eq!(device.active_slots, expected, "device {id}");
+        }
+    }
+
+    #[test]
+    fn full_information_devices_learn_from_counterfactual_feedback() {
+        let (env, fleet) = homogeneous_environment(
+            setting1_networks(),
+            PolicyKind::FullInformation,
+            5,
+            SimulationConfig::default(),
+            FleetConfig::with_root_seed(9),
+        )
+        .unwrap();
+        let result = run_environment(env, fleet, 150);
+        // With full feedback and only 5 devices on a 22 Mbps network, the
+        // run spends a decent share of its time near equilibrium.
+        assert!(result.fraction_time_at_epsilon > 0.2);
+    }
+
+    #[test]
+    fn recorded_runs_are_identical_at_any_thread_count() {
+        const SLOTS: usize = 60;
+        let config = SimulationConfig {
+            keep_selections: true,
+            ..SimulationConfig::default()
+        };
+        let worlds: [&dyn Fn(PolicyKind, FleetConfig) -> (CongestionEnvironment, FleetEngine); 3] = [
+            &|kind, fleet| {
+                homogeneous_environment(setting1_networks(), kind, 20, config, fleet).unwrap()
+            },
+            &|kind, fleet| {
+                DynamicSetting::DevicesJoinAndLeave
+                    .build_environment(kind, SLOTS, config, fleet)
+                    .unwrap()
+            },
+            &|kind, fleet| mobility_environment(kind, SLOTS, config, fleet).unwrap().0,
+        ];
+        for (world, build) in worlds.iter().enumerate() {
+            for kind in [
+                PolicyKind::SmartExp3,
+                PolicyKind::Exp3,
+                PolicyKind::FullInformation,
+                PolicyKind::Centralized,
+            ] {
+                let run = |threads| {
+                    let fleet = FleetConfig::with_root_seed(17)
+                        .with_threads(threads)
+                        .with_shard_size(3);
+                    let (env, fleet) = build(kind, fleet);
+                    run_environment(env, fleet, SLOTS)
+                };
+                let reference = run(1);
+                assert!(reference.selections.is_some());
+                for threads in [2, 8] {
+                    assert_eq!(
+                        run(threads),
+                        reference,
+                        "world {world}, {kind:?}, {threads} threads"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -67,10 +67,7 @@ fn measure(scale: &Scale, networks: Vec<NetworkSpec>, devices: usize) -> Scalabi
             networks.clone(),
             PolicyKind::SmartExp3WithoutReset,
             devices,
-            SimulationConfig {
-                total_slots: scale.slots,
-                ..SimulationConfig::default()
-            },
+            SimulationConfig::default(),
             scale.fleet_config(seed),
         )
         .expect("scalability scenario construction cannot fail");

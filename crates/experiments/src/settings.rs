@@ -1,8 +1,9 @@
 //! Scenario builders for every setting the paper evaluates.
 
+use netsim::testbed::{testbed_config, testbed_networks, TESTBED_DEVICES};
 use netsim::{
     figure1_networks, setting1_networks, setting2_networks, AreaId, CongestionEnvironment,
-    DeviceProfile, DeviceSetup, NetworkSpec, SharingModel, Simulation, SimulationConfig, Topology,
+    DeviceProfile, NetworkSpec, SimulationConfig, Topology,
 };
 use serde::{Deserialize, Serialize};
 use smartexp3_core::{ConfigError, NetworkId, PolicyFactory, PolicyKind};
@@ -59,18 +60,15 @@ pub fn factory_for(networks: &[NetworkSpec]) -> Result<PolicyFactory, ConfigErro
     PolicyFactory::new(networks.iter().map(|n| (n.id, n.bandwidth_mbps)).collect())
 }
 
-/// The single population definition behind [`homogeneous_simulation`] and
-/// [`homogeneous_environment`]: `devices` always-active devices in one area.
-fn homogeneous_profiles(ids: &[NetworkId], kind: PolicyKind, devices: usize) -> Vec<DeviceProfile> {
-    (0..devices)
-        .map(|id| {
-            let mut profile = DeviceProfile::new(id as u32, AreaId(0), ids.to_vec());
-            if kind.needs_full_information() {
-                profile = profile.with_full_information();
-            }
-            profile
-        })
-        .collect()
+/// Device `id`, always active in the single area over `ids`, asking for
+/// counterfactual gains when `kind` learns from full information.
+fn single_area_profile(ids: &[NetworkId], kind: PolicyKind, id: usize) -> DeviceProfile {
+    let profile = DeviceProfile::new(id as u32, AreaId(0), ids.to_vec());
+    if kind.needs_full_information() {
+        profile.with_full_information()
+    } else {
+        profile
+    }
 }
 
 /// Assembles the engine-path pair for any recorder-backed world: `populate`
@@ -98,31 +96,10 @@ where
     Ok((env, fleet))
 }
 
-/// Builds a single-area simulation with `devices` devices all running `kind`.
-///
-/// # Errors
-///
-/// Propagates [`ConfigError`] from policy construction.
-pub fn homogeneous_simulation(
-    networks: Vec<NetworkSpec>,
-    kind: PolicyKind,
-    devices: usize,
-    config: SimulationConfig,
-) -> Result<Simulation, ConfigError> {
-    let ids: Vec<NetworkId> = networks.iter().map(|n| n.id).collect();
-    let mut factory = factory_for(&networks)?;
-    let mut simulation = Simulation::single_area(networks, config);
-    for profile in homogeneous_profiles(&ids, kind, devices) {
-        simulation.add_device(profile.build_setup(factory.build(kind)?));
-    }
-    Ok(simulation)
-}
-
-/// Engine-path counterpart of [`homogeneous_simulation`]: the same
-/// single-area world as a recorder-equipped [`CongestionEnvironment`] plus a
-/// [`FleetEngine`] hosting `devices` sessions of `kind`, configured by
-/// `fleet_config` (root seed and engine parallelism). Drive the pair with
-/// [`run_environment`](crate::runner::run_environment).
+/// A single-area world with `devices` devices all running `kind`: a
+/// recorder-equipped [`CongestionEnvironment`] plus a [`FleetEngine`]
+/// configured by `fleet_config` (root seed and engine parallelism). Drive
+/// the pair with [`run_environment`](crate::runner::run_environment).
 ///
 /// # Errors
 ///
@@ -134,53 +111,50 @@ pub fn homogeneous_environment(
     config: SimulationConfig,
     fleet_config: FleetConfig,
 ) -> Result<(CongestionEnvironment, FleetEngine), ConfigError> {
+    mixed_environment(networks, &[(kind, devices)], config, fleet_config).map(|(pair, _)| pair)
+}
+
+/// A single-area world with a mix of policies: `counts` lists how many
+/// devices run each kind, in session order (the robustness scenarios of
+/// Fig. 11 and the mixed controlled experiment of Fig. 15). Returns the
+/// recorder-equipped environment and fleet, and the kind of every device.
+///
+/// # Errors
+///
+/// Propagates [`ConfigError`] from policy construction.
+#[allow(clippy::type_complexity)]
+pub fn mixed_environment(
+    networks: Vec<NetworkSpec>,
+    counts: &[(PolicyKind, usize)],
+    config: SimulationConfig,
+    fleet_config: FleetConfig,
+) -> Result<((CongestionEnvironment, FleetEngine), Vec<PolicyKind>), ConfigError> {
     let ids: Vec<NetworkId> = networks.iter().map(|n| n.id).collect();
-    let profiles = homogeneous_profiles(&ids, kind, devices);
+    let kinds: Vec<PolicyKind> = counts
+        .iter()
+        .flat_map(|&(kind, count)| std::iter::repeat_n(kind, count))
+        .collect();
+    let profiles = kinds
+        .iter()
+        .enumerate()
+        .map(|(id, &kind)| single_area_profile(&ids, kind, id))
+        .collect();
     let topology = Topology::single_area(&ids);
     let mut factory = factory_for(&networks)?;
-    environment_pair(
+    let pair = environment_pair(
         networks,
         topology,
         profiles,
         config,
         fleet_config,
-        |fleet, profiles| {
-            fleet
-                .add_fleet(&mut factory, kind, profiles.len())
-                .map(|_| ())
-        },
-    )
-}
-
-/// Builds a single-area simulation with a mix of policies: `counts` lists how
-/// many devices run each kind (used by the robustness scenarios of Fig. 11 and
-/// the mixed controlled experiment of Fig. 15). Returns the simulation and,
-/// for each device id, the kind it runs.
-///
-/// # Errors
-///
-/// Propagates [`ConfigError`] from policy construction.
-pub fn mixed_simulation(
-    networks: Vec<NetworkSpec>,
-    counts: &[(PolicyKind, usize)],
-    config: SimulationConfig,
-) -> Result<(Simulation, Vec<PolicyKind>), ConfigError> {
-    let mut factory = factory_for(&networks)?;
-    let mut simulation = Simulation::single_area(networks, config);
-    let mut kinds = Vec::new();
-    let mut id = 0u32;
-    for &(kind, count) in counts {
-        for _ in 0..count {
-            let mut setup = DeviceSetup::new(id, factory.build(kind)?);
-            if kind.needs_full_information() {
-                setup = setup.with_full_information();
+        |fleet, _| {
+            for &(kind, count) in counts {
+                fleet.add_fleet(&mut factory, kind, count)?;
             }
-            simulation.add_device(setup);
-            kinds.push(kind);
-            id += 1;
-        }
-    }
-    Ok((simulation, kinds))
+            Ok(())
+        },
+    )?;
+    Ok((pair, kinds))
 }
 
 /// The dynamic settings of §VI-A (Figures 7 and 8); all devices run `kind`.
@@ -213,10 +187,9 @@ impl DynamicSetting {
         }
     }
 
-    /// The single population definition behind [`build`](Self::build) and
-    /// [`build_environment`](Self::build_environment): 20 devices whose
-    /// activity windows encode the setting's join/leave schedule, scaled
-    /// proportionally when `total_slots` differs from the paper's 1200.
+    /// The setting's population: 20 devices whose activity windows encode
+    /// the join/leave schedule, scaled proportionally when `total_slots`
+    /// differs from the paper's 1200.
     fn profiles(&self, ids: &[NetworkId], total_slots: usize) -> Vec<DeviceProfile> {
         let scale = |slot: usize| slot * total_slots / 1200;
         let window = |id: u32| match self {
@@ -232,32 +205,11 @@ impl DynamicSetting {
             .collect()
     }
 
-    /// Builds the simulation (3 networks at 4/7/22 Mbps as in the paper).
-    ///
-    /// The join/leave slots are scaled proportionally if `config.total_slots`
-    /// differs from the paper's 1200.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ConfigError`] from policy construction.
-    pub fn build(
-        &self,
-        kind: PolicyKind,
-        config: SimulationConfig,
-    ) -> Result<Simulation, ConfigError> {
-        let networks = setting1_networks();
-        let ids: Vec<NetworkId> = networks.iter().map(|n| n.id).collect();
-        let mut factory = factory_for(&networks)?;
-        let mut simulation = Simulation::single_area(networks, config);
-        for profile in self.profiles(&ids, config.total_slots) {
-            simulation.add_device(profile.build_setup(factory.build(kind)?));
-        }
-        Ok(simulation)
-    }
-
-    /// Engine-path counterpart of [`build`](Self::build): the same dynamic
-    /// population as a recorder-equipped environment plus a fleet
-    /// configured by `fleet_config` (root seed and engine parallelism).
+    /// Builds the setting (3 networks at 4/7/22 Mbps as in the paper) as a
+    /// recorder-equipped environment plus a fleet configured by
+    /// `fleet_config` (root seed and engine parallelism). The join/leave
+    /// slots are scaled proportionally when the run's `total_slots` differs
+    /// from the paper's 1200.
     ///
     /// # Errors
     ///
@@ -265,12 +217,13 @@ impl DynamicSetting {
     pub fn build_environment(
         &self,
         kind: PolicyKind,
+        total_slots: usize,
         config: SimulationConfig,
         fleet_config: FleetConfig,
     ) -> Result<(CongestionEnvironment, FleetEngine), ConfigError> {
         let networks = setting1_networks();
         let ids: Vec<NetworkId> = networks.iter().map(|n| n.id).collect();
-        let profiles = self.profiles(&ids, config.total_slots);
+        let profiles = self.profiles(&ids, total_slots);
         let topology = Topology::single_area(&ids);
         let mut factory = factory_for(&networks)?;
         environment_pair(
@@ -288,10 +241,10 @@ impl DynamicSetting {
     }
 }
 
-/// The single population definition behind [`mobility_simulation`] and
-/// [`mobility_environment`]: 8 walkers starting in the food court (moving at
-/// the scaled slots 400 and 800), 2 food-court stayers, 5 study-area and 5
-/// bus-stop devices, with their reporting group per device.
+/// The population of [`mobility_environment`]: 8 walkers starting in the
+/// food court (moving at the scaled slots 400 and 800), 2 food-court
+/// stayers, 5 study-area and 5 bus-stop devices, with their reporting group
+/// per device.
 fn mobility_profiles(topology: &Topology, total_slots: usize) -> (Vec<DeviceProfile>, Vec<usize>) {
     let scale = |slot: usize| slot * total_slots / 1200;
     let mut profiles = Vec::with_capacity(20);
@@ -340,34 +293,13 @@ fn mobility_factories(
 
 /// The mobility scenario of §VI-A setting 3 (Figure 9): the Figure 1 map with
 /// 20 devices, 8 of which move from the food court to the study area at slot
-/// 401 and on to the bus stop at slot 801.
+/// 401 and on to the bus stop at slot 801 (scaled proportionally when the
+/// run's `total_slots` differs from the paper's 1200), as a
+/// recorder-equipped environment plus a fleet configured by `fleet_config`.
 ///
-/// Returns the simulation and, per device id, its *group* for reporting:
+/// Also returns, per device id, its *group* for reporting:
 /// 0 = moving devices (1–8), 1 = food-court stayers (9–10),
 /// 2 = study-area devices (11–15), 3 = bus-stop devices (16–20).
-///
-/// # Errors
-///
-/// Propagates [`ConfigError`] from policy construction.
-pub fn mobility_simulation(
-    kind: PolicyKind,
-    config: SimulationConfig,
-) -> Result<(Simulation, Vec<usize>), ConfigError> {
-    let networks = figure1_networks();
-    let topology = Topology::figure1();
-    let (profiles, groups) = mobility_profiles(&topology, config.total_slots);
-    let mut factories = mobility_factories(&networks, &topology)?;
-    let mut simulation = Simulation::new(networks, topology, config);
-    for profile in profiles {
-        let area = profile.area.0 as usize;
-        simulation.add_device(profile.build_setup(factories[area].build(kind)?));
-    }
-    Ok((simulation, groups))
-}
-
-/// Engine-path counterpart of [`mobility_simulation`]: the Figure-1 mobility
-/// world as a recorder-equipped environment plus a fleet configured by
-/// `fleet_config`, with the same device groups.
 ///
 /// # Errors
 ///
@@ -375,12 +307,13 @@ pub fn mobility_simulation(
 #[allow(clippy::type_complexity)]
 pub fn mobility_environment(
     kind: PolicyKind,
+    total_slots: usize,
     config: SimulationConfig,
     fleet_config: FleetConfig,
 ) -> Result<((CongestionEnvironment, FleetEngine), Vec<usize>), ConfigError> {
     let networks = figure1_networks();
     let topology = Topology::figure1();
-    let (profiles, groups) = mobility_profiles(&topology, config.total_slots);
+    let (profiles, groups) = mobility_profiles(&topology, total_slots);
     let mut factories = mobility_factories(&networks, &topology)?;
     let pair = environment_pair(
         networks,
@@ -399,7 +332,7 @@ pub fn mobility_environment(
 }
 
 /// Human-readable labels of the mobility groups returned by
-/// [`mobility_simulation`].
+/// [`mobility_environment`].
 #[must_use]
 pub fn mobility_group_labels() -> [&'static str; 4] {
     [
@@ -410,42 +343,56 @@ pub fn mobility_group_labels() -> [&'static str; 4] {
     ]
 }
 
-/// The controlled-experiment (testbed) scenario of §VII-A: 14 devices, 3 APs,
-/// noisy unequal sharing, 480 slots. `leave_after` removes 9 of the 14
-/// devices after that slot (the dynamic experiment of Figure 14).
+/// The controlled-experiment (testbed) scenario of §VII-A: 14 devices all
+/// running `kind` on 3 APs with noisy unequal sharing, as a
+/// recorder-equipped environment plus a fleet configured by `fleet_config`.
+/// `leave_after` removes 9 of the 14 devices after that slot (the dynamic
+/// experiment of Figure 14).
 ///
 /// # Errors
 ///
 /// Propagates [`ConfigError`] from policy construction.
-pub fn controlled_simulation(
+pub fn controlled_environment(
     kind: PolicyKind,
-    total_slots: usize,
     leave_after: Option<usize>,
-) -> Result<Simulation, ConfigError> {
-    let networks = netsim::testbed::testbed_networks();
-    let config = SimulationConfig {
-        total_slots,
-        sharing: SharingModel::testbed(),
-        ..SimulationConfig::default()
-    };
-    let mut factory = factory_for(&networks)?;
-    let mut simulation = Simulation::single_area(networks, config);
-    for id in 0..netsim::testbed::TESTBED_DEVICES as u32 {
-        let mut setup = DeviceSetup::new(id, factory.build(kind)?);
-        if let Some(leave_slot) = leave_after {
-            if id >= 5 {
+    fleet_config: FleetConfig,
+) -> Result<(CongestionEnvironment, FleetEngine), ConfigError> {
+    let networks = testbed_networks();
+    let ids: Vec<NetworkId> = networks.iter().map(|n| n.id).collect();
+    let profiles = (0..TESTBED_DEVICES)
+        .map(|id| {
+            let profile = single_area_profile(&ids, kind, id);
+            match leave_after {
                 // Devices 5..14 (9 devices) leave after `leave_slot`.
-                setup = setup.active_between(0, Some(leave_slot));
+                Some(leave_slot) if id >= 5 => profile.active_between(0, Some(leave_slot)),
+                _ => profile,
             }
-        }
-        simulation.add_device(setup);
-    }
-    Ok(simulation)
+        })
+        .collect();
+    let topology = Topology::single_area(&ids);
+    let mut factory = factory_for(&networks)?;
+    environment_pair(
+        networks,
+        topology,
+        profiles,
+        testbed_config(),
+        fleet_config,
+        |fleet, profiles| {
+            fleet
+                .add_fleet(&mut factory, kind, profiles.len())
+                .map(|_| ())
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartexp3_core::Environment;
+
+    fn fleet_config() -> FleetConfig {
+        FleetConfig::with_root_seed(1)
+    }
 
     #[test]
     fn static_settings_have_twenty_devices_and_33_mbps() {
@@ -457,61 +404,102 @@ mod tests {
     }
 
     #[test]
-    fn homogeneous_simulation_builds_all_devices() {
-        let simulation = homogeneous_simulation(
+    fn homogeneous_environment_builds_all_devices() {
+        let (env, fleet) = homogeneous_environment(
             setting1_networks(),
-            PolicyKind::SmartExp3,
+            PolicyKind::FullInformation,
             20,
-            SimulationConfig::quick(10),
+            SimulationConfig::default(),
+            fleet_config(),
         )
         .unwrap();
-        assert_eq!(simulation.device_count(), 20);
+        assert_eq!(fleet.len(), 20);
+        assert_eq!(env.sessions(), 20);
+        assert!(env.profiles().iter().all(|p| p.needs_full_information));
     }
 
     #[test]
-    fn mixed_simulation_reports_kinds_in_device_order() {
-        let (simulation, kinds) = mixed_simulation(
+    fn mixed_environment_reports_kinds_in_device_order() {
+        let ((env, fleet), kinds) = mixed_environment(
             setting1_networks(),
             &[(PolicyKind::SmartExp3, 3), (PolicyKind::Greedy, 2)],
-            SimulationConfig::quick(10),
+            SimulationConfig::default(),
+            fleet_config(),
         )
         .unwrap();
-        assert_eq!(simulation.device_count(), 5);
-        assert_eq!(kinds.len(), 5);
+        assert_eq!(env.sessions(), 5);
         assert_eq!(
-            kinds.iter().filter(|k| **k == PolicyKind::Greedy).count(),
-            2
+            kinds,
+            [
+                PolicyKind::SmartExp3,
+                PolicyKind::SmartExp3,
+                PolicyKind::SmartExp3,
+                PolicyKind::Greedy,
+                PolicyKind::Greedy
+            ]
         );
-    }
-
-    #[test]
-    fn dynamic_settings_have_expected_population() {
-        let config = SimulationConfig::quick(1200);
-        for (setting, expected) in [
-            (DynamicSetting::DevicesJoinAndLeave, 20),
-            (DynamicSetting::DevicesLeave, 20),
-        ] {
-            let simulation = setting.build(PolicyKind::SmartExp3, config).unwrap();
-            assert_eq!(simulation.device_count(), expected);
-            assert!(setting.persistent_devices() < expected);
+        for (index, kind) in kinds.into_iter().enumerate() {
+            assert_eq!(fleet.kind(index), Some(kind));
         }
     }
 
     #[test]
-    fn mobility_simulation_has_twenty_devices_in_four_groups() {
-        let (simulation, groups) =
-            mobility_simulation(PolicyKind::SmartExp3, SimulationConfig::quick(50)).unwrap();
-        assert_eq!(simulation.device_count(), 20);
+    fn dynamic_settings_scale_their_schedules_with_the_run_length() {
+        for (setting, window) in [
+            (DynamicSetting::DevicesJoinAndLeave, (200, Some(400))),
+            (DynamicSetting::DevicesLeave, (0, Some(300))),
+        ] {
+            let (env, fleet) = setting
+                .build_environment(
+                    PolicyKind::SmartExp3,
+                    600,
+                    SimulationConfig::default(),
+                    fleet_config(),
+                )
+                .unwrap();
+            assert_eq!(fleet.len(), 20);
+            let persistent = setting.persistent_devices();
+            let profiles = env.profiles();
+            assert!(profiles[..persistent]
+                .iter()
+                .all(|p| (p.active_from, p.active_until) == (0, None)));
+            assert!(profiles[persistent..]
+                .iter()
+                .all(|p| (p.active_from, p.active_until) == window));
+        }
+    }
+
+    #[test]
+    fn mobility_environment_has_twenty_devices_in_four_groups() {
+        let ((env, fleet), groups) = mobility_environment(
+            PolicyKind::SmartExp3,
+            600,
+            SimulationConfig::default(),
+            fleet_config(),
+        )
+        .unwrap();
+        assert_eq!(fleet.len(), 20);
         assert_eq!(groups.len(), 20);
         for group in 0..4 {
             assert!(groups.contains(&group), "group {group} missing");
         }
         assert_eq!(mobility_group_labels().len(), 4);
+        assert_eq!(
+            env.profiles()[0].moves,
+            [(200, AreaId(1)), (400, AreaId(2))]
+        );
     }
 
     #[test]
-    fn controlled_simulation_matches_testbed_population() {
-        let simulation = controlled_simulation(PolicyKind::Greedy, 60, Some(30)).unwrap();
-        assert_eq!(simulation.device_count(), 14);
+    fn controlled_environment_matches_testbed_population() {
+        let (env, fleet) =
+            controlled_environment(PolicyKind::Greedy, Some(30), fleet_config()).unwrap();
+        assert_eq!(fleet.len(), TESTBED_DEVICES);
+        let leaving = env
+            .profiles()
+            .iter()
+            .filter(|p| p.active_until == Some(30))
+            .count();
+        assert_eq!(leaving, 9);
     }
 }

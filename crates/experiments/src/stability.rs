@@ -4,10 +4,9 @@
 
 use crate::config::Scale;
 use crate::report::{cell, format_table};
-use crate::runner::run_many;
-use crate::settings::{homogeneous_simulation, StaticSetting};
+use crate::runner::{run_many, run_static};
+use crate::settings::StaticSetting;
 use congestion_game::median;
-use netsim::SimulationConfig;
 use smartexp3_core::PolicyKind;
 use std::fmt;
 
@@ -62,17 +61,7 @@ pub fn run(scale: &Scale) -> StabilityResult {
     for setting in StaticSetting::both() {
         for algorithm in figure3_algorithms() {
             let outcomes: Vec<(Option<usize>, bool)> = run_many(scale, |seed| {
-                let simulation = homogeneous_simulation(
-                    setting.networks(),
-                    algorithm,
-                    setting.devices(),
-                    SimulationConfig {
-                        total_slots: scale.slots,
-                        ..SimulationConfig::default()
-                    },
-                )
-                .expect("static scenario construction cannot fail");
-                let result = simulation.run(seed);
+                let result = run_static(setting, algorithm, scale, seed);
                 (result.stable_slot, result.stable_at_nash)
             });
             let runs = outcomes.len().max(1) as f64;

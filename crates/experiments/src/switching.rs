@@ -3,10 +3,9 @@
 
 use crate::config::Scale;
 use crate::report::{cell, format_table};
-use crate::runner::run_many;
-use crate::settings::{homogeneous_simulation, StaticSetting};
+use crate::runner::{run_many, run_static};
+use crate::settings::StaticSetting;
 use congestion_game::Summary;
-use netsim::SimulationConfig;
 use smartexp3_core::PolicyKind;
 use std::fmt;
 
@@ -63,17 +62,7 @@ pub fn run(scale: &Scale) -> SwitchingResult {
     for setting in StaticSetting::both() {
         for algorithm in figure2_algorithms() {
             let per_device: Vec<Vec<f64>> = run_many(scale, |seed| {
-                let simulation = homogeneous_simulation(
-                    setting.networks(),
-                    algorithm,
-                    setting.devices(),
-                    SimulationConfig {
-                        total_slots: scale.slots,
-                        ..SimulationConfig::default()
-                    },
-                )
-                .expect("static scenario construction cannot fail");
-                simulation.run(seed).switch_counts()
+                run_static(setting, algorithm, scale, seed).switch_counts()
             });
             let flattened: Vec<f64> = per_device.into_iter().flatten().collect();
             let summary = Summary::of(&flattened);

@@ -11,13 +11,12 @@
 use crate::config::Scale;
 use crate::report::{cell, format_table};
 use crate::runner::run_many;
+use crate::tracedriven::replay;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use smartexp3_core::{Greedy, Policy, SmartExp3};
+use smartexp3_core::PolicyKind;
 use std::fmt;
-use tracegen::{
-    run_policy_on_pair, trace_networks, Regime, TracePair, TraceProfile, TraceSimulationConfig,
-};
+use tracegen::{Regime, TracePair, TraceProfile};
 
 /// Size of the file to download, in MB (the paper downloads 500 MB).
 pub const FILE_SIZE_MB: f64 = 500.0;
@@ -104,19 +103,16 @@ impl WildResult {
     }
 }
 
-fn minutes_to_download(policy: &mut dyn Policy, pair: &TracePair, seed: u64) -> f64 {
-    let result = run_policy_on_pair(policy, pair, &TraceSimulationConfig::default(), seed);
-    let slot_duration_min = pair.wifi.slot_duration_s / 60.0;
-    let mut downloaded_mb = 0.0;
-    for (slot, &(_, rate)) in result.selections.iter().enumerate() {
-        // Approximate goodput per slot; switching delay is already reflected
-        // in the run's total, the per-slot walk only needs the rate.
-        downloaded_mb += rate * pair.wifi.slot_duration_s / 8.0;
-        if downloaded_mb >= FILE_SIZE_MB {
-            return (slot + 1) as f64 * slot_duration_min;
-        }
-    }
-    WILD_SLOTS as f64 * slot_duration_min
+/// Minutes until one session of `kind` has downloaded the file: the first
+/// slot whose cumulative goodput — switching delays deducted — reaches
+/// [`FILE_SIZE_MB`], or the whole attempt if it never does.
+fn minutes_to_download(kind: PolicyKind, pair: &TracePair, seed: u64) -> f64 {
+    let slots = replay(kind, pair, WILD_SLOTS, seed)
+        .goodput_megabytes
+        .iter()
+        .position(|&downloaded| downloaded >= FILE_SIZE_MB)
+        .map_or(WILD_SLOTS, |slot| slot + 1);
+    slots as f64 * pair.wifi.slot_duration_s / 60.0
 }
 
 /// Runs the in-the-wild comparison: each run generates fresh coffee-shop
@@ -125,11 +121,9 @@ fn minutes_to_download(policy: &mut dyn Policy, pair: &TracePair, seed: u64) -> 
 pub fn run(scale: &Scale) -> WildResult {
     let times: Vec<(f64, f64)> = run_many(scale, |seed| {
         let pair = wild_conditions(seed);
-        let mut smart = SmartExp3::with_defaults(trace_networks()).expect("two networks are valid");
-        let mut greedy = Greedy::new(trace_networks()).expect("two networks are valid");
         (
-            minutes_to_download(&mut smart, &pair, seed),
-            minutes_to_download(&mut greedy, &pair, seed.wrapping_add(911)),
+            minutes_to_download(PolicyKind::SmartExp3, &pair, seed),
+            minutes_to_download(PolicyKind::Greedy, &pair, seed.wrapping_add(911)),
         )
     });
     let runs = times.len().max(1);

@@ -1,8 +1,6 @@
-//! Simulated mobile devices and their life cycle.
+//! Device identity and per-device run outcomes.
 
-use crate::topology::AreaId;
 use serde::{Deserialize, Serialize};
-use smartexp3_core::Policy;
 use std::fmt;
 
 /// Identifier of a device.
@@ -12,110 +10,6 @@ pub struct DeviceId(pub u32);
 impl fmt::Display for DeviceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "dev#{}", self.0)
-    }
-}
-
-/// Everything the simulator needs to know about one device before a run:
-/// its selection policy, where it starts, when it is active and when it moves.
-pub struct DeviceSetup {
-    /// Identifier (unique within a run).
-    pub id: DeviceId,
-    /// The selection policy this device runs.
-    pub policy: Box<dyn Policy>,
-    /// Service area the device starts in.
-    pub area: AreaId,
-    /// First slot (inclusive) in which the device participates.
-    pub active_from: usize,
-    /// Slot (exclusive) after which the device leaves, or `None` to stay for
-    /// the whole run.
-    pub active_until: Option<usize>,
-    /// Scheduled moves: at the start of slot `.0` the device relocates to
-    /// area `.1`.
-    pub moves: Vec<(usize, AreaId)>,
-    /// Whether the environment should attach counterfactual per-network gains
-    /// to this device's observations (needed by the Full Information
-    /// baseline).
-    pub needs_full_information: bool,
-}
-
-impl DeviceSetup {
-    /// Creates a device that is active for the whole run in the default area.
-    #[must_use]
-    pub fn new(id: u32, policy: Box<dyn Policy>) -> Self {
-        DeviceSetup {
-            id: DeviceId(id),
-            policy,
-            area: AreaId(0),
-            active_from: 0,
-            active_until: None,
-            moves: Vec::new(),
-            needs_full_information: false,
-        }
-    }
-
-    /// Places the device in `area` at the start of the run.
-    #[must_use]
-    pub fn in_area(mut self, area: AreaId) -> Self {
-        self.area = area;
-        self
-    }
-
-    /// Restricts the device's activity to the slot range `[from, until)`.
-    #[must_use]
-    pub fn active_between(mut self, from: usize, until: Option<usize>) -> Self {
-        self.active_from = from;
-        self.active_until = until;
-        self
-    }
-
-    /// Schedules a move to `area` at the start of slot `slot`.
-    #[must_use]
-    pub fn moving_to(mut self, slot: usize, area: AreaId) -> Self {
-        self.moves.push((slot, area));
-        self.moves.sort_by_key(|&(s, _)| s);
-        self
-    }
-
-    /// Requests counterfactual (full-information) feedback for this device.
-    #[must_use]
-    pub fn with_full_information(mut self) -> Self {
-        self.needs_full_information = true;
-        self
-    }
-
-    /// `true` if the device participates in slot `slot`.
-    #[must_use]
-    pub fn is_active_at(&self, slot: usize) -> bool {
-        slot >= self.active_from && self.active_until.is_none_or(|until| slot < until)
-    }
-
-    /// The area the device is in at slot `slot`, accounting for scheduled
-    /// moves.
-    #[must_use]
-    pub fn area_at(&self, slot: usize) -> AreaId {
-        let mut area = self.area;
-        for &(move_slot, destination) in &self.moves {
-            if slot >= move_slot {
-                area = destination;
-            } else {
-                break;
-            }
-        }
-        area
-    }
-}
-
-impl fmt::Debug for DeviceSetup {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DeviceSetup")
-            .field("id", &self.id)
-            .field("policy", &self.policy.name())
-            .field("area", &self.area)
-            .field("active_from", &self.active_from)
-            .field("active_until", &self.active_until)
-            .field("moves", &self.moves)
-            .field("needs_full_information", &self.needs_full_information)
-            .finish()
     }
 }
 
@@ -156,35 +50,6 @@ impl DeviceOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smartexp3_core::{FixedRandom, NetworkId};
-
-    fn dummy_policy() -> Box<dyn Policy> {
-        Box::new(FixedRandom::new(vec![NetworkId(0), NetworkId(1)]).unwrap())
-    }
-
-    #[test]
-    fn activity_window_is_half_open() {
-        let setup = DeviceSetup::new(1, dummy_policy()).active_between(10, Some(20));
-        assert!(!setup.is_active_at(9));
-        assert!(setup.is_active_at(10));
-        assert!(setup.is_active_at(19));
-        assert!(!setup.is_active_at(20));
-        let forever = DeviceSetup::new(2, dummy_policy());
-        assert!(forever.is_active_at(0));
-        assert!(forever.is_active_at(100_000));
-    }
-
-    #[test]
-    fn moves_apply_in_order() {
-        let setup = DeviceSetup::new(3, dummy_policy())
-            .in_area(AreaId(0))
-            .moving_to(400, AreaId(1))
-            .moving_to(800, AreaId(2));
-        assert_eq!(setup.area_at(0), AreaId(0));
-        assert_eq!(setup.area_at(399), AreaId(0));
-        assert_eq!(setup.area_at(400), AreaId(1));
-        assert_eq!(setup.area_at(801), AreaId(2));
-    }
 
     #[test]
     fn outcome_unit_conversions() {
@@ -199,12 +64,6 @@ mod tests {
         };
         assert_eq!(outcome.download_megabytes(), 2000.0);
         assert_eq!(outcome.download_gigabytes(), 2.0);
-    }
-
-    #[test]
-    fn debug_output_names_the_policy() {
-        let setup = DeviceSetup::new(7, dummy_policy());
-        let text = format!("{setup:?}");
-        assert!(text.contains("Fixed Random"));
+        assert_eq!(DeviceId(7).to_string(), "dev#7");
     }
 }

@@ -1,23 +1,17 @@
 //! The congestion world as a first-class [`Environment`].
 //!
-//! [`CongestionEnvironment`] owns everything the old 578-line
-//! `Simulation::run` slot loop used to interleave with policy calls:
-//! network capacities and their scheduled [`BandwidthEvent`]s, the
-//! service-area [`Topology`] and per-device visibility, mobility walks and
-//! activity windows, bandwidth sharing, switching-delay sampling, goodput
-//! accounting, counterfactual full-information gains and the optional
-//! [`RunRecorder`].
+//! [`CongestionEnvironment`] owns the whole world of the paper's
+//! simulations: network capacities and their scheduled [`BandwidthEvent`]s,
+//! the service-area [`Topology`] and per-device visibility, mobility walks
+//! and activity windows, bandwidth sharing, switching-delay sampling,
+//! goodput accounting, counterfactual full-information gains and the
+//! optional [`RunRecorder`]. The fleet engine steps it through the
+//! [`Environment`] trait in one of two ways, with the same grading code:
 //!
-//! It is driven three ways by the same grading core:
-//!
-//! * **sequential, legacy-exact** — [`Simulation::run`](crate::Simulation)
-//!   is a thin driver that calls the phase methods with the run's shared RNG
-//!   in the historical order, so trajectories are bit-identical to the
-//!   pre-refactor simulator;
-//! * **fleet-scale, sequential** — the [`Environment::feedback`]
-//!   implementation grades every partition in order on the calling thread;
-//! * **fleet-scale, partitioned** — worlds that are unions of independent
-//!   areas advertise [`Environment::feedback_partitions`], and
+//! * **sequential** — [`Environment::feedback`] grades every partition in
+//!   order on the calling thread;
+//! * **partitioned** — worlds that are unions of independent areas
+//!   advertise [`Environment::feedback_partitions`], and
 //!   [`Environment::feedback_partitioned`] fans one job per partition out
 //!   over the driver's workers.
 //!
@@ -38,12 +32,12 @@
 //! fleet-path trajectories exactly.
 
 use crate::delay::DelayModel;
-use crate::device::{DeviceId, DeviceOutcome, DeviceSetup};
+use crate::device::{DeviceId, DeviceOutcome};
 use crate::event::{BandwidthEvent, EventSchedule};
 use crate::network::NetworkSpec;
 use crate::recorder::{RunRecorder, RunResult, SelectionRecord};
+use crate::sharing::SharingModel;
 use crate::topology::{AreaId, Topology};
-use crate::SimulationConfig;
 use congestion_game::ResourceSelectionGame;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -54,8 +48,42 @@ use smartexp3_core::{
 };
 use std::collections::BTreeMap;
 
+/// Parameters of the congestion world. The run length is not one of them:
+/// the driver decides how many slots to step.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct SimulationConfig {
+    /// Length of one slot in seconds (paper: 15 s, longer than the largest
+    /// observed switching delay).
+    pub slot_duration_s: f64,
+    /// Bit rate that maps to a scaled gain of 1.0. `None` uses the largest
+    /// network bandwidth of the scenario.
+    pub gain_scale_mbps: Option<f64>,
+    /// How network bandwidth is split among devices.
+    pub sharing: SharingModel,
+    /// Definition 2 probability threshold (paper: 0.75).
+    pub stable_probability_threshold: f64,
+    /// ε (in percent) of the ε-equilibrium accounting (paper: 7.5).
+    pub epsilon_percent: f64,
+    /// Keep the raw per-slot selections in the [`RunResult`] (needed by the
+    /// mobility and mixed-population experiments; costs memory).
+    pub keep_selections: bool,
+}
+
+impl Default for SimulationConfig {
+    fn default() -> Self {
+        SimulationConfig {
+            slot_duration_s: 15.0,
+            gain_scale_mbps: None,
+            sharing: SharingModel::EqualShare,
+            stable_probability_threshold: 0.75,
+            epsilon_percent: 7.5,
+            keep_selections: false,
+        }
+    }
+}
+
 /// Everything the environment needs to know about one session except its
-/// policy (which lives in the driver — the simulation or the fleet engine).
+/// policy (which lives in the fleet engine).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceProfile {
     /// Identifier used in records and outcomes.
@@ -72,8 +100,7 @@ pub struct DeviceProfile {
     /// Whether observations should carry counterfactual per-network gains.
     pub needs_full_information: bool,
     /// The networks the session's policy was constructed over, used to
-    /// decide whether its first activation needs a visibility notification
-    /// (the fleet-engine analogue of the legacy policy introspection).
+    /// decide whether its first activation needs a visibility notification.
     pub home_networks: Vec<NetworkId>,
 }
 
@@ -116,44 +143,6 @@ impl DeviceProfile {
         self
     }
 
-    /// Builds the driver-side twin of this profile around `policy` — the
-    /// [`DeviceSetup`] describing the same device for the sequential
-    /// [`Simulation`](crate::Simulation) path. Scenario definitions can thus
-    /// be written once as profiles and drive either path.
-    #[must_use]
-    pub fn build_setup(&self, policy: Box<dyn smartexp3_core::Policy>) -> DeviceSetup {
-        let mut setup = DeviceSetup::new(self.id.0, policy)
-            .in_area(self.area)
-            .active_between(self.active_from, self.active_until);
-        for &(slot, area) in &self.moves {
-            setup = setup.moving_to(slot, area);
-        }
-        if self.needs_full_information {
-            setup = setup.with_full_information();
-        }
-        setup
-    }
-
-    /// The environment-side half of a [`DeviceSetup`] (the policy stays with
-    /// the driver). `home_networks` is read off the policy's distribution.
-    #[must_use]
-    pub fn from_setup(setup: &DeviceSetup) -> Self {
-        DeviceProfile {
-            id: setup.id,
-            area: setup.area,
-            active_from: setup.active_from,
-            active_until: setup.active_until,
-            moves: setup.moves.clone(),
-            needs_full_information: setup.needs_full_information,
-            home_networks: setup
-                .policy
-                .probabilities()
-                .iter()
-                .map(|(n, _)| *n)
-                .collect(),
-        }
-    }
-
     /// `true` if the device participates in slot `slot`.
     #[must_use]
     pub fn is_active_at(&self, slot: usize) -> bool {
@@ -175,9 +164,9 @@ impl DeviceProfile {
     }
 }
 
-/// What [`CongestionEnvironment::refresh_visibility`] found for one device.
+/// What [`refresh_device`] found for one device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum VisibilityUpdate {
+enum VisibilityUpdate {
     /// The device sits this slot out.
     Inactive,
     /// Active, same visible networks as before.
@@ -185,8 +174,8 @@ pub(crate) enum VisibilityUpdate {
     /// Active and the visible set changed (mobility, topology).
     Changed,
     /// Active for the first time (or after its visible set was never
-    /// initialised); the driver decides whether the policy needs to hear
-    /// about it.
+    /// initialised); the policy hears about it only if the set differs from
+    /// its home networks.
     FirstActivation,
 }
 
@@ -353,6 +342,9 @@ struct FeedbackPartition {
     /// Dense universe indices of the networks this partition owns, ascending.
     networks: Vec<usize>,
     state: ShareState,
+    /// The partition's RNG stream (share noise, switching delays), advanced
+    /// in canonical session order.
+    rng: StdRng,
     /// This slot's graded choices resolved in the load pass, in session
     /// order, for the grading pass.
     resolved: Vec<ResolvedChoice>,
@@ -380,11 +372,10 @@ struct GradeTables<'a> {
 }
 
 /// Advances one device's life-cycle state (activity, mobility, visibility)
-/// into `slot` — the canonical per-session slot refresh, shared by the
-/// sequential [`refresh_visibility`](CongestionEnvironment::refresh_visibility)
-/// wrapper and the partitioned `begin_slot` jobs (it touches only the
-/// device's own state plus the immutable area tables, so partitions can run
-/// it concurrently without an RNG or any cross-session coupling).
+/// into `slot` — the per-session slot refresh the `begin_slot` jobs run (it
+/// touches only the device's own state plus the immutable area tables, so
+/// partitions can run it concurrently without an RNG or any cross-session
+/// coupling).
 fn refresh_device(
     profile: &DeviceProfile,
     device: &mut DeviceDyn,
@@ -432,8 +423,7 @@ fn refresh_device(
 }
 
 /// `true` when a device's visible set differs (as a set) from the networks
-/// its policy was built over — the fleet-engine analogue of the legacy
-/// first-activation policy introspection.
+/// its policy was built over, so its first activation must be announced.
 fn differs_from_home(profile: &DeviceProfile, device: &DeviceDyn) -> bool {
     let home = &profile.home_networks;
     let available = &device.available;
@@ -459,8 +449,7 @@ fn recycle_full_gains(observation: Observation, pool: &mut Vec<Vec<(NetworkId, f
 /// tables: pulls its bandwidth share from the partition's share queues,
 /// samples the switching delay from `rng`, updates goodput accounting and
 /// attaches counterfactual gains for full-information devices. The
-/// canonical feedback computation — the legacy shared-RNG driver, the
-/// sequential fallback and the partitioned path all funnel through here.
+/// sequential and the partitioned feedback paths both funnel through here.
 #[allow(clippy::too_many_arguments)]
 fn grade_session(
     tables: &GradeTables<'_>,
@@ -538,14 +527,13 @@ fn grade_session(
 impl FeedbackPartition {
     /// Runs one full feedback slot for this partition: load registration,
     /// share computation (owned networks in ascending dense order) and
-    /// grading, all in canonical session order with `rng` as the partition's
-    /// stream. `choices`, `profiles`, `devices` and `out` are this
-    /// partition's slices of the fleet-wide buffers.
+    /// grading, all in canonical session order on the partition's stream.
+    /// `choices`, `profiles`, `devices` and `out` are this partition's
+    /// slices of the fleet-wide buffers.
     #[allow(clippy::too_many_arguments)]
     fn run_slot(
         &mut self,
         tables: &GradeTables<'_>,
-        rng: &mut StdRng,
         slot: SlotIndex,
         choices: &[Option<NetworkId>],
         profiles: &[DeviceProfile],
@@ -591,7 +579,7 @@ impl FeedbackPartition {
                 tables.config.sharing.shares_into(
                     tables.bandwidth_by_index[self.networks[j]],
                     self.state.load[j],
-                    rng,
+                    &mut self.rng,
                     &mut self.state.shares[j],
                 );
             }
@@ -624,7 +612,7 @@ impl FeedbackPartition {
                 tables,
                 &self.networks,
                 &mut self.state,
-                rng,
+                &mut self.rng,
                 &mut self.full_gains_pool,
                 &profiles[i],
                 &mut devices[i],
@@ -813,21 +801,14 @@ pub struct CongestionEnvironment {
     /// Independent feedback partitions (always at least one; a world that
     /// does not split has a single partition covering every session).
     partitions: Vec<FeedbackPartition>,
-    /// One RNG stream per partition (share noise, switching delays on the
-    /// fleet path), kept outside [`FeedbackPartition`] so the legacy driver
-    /// can grade with its own shared RNG against the same share state.
-    partition_rngs: Vec<StdRng>,
     /// The partitions' session ranges, in partition order (the
     /// [`Environment::feedback_partitions`] view).
     ranges: Vec<SessionRange>,
-    /// Dense universe index → `(partition, local index)` — the legacy
-    /// driver's global-network-order share pass routes through this.
-    network_home: Vec<(u32, u32)>,
-    // Global buffers for the legacy sequential driver and the recorder
-    // reduce (cleared, never reallocated in steady state).
+    // The recorder reduce's buffers: this slot's graded choices and their
+    // selection records in session order (cleared, never reallocated in
+    // steady state).
     choices: Vec<(usize, NetworkId)>,
     records: Vec<SelectionRecord>,
-    full_gains_pool: Vec<Vec<(NetworkId, f64)>>,
     /// Every slot at which environment state changes independently of
     /// session wakes — bandwidth events, device activations/departures,
     /// scheduled moves — sorted ascending and deduplicated. Drives
@@ -846,9 +827,7 @@ pub struct CongestionEnvironment {
 impl CongestionEnvironment {
     /// Builds the environment.
     ///
-    /// `env_seed` seeds the environment's own per-partition RNG streams
-    /// (used only on the fleet-engine path; the sequential driver supplies
-    /// its shared RNG).
+    /// `env_seed` seeds the environment's own per-partition RNG streams.
     ///
     /// # Panics
     ///
@@ -916,28 +895,21 @@ impl CongestionEnvironment {
 
         let (ranges, partition_networks) =
             build_partitions(&universe, &area_networks, &area_index, &profiles);
-        let mut network_home = vec![(0u32, 0u32); network_count];
-        for (partition, networks) in partition_networks.iter().enumerate() {
-            for (local, &dense) in networks.iter().enumerate() {
-                network_home[dense] = (partition as u32, local as u32);
-            }
-        }
         let partitions: Vec<FeedbackPartition> = ranges
             .iter()
             .zip(partition_networks)
-            .map(|(&range, networks)| FeedbackPartition {
+            .enumerate()
+            .map(|(partition, (&range, networks))| FeedbackPartition {
                 range,
                 state: ShareState::new(networks.len()),
                 networks,
+                rng: partition_rng(env_seed, partition),
                 resolved: Vec::new(),
                 choices: Vec::new(),
                 records: Vec::new(),
                 full_gains_pool: Vec::new(),
                 metrics: SlotMetrics::new(),
             })
-            .collect();
-        let partition_rngs = (0..partitions.len())
-            .map(|partition| partition_rng(env_seed, partition))
             .collect();
 
         let mut event_slots: Vec<usize> = events.iter().map(|e| e.at_slot).collect();
@@ -969,12 +941,9 @@ impl CongestionEnvironment {
             game,
             recorder: None,
             partitions,
-            partition_rngs,
             ranges,
-            network_home,
             choices: Vec::new(),
             records: Vec::new(),
-            full_gains_pool: Vec::new(),
             event_slots,
             telemetry_enabled: false,
             slot_metrics: SlotMetrics::new(),
@@ -1031,12 +1000,6 @@ impl CongestionEnvironment {
         self.gain_scale
     }
 
-    /// The networks session `index` can currently see.
-    #[must_use]
-    pub fn available(&self, index: usize) -> &[NetworkId] {
-        &self.devices[index].available
-    }
-
     /// Builds the [`DeviceOutcome`] of session `index` from the
     /// environment's accounting plus the driver-known policy identity.
     #[must_use]
@@ -1062,19 +1025,9 @@ impl CongestionEnvironment {
             .map(|recorder| recorder.finish(&self.game, outcomes))
     }
 
-    /// The partition owning session `index` (ranges tile the session space,
-    /// so the lookup is a binary search over range ends).
-    fn partition_of(&self, index: usize) -> usize {
-        self.ranges.partition_point(|range| range.end <= index)
-    }
-
-    // ------------------------------------------------------------------
-    // Phase methods, shared by the sequential driver and the trait impl.
-    // ------------------------------------------------------------------
-
     /// Applies the bandwidth events due at `slot`; the game and the dense
     /// capacity table are only rebuilt when one fired.
-    pub(crate) fn apply_due_events(&mut self, slot: usize) {
+    fn apply_due_events(&mut self, slot: usize) {
         let due = self.schedule.due(slot);
         if due.is_empty() {
             return;
@@ -1086,148 +1039,6 @@ impl CongestionEnvironment {
         self.game = ResourceSelectionGame::new(self.bandwidths.iter().map(|(&n, &r)| (n, r)));
         for (i, &network) in self.universe.iter().enumerate() {
             self.bandwidth_by_index[i] = self.bandwidths.get(&network).copied().unwrap_or(0.0);
-        }
-    }
-
-    /// Advances device `index`'s life-cycle state (activity, mobility,
-    /// visibility) into `slot` and reports what changed. After a `Changed` /
-    /// `FirstActivation` the new visible set is [`available`](Self::available).
-    pub(crate) fn refresh_visibility(&mut self, index: usize, slot: usize) -> VisibilityUpdate {
-        refresh_device(
-            &self.profiles[index],
-            &mut self.devices[index],
-            &mut self.visibility[index],
-            &self.area_index,
-            &self.area_networks,
-            slot,
-        )
-    }
-
-    /// Opens the selection phase of a slot.
-    pub(crate) fn begin_choices(&mut self) {
-        self.choices.clear();
-        self.records.clear();
-        for partition in &mut self.partitions {
-            partition.state.load.fill(0);
-        }
-    }
-
-    /// Registers the choice of active device `index` (valid or not) and
-    /// accounts its load.
-    pub(crate) fn register_choice(&mut self, index: usize, chosen: NetworkId) {
-        if sees(
-            &self.devices[index].available,
-            self.visibility[index].sorted,
-            chosen,
-        ) {
-            if let Ok(dense) = self.universe.binary_search(&chosen) {
-                let (partition, local) = self.network_home[dense];
-                self.partitions[partition as usize].state.load[local as usize] += 1;
-            }
-        }
-        self.choices.push((index, chosen));
-    }
-
-    /// Splits every loaded network's bandwidth among its devices (ascending
-    /// network id, matching the historical RNG draw order — the legacy
-    /// driver's one shared stream walks the whole universe, regardless of
-    /// which partition owns each network).
-    pub(crate) fn compute_shares(&mut self, rng: &mut dyn RngCore) {
-        for dense in 0..self.universe.len() {
-            let (partition, local) = self.network_home[dense];
-            let state = &mut self.partitions[partition as usize].state;
-            let local = local as usize;
-            state.next_share_index[local] = 0;
-            state.shares[local].clear();
-            if state.load[local] > 0 {
-                self.config.sharing.shares_into(
-                    self.bandwidth_by_index[dense],
-                    state.load[local],
-                    rng,
-                    &mut state.shares[local],
-                );
-            }
-        }
-    }
-
-    /// Number of choices registered this slot.
-    pub(crate) fn choice_count(&self) -> usize {
-        self.choices.len()
-    }
-
-    /// The `k`-th registered choice: `(session index, chosen network)`.
-    pub(crate) fn choice_at(&self, k: usize) -> (usize, NetworkId) {
-        self.choices[k]
-    }
-
-    /// Grades the `k`-th registered choice: bandwidth share, switching delay
-    /// (sampled from `rng`), goodput accounting and — for full-information
-    /// devices — counterfactual gains. Also queues the selection record when
-    /// a recorder is attached (its `top_choice` is a placeholder until
-    /// [`record_top`](Self::record_top) / the end-of-slot hook fills it).
-    pub(crate) fn grade(
-        &mut self,
-        k: usize,
-        slot: SlotIndex,
-        rng: &mut dyn RngCore,
-    ) -> Observation {
-        let (index, chosen) = self.choices[k];
-        let partition = self.partition_of(index);
-        let tables = GradeTables {
-            config: &self.config,
-            universe: &self.universe,
-            bandwidth_by_index: &self.bandwidth_by_index,
-            delay_by_index: &self.delay_by_index,
-            gain_scale: self.gain_scale,
-        };
-        let partition = &mut self.partitions[partition];
-        let resolved = ResolvedChoice::new(
-            &self.universe,
-            &partition.networks,
-            &self.devices[index],
-            self.visibility[index].sorted,
-            chosen,
-        );
-        let observation = grade_session(
-            &tables,
-            &partition.networks,
-            &mut partition.state,
-            rng,
-            &mut self.full_gains_pool,
-            &self.profiles[index],
-            &mut self.devices[index],
-            chosen,
-            resolved,
-            slot,
-        );
-        if self.recorder.is_some() {
-            self.records.push(SelectionRecord {
-                device: self.profiles[index].id,
-                network: chosen,
-                rate_mbps: observation.bit_rate_mbps,
-                top_choice: (chosen, 1.0),
-            });
-        }
-        observation
-    }
-
-    /// Reclaims the pooled allocations of a consumed observation.
-    pub(crate) fn recycle_observation(&mut self, observation: Observation) {
-        recycle_full_gains(observation, &mut self.full_gains_pool);
-    }
-
-    /// Fills the `k`-th selection record's most-probable-network field
-    /// (stable-state detection input).
-    pub(crate) fn record_top(&mut self, k: usize, top: (NetworkId, f64)) {
-        if let Some(record) = self.records.get_mut(k) {
-            record.top_choice = top;
-        }
-    }
-
-    /// Closes the slot: feeds the queued records to the recorder.
-    pub(crate) fn finish_slot(&mut self) {
-        if let Some(recorder) = &mut self.recorder {
-            recorder.record_slot(&self.game, &self.records);
         }
     }
 }
@@ -1338,7 +1149,6 @@ impl Environment for CongestionEnvironment {
         let telemetry = self.telemetry_enabled;
         let CongestionEnvironment {
             partitions,
-            partition_rngs,
             devices,
             visibility,
             profiles,
@@ -1366,7 +1176,7 @@ impl Environment for CongestionEnvironment {
         let mut choices_rest: &[Option<NetworkId>] = choices;
         let mut profiles_rest: &[DeviceProfile] = profiles;
         let mut visibility_rest: &[VisibilityCache] = visibility;
-        for (partition, rng) in partitions.iter_mut().zip(partition_rngs.iter_mut()) {
+        for partition in partitions.iter_mut() {
             let len = partition.range.len();
             let (job_devices, rest) = devices_rest.split_at_mut(len);
             devices_rest = rest;
@@ -1381,7 +1191,6 @@ impl Environment for CongestionEnvironment {
             jobs.push(Box::new(move || {
                 partition.run_slot(
                     tables,
-                    rng,
                     slot,
                     job_choices,
                     job_profiles,
@@ -1439,14 +1248,12 @@ impl Environment for CongestionEnvironment {
         _choices: &[Option<NetworkId>],
         tops: &[Option<(NetworkId, f64)>],
     ) {
-        if self.recorder.is_some() {
-            for k in 0..self.records.len() {
-                let (index, chosen) = self.choices[k];
-                let top = tops.get(index).copied().flatten().unwrap_or((chosen, 1.0));
-                self.records[k].top_choice = top;
+        if let Some(recorder) = &mut self.recorder {
+            for (record, &(index, chosen)) in self.records.iter_mut().zip(&self.choices) {
+                record.top_choice = tops.get(index).copied().flatten().unwrap_or((chosen, 1.0));
             }
+            recorder.record_slot(&self.game, &self.records);
         }
-        self.finish_slot();
     }
 
     fn state(&self) -> Option<String> {
@@ -1458,7 +1265,11 @@ impl Environment for CongestionEnvironment {
         let state = CongestionEnvState {
             bandwidths: self.bandwidths.iter().map(|(&n, &b)| (n, b)).collect(),
             cursor: self.schedule.cursor(),
-            rngs: self.partition_rngs.iter().map(StdRng::state).collect(),
+            rngs: self
+                .partitions
+                .iter()
+                .map(|partition| partition.rng.state())
+                .collect(),
             devices: self.devices.clone(),
         };
         serde_json::to_string(&state).ok()
@@ -1500,7 +1311,9 @@ impl Environment for CongestionEnvironment {
         }
         self.bandwidths = state.bandwidths.into_iter().collect();
         self.schedule.set_cursor(state.cursor);
-        self.partition_rngs = state.rngs.into_iter().map(StdRng::from_state).collect();
+        for (partition, rng) in self.partitions.iter_mut().zip(state.rngs) {
+            partition.rng = StdRng::from_state(rng);
+        }
         self.devices = state.devices;
         // The visibility cache is derived data: recompute sortedness from the
         // restored lists and drop the area memo, so the next refresh falls
@@ -1542,21 +1355,27 @@ mod tests {
             Topology::single_area(&ids),
             events,
             profiles(devices),
-            SimulationConfig::quick(50),
+            SimulationConfig::default(),
             9,
         )
     }
 
     #[test]
-    fn profile_schedule_mirrors_device_setup_semantics() {
+    fn profile_activity_is_half_open_and_moves_apply_in_order() {
         let profile = DeviceProfile::new(0, AreaId(0), vec![NetworkId(0)])
             .active_between(10, Some(20))
+            .moving_to(800, AreaId(2))
             .moving_to(15, AreaId(1));
         assert!(!profile.is_active_at(9));
         assert!(profile.is_active_at(10));
+        assert!(profile.is_active_at(19));
         assert!(!profile.is_active_at(20));
         assert_eq!(profile.area_at(14), AreaId(0));
         assert_eq!(profile.area_at(15), AreaId(1));
+        assert_eq!(profile.area_at(801), AreaId(2));
+        let forever = DeviceProfile::new(1, AreaId(0), vec![NetworkId(0)]);
+        assert!(forever.is_active_at(0));
+        assert!(forever.is_active_at(100_000));
     }
 
     #[test]
@@ -1682,7 +1501,7 @@ mod tests {
             Topology::new(service_areas),
             Vec::new(),
             profiles,
-            SimulationConfig::quick(50),
+            SimulationConfig::default(),
             21,
         )
     }
@@ -1746,7 +1565,7 @@ mod tests {
             Topology::new(service_areas),
             Vec::new(),
             profiles,
-            SimulationConfig::quick(50),
+            SimulationConfig::default(),
             3,
         );
         let ranges = env.feedback_partitions().unwrap();

@@ -2,8 +2,8 @@
 //! and network outages.
 //!
 //! Device-level dynamics (joining, leaving, moving between areas) are
-//! expressed directly on [`DeviceSetup`](crate::DeviceSetup); events here act
-//! on networks and affect every device that can see them.
+//! expressed directly on [`DeviceProfile`](crate::DeviceProfile); events here
+//! act on networks and affect every device that can see them.
 
 use serde::{Deserialize, Serialize};
 use smartexp3_core::NetworkId;

@@ -12,9 +12,9 @@
 //! background load) is modelled in the `experiments` crate on top of
 //! [`BandwidthEvent`](crate::BandwidthEvent) schedules.
 
+use crate::env::SimulationConfig;
 use crate::network::NetworkSpec;
 use crate::sharing::SharingModel;
-use crate::sim::SimulationConfig;
 
 /// The three WiFi APs of the controlled experiments (channels 11, 6 and 1;
 /// 4, 7 and 22 Mbps).
@@ -33,11 +33,11 @@ pub const TESTBED_DEVICES: usize = 14;
 /// Number of 15-second slots in a 2-hour controlled run.
 pub const TESTBED_SLOTS: usize = 480;
 
-/// Simulation configuration reproducing the controlled-experiment conditions.
+/// World configuration reproducing the controlled-experiment conditions
+/// (run it for [`TESTBED_SLOTS`] slots).
 #[must_use]
 pub fn testbed_config() -> SimulationConfig {
     SimulationConfig {
-        total_slots: TESTBED_SLOTS,
         sharing: SharingModel::testbed(),
         ..SimulationConfig::default()
     }
@@ -46,9 +46,10 @@ pub fn testbed_config() -> SimulationConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::DeviceSetup;
-    use crate::sim::Simulation;
-    use smartexp3_core::{PolicyFactory, PolicyKind};
+    use crate::env::{CongestionEnvironment, DeviceProfile};
+    use crate::topology::{AreaId, Topology};
+    use smartexp3_core::{NetworkId, PolicyFactory, PolicyKind};
+    use smartexp3_engine::{FleetConfig, FleetEngine};
 
     #[test]
     fn testbed_preset_matches_the_paper_setup() {
@@ -56,35 +57,38 @@ mod tests {
         assert_eq!(networks.len(), 3);
         let total: f64 = networks.iter().map(|n| n.bandwidth_mbps).sum();
         assert_eq!(total, 33.0);
-        let config = testbed_config();
-        assert_eq!(config.total_slots, 480);
-        assert!(matches!(config.sharing, SharingModel::NoisyShare { .. }));
+        assert!(matches!(
+            testbed_config().sharing,
+            SharingModel::NoisyShare { .. }
+        ));
     }
 
     #[test]
     fn testbed_noise_causes_more_resets_than_clean_simulation() {
-        let run = |sharing: SharingModel| {
+        let run = |config: SimulationConfig| {
             let networks = testbed_networks();
+            let ids: Vec<NetworkId> = networks.iter().map(|n| n.id).collect();
             let mut factory =
                 PolicyFactory::new(networks.iter().map(|n| (n.id, n.bandwidth_mbps)).collect())
                     .unwrap();
-            let config = SimulationConfig {
-                total_slots: 480,
-                sharing,
-                ..SimulationConfig::default()
-            };
-            let mut simulation = Simulation::single_area(networks, config);
-            for id in 0..TESTBED_DEVICES as u32 {
-                simulation.add_device(DeviceSetup::new(
-                    id,
-                    factory.build(PolicyKind::SmartExp3).unwrap(),
-                ));
-            }
-            let result = simulation.run(123);
-            result.devices.iter().map(|d| d.resets).sum::<u64>()
+            let mut fleet = FleetEngine::new(FleetConfig::with_root_seed(123));
+            fleet
+                .add_fleet(&mut factory, PolicyKind::SmartExp3, TESTBED_DEVICES)
+                .unwrap();
+            let profiles = (0..TESTBED_DEVICES as u32)
+                .map(|id| DeviceProfile::new(id, AreaId(0), ids.clone()))
+                .collect();
+            let seed = fleet.config().environment_seed();
+            let topology = Topology::single_area(&ids);
+            let mut env =
+                CongestionEnvironment::new(networks, topology, Vec::new(), profiles, config, seed);
+            fleet.run_env(&mut env, TESTBED_SLOTS);
+            (0..fleet.len())
+                .map(|index| fleet.policy(index).unwrap().stats().resets)
+                .sum::<u64>()
         };
-        let clean_resets = run(SharingModel::EqualShare);
-        let noisy_resets = run(SharingModel::testbed());
+        let clean_resets = run(SimulationConfig::default());
+        let noisy_resets = run(testbed_config());
         assert!(
             noisy_resets >= clean_resets,
             "noisy {noisy_resets} < clean {clean_resets}"

@@ -1,12 +1,11 @@
 //! A device that walks into a service area without networks sits those
-//! slots out, on the fleet path (slot-synchronous and event-driven, at one
-//! and two threads) and on the legacy sequential driver, instead of asking
-//! its policy to choose from an empty set; a checkpoint taken while it is
-//! there restores bit-identically.
+//! slots out, slot-synchronous and event-driven, at one and two threads,
+//! instead of asking its policy to choose from an empty set; a checkpoint
+//! taken while it is there restores bit-identically.
 
 use netsim::{
-    setting1_networks, AreaId, CongestionEnvironment, DeviceProfile, DeviceSetup, ServiceArea,
-    Simulation, SimulationConfig, Topology,
+    setting1_networks, AreaId, CongestionEnvironment, DeviceProfile, ServiceArea, SimulationConfig,
+    Topology,
 };
 use smartexp3_core::{Environment, NetworkId, PolicyFactory, PolicyKind};
 use smartexp3_engine::{FleetConfig, FleetEngine};
@@ -63,7 +62,7 @@ fn fleet_world(threads: usize) -> (FleetEngine, CongestionEnvironment) {
         dead_zone_topology(),
         Vec::new(),
         profiles,
-        SimulationConfig::quick(SLOTS),
+        SimulationConfig::default(),
         5,
     );
     (fleet, env)
@@ -101,26 +100,6 @@ fn fleet_devices_in_an_area_without_networks_sit_the_slots_out() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn legacy_devices_in_an_area_without_networks_sit_the_slots_out() {
-    let mut factory = factory();
-    let mut simulation = Simulation::new(
-        setting1_networks(),
-        dead_zone_topology(),
-        SimulationConfig::quick(SLOTS),
-    );
-    for (id, kind) in (0u32..).zip(KINDS) {
-        simulation.add_device(
-            DeviceSetup::new(id, factory.build(kind).unwrap())
-                .moving_to(AWAY.start, AreaId(1))
-                .moving_to(AWAY.end, AreaId(0)),
-        );
-    }
-    for device in simulation.run(9).devices {
-        assert_eq!(device.active_slots, SLOTS - AWAY.len(), "{device:?}");
     }
 }
 

@@ -1,15 +1,13 @@
-//! Legacy-equivalence pins: the environment-layer refactor rewrote
-//! `Simulation::run` as a thin driver over `CongestionEnvironment`; these
-//! golden values were captured from the pre-refactor monolithic slot loop
-//! (exact `f64` bit patterns) and prove the refactored path reproduces it
-//! **bit-identically** — same RNG draw order, same sharing, same delays,
-//! same recorder input — across static, mobility/mixed-policy and
-//! event+noisy-sharing+full-information scenarios.
+//! Golden pins of the congestion world on the fleet-engine path: static,
+//! mobility with mixed policies and activity windows, and bandwidth events
+//! with noisy sharing and full-information feedback, each driven through
+//! `FleetEngine::run_env` with a recorder attached and pinned to exact `f64`
+//! bit patterns — so any change to sharing, delays, visibility, event
+//! timing or recorder input shows up as a drifted pin.
 
 use netsim::{
     figure1_networks, setting1_networks, AreaId, BandwidthEvent, CongestionEnvironment,
-    DeviceProfile, DeviceSetup, NetworkSpec, RunResult, SharingModel, Simulation, SimulationConfig,
-    Topology,
+    DeviceProfile, NetworkSpec, RunResult, SharingModel, SimulationConfig, Topology,
 };
 use smartexp3_core::{NetworkId, PolicyFactory, PolicyKind};
 use smartexp3_engine::{FleetConfig, FleetEngine};
@@ -18,86 +16,148 @@ fn factory(networks: &[NetworkSpec]) -> PolicyFactory {
     PolicyFactory::new(networks.iter().map(|n| (n.id, n.bandwidth_mbps)).collect()).unwrap()
 }
 
+/// Runs `devices` (policy kind + profile, in session order, every policy
+/// built over all of `networks`) for `slots` slots from `root_seed` and
+/// returns the recorder's result.
+fn run_world(
+    networks: Vec<NetworkSpec>,
+    topology: Topology,
+    events: Vec<BandwidthEvent>,
+    devices: Vec<(PolicyKind, DeviceProfile)>,
+    config: SimulationConfig,
+    root_seed: u64,
+    slots: usize,
+) -> RunResult {
+    let mut policies = factory(&networks);
+    let mut fleet = FleetEngine::new(FleetConfig::with_root_seed(root_seed));
+    let mut profiles = Vec::with_capacity(devices.len());
+    for (kind, profile) in devices {
+        fleet.add_fleet(&mut policies, kind, 1).unwrap();
+        profiles.push(profile);
+    }
+    let seed = fleet.config().environment_seed();
+    let mut env = CongestionEnvironment::new(networks, topology, events, profiles, config, seed)
+        .with_recorder();
+    fleet.run_env(&mut env, slots);
+    let outcomes = (0..fleet.len())
+        .map(|index| {
+            let policy = fleet.policy(index).expect("session exists");
+            env.outcome(index, policy.name().to_string(), policy.stats().resets)
+        })
+        .collect();
+    env.into_result(outcomes).expect("recorder attached")
+}
+
 fn assert_golden(result: &RunResult, download_bits: u64, distance_bits: u64, switches: f64) {
     let total_switches: f64 = result.switch_counts().iter().sum();
     let total_distance: f64 = result.distance_to_nash.iter().sum();
     assert_eq!(
         result.total_download_megabits().to_bits(),
         download_bits,
-        "download drifted from the legacy slot loop: {} vs {}",
+        "download drifted: {} ({:#x})",
         result.total_download_megabits(),
-        f64::from_bits(download_bits)
+        result.total_download_megabits().to_bits()
     );
     assert_eq!(
         total_distance.to_bits(),
         distance_bits,
-        "distance series drifted from the legacy slot loop"
+        "distance series drifted: {total_distance} ({:#x})",
+        total_distance.to_bits()
     );
     assert_eq!(total_switches, switches, "switch counts drifted");
 }
 
-#[test]
-fn static_smart_exp3_matches_the_legacy_loop_bit_for_bit() {
-    let networks = setting1_networks();
-    let mut policies = factory(&networks);
-    let mut sim = Simulation::single_area(networks, SimulationConfig::quick(150));
-    for id in 0..8 {
-        sim.add_device(DeviceSetup::new(
-            id,
-            policies.build(PolicyKind::SmartExp3).unwrap(),
-        ));
-    }
-    assert_golden(&sim.run(77), 0x40f11a6eba126bae, 0x40b87aaaaaaaaaaf, 174.0);
+fn ids(networks: &[NetworkSpec]) -> Vec<NetworkId> {
+    networks.iter().map(|n| n.id).collect()
 }
 
 #[test]
-fn mobility_with_mixed_policies_matches_the_legacy_loop_bit_for_bit() {
-    let networks = figure1_networks();
-    let mut policies = factory(&networks);
-    let mut sim = Simulation::new(networks, Topology::figure1(), SimulationConfig::quick(120));
-    sim.add_device(
-        DeviceSetup::new(0, policies.build(PolicyKind::SmartExp3).unwrap())
-            .in_area(AreaId(0))
-            .moving_to(40, AreaId(1))
-            .moving_to(80, AreaId(2)),
-    );
-    sim.add_device(
-        DeviceSetup::new(1, policies.build(PolicyKind::Exp3).unwrap()).in_area(AreaId(1)),
-    );
-    sim.add_device(
-        DeviceSetup::new(2, policies.build(PolicyKind::Greedy).unwrap())
-            .in_area(AreaId(2))
-            .active_between(10, Some(100)),
-    );
-    assert_golden(&sim.run(4), 0x40ed4245e72d4e21, 0x40c1620000000000, 95.0);
-}
-
-#[test]
-fn events_noisy_sharing_and_full_information_match_the_legacy_loop_bit_for_bit() {
+fn static_smart_exp3_is_pinned() {
     let networks = setting1_networks();
-    let mut policies = factory(&networks);
-    let mut sim = Simulation::single_area(
+    let home = ids(&networks);
+    let devices = (0..8)
+        .map(|id| {
+            (
+                PolicyKind::SmartExp3,
+                DeviceProfile::new(id, AreaId(0), home.clone()),
+            )
+        })
+        .collect();
+    let result = run_world(
         networks,
+        Topology::single_area(&home),
+        Vec::new(),
+        devices,
+        SimulationConfig::default(),
+        77,
+        150,
+    );
+    assert_golden(&result, 0x40f08f07c40b3350, 0x40c302aaaaaaaaab, 246.0);
+}
+
+#[test]
+fn mobility_with_mixed_policies_is_pinned() {
+    let networks = figure1_networks();
+    let home = ids(&networks);
+    let devices = vec![
+        (
+            PolicyKind::SmartExp3,
+            DeviceProfile::new(0, AreaId(0), home.clone())
+                .moving_to(40, AreaId(1))
+                .moving_to(80, AreaId(2)),
+        ),
+        (
+            PolicyKind::Exp3,
+            DeviceProfile::new(1, AreaId(1), home.clone()),
+        ),
+        (
+            PolicyKind::Greedy,
+            DeviceProfile::new(2, AreaId(2), home).active_between(10, Some(100)),
+        ),
+    ];
+    let result = run_world(
+        networks,
+        Topology::figure1(),
+        Vec::new(),
+        devices,
+        SimulationConfig::default(),
+        4,
+        120,
+    );
+    assert_golden(&result, 0x40ed950258981da0, 0x40c0360000000000, 107.0);
+}
+
+#[test]
+fn events_noisy_sharing_and_full_information_are_pinned() {
+    let networks = setting1_networks();
+    let home = ids(&networks);
+    let devices = (0..6)
+        .map(|id| {
+            let profile = DeviceProfile::new(id, AreaId(0), home.clone());
+            if id < 4 {
+                (PolicyKind::FullInformation, profile.with_full_information())
+            } else {
+                (PolicyKind::SmartExp3, profile)
+            }
+        })
+        .collect();
+    let events = vec![
+        BandwidthEvent::new(30, NetworkId(2), 2.0),
+        BandwidthEvent::new(60, NetworkId(2), 22.0),
+    ];
+    let result = run_world(
+        networks,
+        Topology::single_area(&home),
+        events,
+        devices,
         SimulationConfig {
             sharing: SharingModel::testbed(),
-            ..SimulationConfig::quick(90)
+            ..SimulationConfig::default()
         },
+        13,
+        90,
     );
-    for id in 0..4 {
-        sim.add_device(
-            DeviceSetup::new(id, policies.build(PolicyKind::FullInformation).unwrap())
-                .with_full_information(),
-        );
-    }
-    for id in 4..6 {
-        sim.add_device(DeviceSetup::new(
-            id,
-            policies.build(PolicyKind::SmartExp3).unwrap(),
-        ));
-    }
-    sim.add_bandwidth_event(BandwidthEvent::new(30, NetworkId(2), 2.0));
-    sim.add_bandwidth_event(BandwidthEvent::new(60, NetworkId(2), 22.0));
-    assert_golden(&sim.run(13), 0x40dadd3f4863e0ee, 0x40d625d1c85ebfdb, 277.0);
+    assert_golden(&result, 0x40db2477b15de91d, 0x40d6081e29e1ac51, 274.0);
 }
 
 /// The event-burst world of the restore-mid-burst pin: same-slot bursts at
@@ -134,7 +194,7 @@ fn burst_world(threads: usize) -> (FleetEngine, CongestionEnvironment) {
         Topology::single_area(&ids),
         events,
         profiles,
-        SimulationConfig::quick(40),
+        SimulationConfig::default(),
         7,
     );
     (fleet, env)

@@ -23,6 +23,12 @@ use rand::Rng;
 use rand::RngCore;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use smartexp3_core::NetworkId;
+
+/// Network identifier of a pair's WiFi trace.
+pub const WIFI: NetworkId = NetworkId(0);
+/// Network identifier of a pair's cellular trace.
+pub const CELLULAR: NetworkId = NetworkId(1);
 
 /// A pair of simultaneous traces: the selection problem the single device of
 /// §VI-B faces every slot.

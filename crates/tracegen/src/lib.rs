@@ -1,38 +1,30 @@
 //! # tracegen
 //!
-//! Synthetic WiFi/cellular bit-rate traces and the trace-driven simulation of
-//! §VI-B of the Smart EXP3 paper.
+//! Synthetic WiFi/cellular bit-rate traces for the trace-driven evaluation
+//! of §VI-B of the Smart EXP3 paper.
 //!
 //! The paper's own traces (collected with speedtest downloads over a public
 //! WiFi network and a cellular network) are not published; this crate
 //! generates pairs with the same qualitative structure (see
-//! [`paper_trace_pair`]) and replays any [`smartexp3_core::Policy`] against
-//! them ([`run_policy_on_pair`]), producing the cumulative download and
-//! switching-cost numbers of Table VI and the per-slot selection overlay of
-//! Figure 12.
+//! [`paper_trace_pair`]). A pair's two networks are [`WIFI`] and
+//! [`CELLULAR`]. The fleet engine replays policies against the pairs through
+//! `smartexp3-env`'s `TraceEnvironment`, which produces the cumulative
+//! download and switching-cost numbers of Table VI and the per-slot
+//! selection overlay of Figure 12.
 //!
 //! ```rust
-//! use smartexp3_core::SmartExp3;
-//! use tracegen::{paper_trace_pair, run_policy_on_pair, trace_networks, TraceSimulationConfig};
+//! use tracegen::paper_trace_pair;
 //!
-//! # fn main() -> Result<(), smartexp3_core::ConfigError> {
-//! let pair = paper_trace_pair(1, 100, 42);
-//! let mut policy = SmartExp3::with_defaults(trace_networks())?;
-//! let result = run_policy_on_pair(&mut policy, &pair, &TraceSimulationConfig::default(), 0);
-//! println!("downloaded {:.1} MB", result.download_megabytes);
-//! # Ok(())
-//! # }
+//! let pair = paper_trace_pair(3, 100, 42);
+//! assert_eq!(pair.len(), 100);
+//! println!("an oracle downloads {:.1} MB", pair.oracle_megabytes());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod generator;
-mod sim;
 mod trace;
 
-pub use generator::{paper_trace_pair, Regime, TracePair, TraceProfile};
-pub use sim::{
-    run_policy_on_pair, trace_networks, TraceRunResult, TraceSimulationConfig, CELLULAR, WIFI,
-};
+pub use generator::{paper_trace_pair, Regime, TracePair, TraceProfile, CELLULAR, WIFI};
 pub use trace::{ParseTraceError, Trace};

@@ -5,10 +5,11 @@
 //! Run with: `cargo run --release --example mobility [slots]` (default 1200;
 //! pass a smaller count, e.g. 120, for a quick smoke run — CI does).
 
-use smartexp3::core::{PolicyFactory, PolicyKind};
-use smartexp3::netsim::{
-    figure1_networks, AreaId, DeviceSetup, Simulation, SimulationConfig, Topology,
-};
+use smartexp3::core::PolicyKind;
+use smartexp3::experiments::runner::run_environment;
+use smartexp3::experiments::settings::mobility_environment;
+use smartexp3::netsim::{SimulationConfig, Topology};
+use smartexp3::FleetConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let total_slots = match std::env::args().nth(1) {
@@ -17,66 +18,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("slots must be a positive integer, got `{raw}` (usage: mobility [slots])")
         })?,
     };
-    let networks = figure1_networks();
-    let topology = Topology::figure1();
     println!("Service areas:");
-    for area in topology.areas() {
+    for area in Topology::figure1().areas() {
         println!(
             "  {:?} ({}): networks {:?}",
             area.id, area.name, area.networks
         );
     }
 
-    let config = SimulationConfig {
+    // Devices 0-7 walk from the food court to the study area and on to the
+    // bus stop at one third and two thirds of the run (slots 400 and 800 at
+    // the paper's 1200-slot scale); each device only knows about the
+    // networks visible from the area it starts in.
+    let ((env, fleet), _groups) = mobility_environment(
+        PolicyKind::SmartExp3,
         total_slots,
-        keep_selections: false,
-        ..SimulationConfig::default()
-    };
-    let mut sim = Simulation::new(networks.clone(), topology.clone(), config);
-
-    // Per-area factories: each device only knows about the networks visible
-    // from the area it starts in.
-    let factory_for = |area: AreaId| -> Result<PolicyFactory, smartexp3::core::ConfigError> {
-        let visible = topology.networks_in(area);
-        PolicyFactory::new(
-            networks
-                .iter()
-                .filter(|n| visible.contains(&n.id))
-                .map(|n| (n.id, n.bandwidth_mbps))
-                .collect(),
-        )
-    };
-
-    // The walkers change area at one third and two thirds of the run (slots
-    // 400 and 800 at the paper's 1200-slot scale).
-    let mut food_court = factory_for(AreaId(0))?;
-    for id in 0..8 {
-        sim.add_device(
-            DeviceSetup::new(id, food_court.build(PolicyKind::SmartExp3)?)
-                .in_area(AreaId(0))
-                .moving_to(total_slots / 3, AreaId(1))
-                .moving_to(total_slots * 2 / 3, AreaId(2)),
-        );
-    }
-    for id in 8..10 {
-        sim.add_device(
-            DeviceSetup::new(id, food_court.build(PolicyKind::SmartExp3)?).in_area(AreaId(0)),
-        );
-    }
-    let mut study_area = factory_for(AreaId(1))?;
-    for id in 10..15 {
-        sim.add_device(
-            DeviceSetup::new(id, study_area.build(PolicyKind::SmartExp3)?).in_area(AreaId(1)),
-        );
-    }
-    let mut bus_stop = factory_for(AreaId(2))?;
-    for id in 15..20 {
-        sim.add_device(
-            DeviceSetup::new(id, bus_stop.build(PolicyKind::SmartExp3)?).in_area(AreaId(2)),
-        );
-    }
-
-    let result = sim.run(11);
+        SimulationConfig::default(),
+        FleetConfig::with_root_seed(11),
+    )?;
+    let result = run_environment(env, fleet, total_slots);
     println!(
         "\nPer-device outcome after {} slots (devices 0-7 are the moving ones):",
         result.slots

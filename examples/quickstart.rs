@@ -4,9 +4,12 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use smartexp3::core::{PolicyFactory, PolicyKind};
+use smartexp3::core::PolicyKind;
+use smartexp3::experiments::runner::run_environment;
+use smartexp3::experiments::settings::homogeneous_environment;
 use smartexp3::game::{nash_allocation, ResourceSelectionGame};
-use smartexp3::netsim::{setting1_networks, DeviceSetup, Simulation, SimulationConfig};
+use smartexp3::netsim::{setting1_networks, SimulationConfig};
+use smartexp3::FleetConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let networks = setting1_networks();
@@ -27,20 +30,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let equilibrium = nash_allocation(&game, 20);
     println!("\nNash equilibrium allocation for 20 devices: {equilibrium:?}");
 
-    let mut factory =
-        PolicyFactory::new(networks.iter().map(|n| (n.id, n.bandwidth_mbps)).collect())?;
-    let mut sim = Simulation::single_area(
+    let (env, fleet) = homogeneous_environment(
         networks,
-        SimulationConfig {
-            total_slots: 1200, // 5 simulated hours of 15-second slots
-            ..SimulationConfig::default()
-        },
-    );
-    for id in 0..20 {
-        sim.add_device(DeviceSetup::new(id, factory.build(PolicyKind::SmartExp3)?));
-    }
-
-    let result = sim.run(42);
+        PolicyKind::SmartExp3,
+        20,
+        SimulationConfig::default(),
+        FleetConfig::with_root_seed(42),
+    )?;
+    // 1200 slots: 5 simulated hours of 15-second slots.
+    let result = run_environment(env, fleet, 1200);
     println!("\nAfter {} slots:", result.slots);
     println!(
         "  total download     : {:.2} GB",

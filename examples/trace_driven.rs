@@ -1,62 +1,16 @@
 //! Trace-driven selection: replays Smart EXP3 and Greedy against the four
 //! synthetic WiFi/cellular trace pairs of the paper's §VI-B (Table VI) and
-//! prints the download each achieves, plus a textual version of Figure 12's
-//! selection overlay for trace 3.
+//! prints the median download each achieves, plus a textual version of
+//! Figure 12's selection overlay for trace 3 (the one where the initially
+//! best network collapses). Each replay is one session of the fleet engine
+//! stepping a one-session trace world.
 //!
 //! Run with: `cargo run --release --example trace_driven`
 
-use smartexp3::core::{Greedy, SmartExp3};
-use smartexp3::tracegen::{
-    paper_trace_pair, run_policy_on_pair, trace_networks, TraceSimulationConfig, CELLULAR,
-};
+use smartexp3::experiments::config::Scale;
+use smartexp3::experiments::tracedriven;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let config = TraceSimulationConfig::default();
-    println!(
-        "{:<8} {:>20} {:>16} {:>20} {:>16}",
-        "trace", "Smart EXP3 (MB)", "cost (MB)", "Greedy (MB)", "cost (MB)"
-    );
-    for index in 1..=4 {
-        let pair = paper_trace_pair(index, 100, 1000 + index as u64);
-        let mut smart = SmartExp3::with_defaults(trace_networks())?;
-        let smart_result = run_policy_on_pair(&mut smart, &pair, &config, 1);
-        let mut greedy = Greedy::new(trace_networks())?;
-        let greedy_result = run_policy_on_pair(&mut greedy, &pair, &config, 1);
-        println!(
-            "{:<8} {:>20.1} {:>16.1} {:>20.1} {:>16.1}",
-            format!("trace {index}"),
-            smart_result.download_megabytes,
-            smart_result.switching_cost_megabytes,
-            greedy_result.download_megabytes,
-            greedy_result.switching_cost_megabytes,
-        );
-    }
-
-    // Figure 12-style overlay for trace 3 (the one where the initially best
-    // network collapses): which network does Smart EXP3 ride at each point?
-    let pair = paper_trace_pair(3, 100, 1003);
-    let mut smart = SmartExp3::with_defaults(trace_networks())?;
-    let result = run_policy_on_pair(&mut smart, &pair, &config, 1);
-    println!("\nTrace 3 selection overlay (every 5th slot):");
-    println!(
-        "{:<6} {:>10} {:>12} {:>12}",
-        "slot", "WiFi", "cellular", "chosen"
-    );
-    for (slot, (network, rate)) in result.selections.iter().enumerate() {
-        if slot % 5 == 0 {
-            println!(
-                "{:<6} {:>10.2} {:>12.2} {:>9.2} ({})",
-                slot,
-                pair.wifi.rate_at(slot),
-                pair.cellular.rate_at(slot),
-                rate,
-                if *network == CELLULAR {
-                    "cellular"
-                } else {
-                    "WiFi"
-                }
-            );
-        }
-    }
-    Ok(())
+fn main() {
+    println!("{}", tracedriven::run(&Scale::quick().with_runs(5)));
+    println!("{}", tracedriven::illustrate(3, 1));
 }

@@ -3,9 +3,10 @@
 //! A from-scratch Rust reproduction of *"Shrewd Selection Speeds Surfing: Use
 //! Smart EXP3!"* (Appavoo, Gilbert, Tan — ICDCS 2018): bandit-style
 //! algorithms for distributed wireless network selection, the congestion-game
-//! formulation and metrics used to evaluate them, a slot-driven network
-//! simulator, synthetic trace generation, and an experiment harness that
-//! regenerates every table and figure of the paper's evaluation.
+//! formulation and metrics used to evaluate them, a slot-driven wireless
+//! world stepped by a fleet engine, synthetic trace generation, and an
+//! experiment harness that regenerates every table and figure of the paper's
+//! evaluation.
 //!
 //! This facade crate re-exports the individual crates of the workspace:
 //!
@@ -13,8 +14,10 @@
 //!   baseline policies, plus the [`Policy`] trait;
 //! * [`game`] (`congestion-game`) — Nash equilibria, ε-equilibria, fairness
 //!   and distance metrics;
-//! * [`netsim`] — networks, devices, mobility, delays and the simulator;
-//! * [`tracegen`] — synthetic WiFi/cellular traces and trace-driven runs;
+//! * [`netsim`] — networks, devices, mobility, delays and the congestion
+//!   world ([`CongestionEnvironment`](netsim::CongestionEnvironment)) that
+//!   records the paper's metrics into a [`RunResult`];
+//! * [`tracegen`] — synthetic WiFi/cellular traces;
 //! * [`experiments`] — one runner per paper table/figure and the `repro` CLI;
 //! * [`engine`] (`smartexp3-engine`) — the [`FleetEngine`] hosting
 //!   thousands-to-millions of concurrent sessions with batched
@@ -42,19 +45,26 @@
 //!
 //! ## Quickstart
 //!
+//! Every experiment runs one pipeline: a scenario builder pairs a
+//! recorder-equipped world with a fleet of policy sessions, and
+//! [`run_environment`](experiments::runner::run_environment) steps the fleet
+//! through the world and returns the paper's metrics.
+//!
 //! ```rust
-//! use smartexp3::core::{PolicyFactory, PolicyKind};
-//! use smartexp3::netsim::{setting1_networks, DeviceSetup, Simulation, SimulationConfig};
+//! use smartexp3::experiments::runner::run_environment;
+//! use smartexp3::experiments::settings::homogeneous_environment;
+//! use smartexp3::netsim::setting1_networks;
+//! use smartexp3::{FleetConfig, PolicyKind, SimulationConfig};
 //!
 //! # fn main() -> Result<(), smartexp3::core::ConfigError> {
-//! let networks = setting1_networks();
-//! let mut factory =
-//!     PolicyFactory::new(networks.iter().map(|n| (n.id, n.bandwidth_mbps)).collect())?;
-//! let mut sim = Simulation::single_area(networks, SimulationConfig::quick(300));
-//! for id in 0..20 {
-//!     sim.add_device(DeviceSetup::new(id, factory.build(PolicyKind::SmartExp3)?));
-//! }
-//! let result = sim.run(42);
+//! let (env, fleet) = homogeneous_environment(
+//!     setting1_networks(),
+//!     PolicyKind::SmartExp3,
+//!     20,
+//!     SimulationConfig::default(),
+//!     FleetConfig::with_root_seed(42),
+//! )?;
+//! let result = run_environment(env, fleet, 300);
 //! println!(
 //!     "downloaded {:.1} GB in total, {:.0} switches per device on average",
 //!     result.total_download_megabits() / 8000.0,
@@ -78,7 +88,7 @@ pub use tracegen;
 
 // Convenience re-exports of the most commonly used items.
 pub use congestion_game::{nash_allocation, ResourceSelectionGame};
-pub use netsim::{DeviceSetup, RunResult, Simulation, SimulationConfig};
+pub use netsim::{RunResult, SimulationConfig};
 pub use smartexp3_core::{
     Exp3, Greedy, NetworkId, Observation, Policy, PolicyFactory, PolicyKind, SmartExp3,
     SmartExp3Config, SmartExp3Features,

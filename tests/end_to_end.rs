@@ -1,42 +1,37 @@
 //! Cross-crate integration tests: drive the public facade API through the
 //! paper's main scenarios and check the qualitative results the paper reports.
 
-use smartexp3::core::{PolicyFactory, PolicyKind};
+use smartexp3::core::PolicyKind;
+use smartexp3::experiments::runner::run_environment;
+use smartexp3::experiments::settings::homogeneous_environment;
 use smartexp3::game::{nash_allocation, ResourceSelectionGame};
-use smartexp3::netsim::{
-    setting1_networks, setting2_networks, DeviceSetup, Simulation, SimulationConfig,
-};
-use smartexp3::NetworkId;
+use smartexp3::netsim::{setting1_networks, setting2_networks, NetworkSpec, SimulationConfig};
+use smartexp3::{FleetConfig, NetworkId, RunResult};
 
-fn build(
-    networks: Vec<smartexp3::netsim::NetworkSpec>,
+/// One single-area run of `devices` devices all running `kind`, with `seed`
+/// as the fleet's root seed.
+fn run(
+    networks: Vec<NetworkSpec>,
     kind: PolicyKind,
     devices: usize,
     slots: usize,
-) -> Simulation {
-    let mut factory =
-        PolicyFactory::new(networks.iter().map(|n| (n.id, n.bandwidth_mbps)).collect()).unwrap();
-    let mut sim = Simulation::single_area(
+    seed: u64,
+) -> RunResult {
+    let (env, fleet) = homogeneous_environment(
         networks,
-        SimulationConfig {
-            total_slots: slots,
-            ..SimulationConfig::default()
-        },
-    );
-    for id in 0..devices {
-        let mut setup = DeviceSetup::new(id as u32, factory.build(kind).unwrap());
-        if kind.needs_full_information() {
-            setup = setup.with_full_information();
-        }
-        sim.add_device(setup);
-    }
-    sim
+        kind,
+        devices,
+        SimulationConfig::default(),
+        FleetConfig::with_root_seed(seed),
+    )
+    .unwrap();
+    run_environment(env, fleet, slots)
 }
 
 #[test]
 fn every_algorithm_completes_a_setting1_run() {
     for kind in PolicyKind::all() {
-        let result = build(setting1_networks(), kind, 20, 120).run(1);
+        let result = run(setting1_networks(), kind, 20, 120, 1);
         assert_eq!(result.slots, 120, "{kind:?} did not complete");
         assert!(
             result.total_download_megabits() > 0.0,
@@ -51,8 +46,8 @@ fn headline_result_smart_exp3_beats_exp3_on_switches_and_download() {
     // The core claim of the paper: compared to EXP3, Smart EXP3 switches an
     // order of magnitude less and achieves a higher cumulative download.
     let slots = 600;
-    let smart = build(setting1_networks(), PolicyKind::SmartExp3, 20, slots).run(3);
-    let exp3 = build(setting1_networks(), PolicyKind::Exp3, 20, slots).run(3);
+    let smart = run(setting1_networks(), PolicyKind::SmartExp3, 20, slots, 3);
+    let exp3 = run(setting1_networks(), PolicyKind::Exp3, 20, slots, 3);
 
     let smart_switches: f64 = smart.switch_counts().iter().sum();
     let exp3_switches: f64 = exp3.switch_counts().iter().sum();
@@ -70,19 +65,19 @@ fn headline_result_smart_exp3_beats_exp3_on_switches_and_download() {
 
 #[test]
 fn centralized_oracle_is_the_gold_standard() {
-    let central = build(setting1_networks(), PolicyKind::Centralized, 20, 200).run(5);
+    let central = run(setting1_networks(), PolicyKind::Centralized, 20, 200, 5);
     assert_eq!(central.fraction_time_at_nash, 1.0);
     assert!(central.distance_to_nash.iter().all(|&d| d < 1e-9));
 
     // No bandit algorithm should download more than the equilibrium oracle
     // by more than rounding (they pay switching costs and exploration).
-    let smart = build(setting1_networks(), PolicyKind::SmartExp3, 20, 200).run(5);
+    let smart = run(setting1_networks(), PolicyKind::SmartExp3, 20, 200, 5);
     assert!(smart.total_download_megabits() <= central.total_download_megabits() * 1.001);
 }
 
 #[test]
 fn smart_exp3_spends_most_late_slots_near_equilibrium_in_setting2() {
-    let result = build(setting2_networks(), PolicyKind::SmartExp3, 20, 800).run(9);
+    let result = run(setting2_networks(), PolicyKind::SmartExp3, 20, 800, 9);
     let late = result.mean_distance_to_nash(600, 800);
     assert!(
         late < 30.0,
@@ -97,12 +92,10 @@ fn greedy_can_strand_capacity_in_setting1_but_smart_exp3_does_not() {
     let mut greedy_unused = 0.0;
     let mut smart_unused = 0.0;
     for seed in 0..3 {
-        greedy_unused += build(setting1_networks(), PolicyKind::Greedy, 20, 300)
-            .run(seed)
-            .unutilized_megabits;
-        smart_unused += build(setting1_networks(), PolicyKind::SmartExp3, 20, 300)
-            .run(seed)
-            .unutilized_megabits;
+        greedy_unused +=
+            run(setting1_networks(), PolicyKind::Greedy, 20, 300, seed).unutilized_megabits;
+        smart_unused +=
+            run(setting1_networks(), PolicyKind::SmartExp3, 20, 300, seed).unutilized_megabits;
     }
     assert!(
         smart_unused <= greedy_unused,
@@ -112,8 +105,8 @@ fn greedy_can_strand_capacity_in_setting1_but_smart_exp3_does_not() {
 
 #[test]
 fn run_results_are_deterministic_given_the_seed() {
-    let a = build(setting1_networks(), PolicyKind::SmartExp3, 10, 200).run(77);
-    let b = build(setting1_networks(), PolicyKind::SmartExp3, 10, 200).run(77);
+    let a = run(setting1_networks(), PolicyKind::SmartExp3, 10, 200, 77);
+    let b = run(setting1_networks(), PolicyKind::SmartExp3, 10, 200, 77);
     assert_eq!(a.total_download_megabits(), b.total_download_megabits());
     assert_eq!(a.distance_to_nash, b.distance_to_nash);
     assert_eq!(a.switch_counts(), b.switch_counts());
@@ -135,7 +128,7 @@ fn equilibrium_math_matches_the_simulator() {
     assert_eq!(expected[&NetworkId(1)], 4);
     assert_eq!(expected[&NetworkId(2)], 14);
 
-    let result = build(networks, PolicyKind::Centralized, 20, 5).run(0);
+    let result = run(networks, PolicyKind::Centralized, 20, 5, 0);
     let mut counts = std::collections::BTreeMap::new();
     for record in &result
         .selections

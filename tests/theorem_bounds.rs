@@ -1,29 +1,23 @@
 //! Empirical checks of the paper's theorems against full simulation runs.
 
-use smartexp3::core::{theory, PolicyFactory, PolicyKind};
-use smartexp3::netsim::{
-    setting1_networks, setting2_networks, DeviceSetup, Simulation, SimulationConfig,
-};
+use smartexp3::core::{theory, PolicyKind};
+use smartexp3::experiments::runner::run_environment;
+use smartexp3::experiments::settings::homogeneous_environment;
+use smartexp3::netsim::{setting1_networks, setting2_networks, NetworkSpec, SimulationConfig};
+use smartexp3::{FleetConfig, RunResult};
 
-fn run(
-    kind: PolicyKind,
-    networks: Vec<smartexp3::netsim::NetworkSpec>,
-    slots: usize,
-    seed: u64,
-) -> smartexp3::RunResult {
-    let mut factory =
-        PolicyFactory::new(networks.iter().map(|n| (n.id, n.bandwidth_mbps)).collect()).unwrap();
-    let mut sim = Simulation::single_area(
+/// One run of 20 devices running `kind`, with `seed` as the fleet's root
+/// seed.
+fn run(kind: PolicyKind, networks: Vec<NetworkSpec>, slots: usize, seed: u64) -> RunResult {
+    let (env, fleet) = homogeneous_environment(
         networks,
-        SimulationConfig {
-            total_slots: slots,
-            ..SimulationConfig::default()
-        },
-    );
-    for id in 0..20 {
-        sim.add_device(DeviceSetup::new(id, factory.build(kind).unwrap()));
-    }
-    sim.run(seed)
+        kind,
+        20,
+        SimulationConfig::default(),
+        FleetConfig::with_root_seed(seed),
+    )
+    .unwrap();
+    run_environment(env, fleet, slots)
 }
 
 #[test]

@@ -11,7 +11,7 @@
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 pub mod prelude {
     //! Traits imported by `use rayon::prelude::*`.
@@ -25,6 +25,18 @@ thread_local! {
     static SCOPED_THREADS: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
 }
 
+/// The machine's available parallelism, asked once per process as rayon
+/// sizes its global pool once: on Linux the query reads cgroup files, which
+/// costs tens of microseconds per call.
+fn default_num_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
 /// Number of worker threads a parallel operation started here will use.
 ///
 /// Inside [`ThreadPool::install`] this is the pool's configured size;
@@ -33,11 +45,7 @@ thread_local! {
 pub fn current_num_threads() -> usize {
     SCOPED_THREADS
         .with(std::cell::Cell::get)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+        .unwrap_or_else(default_num_threads)
 }
 
 /// Error returned by [`ThreadPoolBuilder::build`] (never produced by this
@@ -80,9 +88,7 @@ impl ThreadPoolBuilder {
     /// Never fails in this implementation.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         let threads = match self.num_threads {
-            Some(0) | None => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            Some(0) | None => default_num_threads(),
             Some(n) => n,
         };
         Ok(ThreadPool { threads })
@@ -90,9 +96,10 @@ impl ThreadPoolBuilder {
 }
 
 /// A scoped worker-count context. Unlike upstream rayon this pool owns no
-/// long-lived threads: workers are spawned per parallel call, which keeps the
-/// implementation dependency-free while preserving the API and the scaling
-/// behaviour for coarse-grained workloads like fleet stepping.
+/// long-lived threads: a parallel call spawns all but one of its workers and
+/// works as the last one itself, which keeps the implementation
+/// dependency-free while preserving the API and the scaling behaviour for
+/// coarse-grained workloads like fleet stepping.
 #[derive(Debug)]
 pub struct ThreadPool {
     threads: usize,
@@ -119,8 +126,9 @@ impl ThreadPool {
 }
 
 /// Runs every work item from `items` on a scoped worker crew, pulling items
-/// off an atomic cursor. The item order a worker observes is arbitrary, but
-/// every item runs exactly once.
+/// off an atomic cursor. The calling thread is one of the workers, so a call
+/// spawns `workers - 1` threads. The item order a worker observes is
+/// arbitrary, but every item runs exactly once.
 fn drive<T: Send, F: Fn(usize, T) + Sync>(items: Vec<T>, f: F) {
     let total = items.len();
     let workers = current_num_threads().min(total).max(1);
@@ -135,21 +143,23 @@ fn drive<T: Send, F: Fn(usize, T) + Sync>(items: Vec<T>, f: F) {
     let f = &f;
     let cells = &cells;
     let cursor = &cursor;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move || loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= total {
-                    return;
-                }
-                let item = cells[index]
-                    .lock()
-                    .expect("chunk cell poisoned")
-                    .take()
-                    .expect("chunk taken twice");
-                f(index, item);
-            });
+    let work = move || loop {
+        let index = cursor.fetch_add(1, Ordering::Relaxed);
+        if index >= total {
+            return;
         }
+        let item = cells[index]
+            .lock()
+            .expect("chunk cell poisoned")
+            .take()
+            .expect("chunk taken twice");
+        f(index, item);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
 }
 
@@ -372,5 +382,35 @@ mod tests {
         let one = run(1);
         assert_eq!(one, run(2));
         assert_eq!(one, run(8));
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        // Each item waits at the barrier until the other has started, so the
+        // two items run on two threads at once.
+        let barrier = std::sync::Barrier::new(2);
+        let threads = Mutex::new(Vec::new());
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        pool.install(|| {
+            vec![0, 1].into_par_iter().for_each(|_| {
+                barrier.wait();
+                threads.lock().unwrap().push(std::thread::current().id());
+            });
+        });
+        let threads = threads.into_inner().unwrap();
+        assert_eq!(threads.len(), 2);
+        assert_ne!(threads[0], threads[1]);
+        assert!(threads.contains(&std::thread::current().id()));
+    }
+
+    #[test]
+    fn the_thread_count_outside_install_is_stable() {
+        let first = current_num_threads();
+        assert!(first >= 1);
+        for _ in 0..100 {
+            assert_eq!(current_num_threads(), first);
+        }
+        let pool = ThreadPoolBuilder::new().build().unwrap();
+        assert_eq!(pool.current_num_threads(), first);
     }
 }

@@ -17,6 +17,15 @@ pub use smartexp3_core::NetworkId;
 /// How many devices are associated with each network.
 pub type Allocation = BTreeMap<NetworkId, usize>;
 
+/// A rate as the game stores it: non-finite or negative rates become 0.
+fn clamp_rate(rate: f64) -> f64 {
+    if rate.is_finite() {
+        rate.max(0.0)
+    } else {
+        0.0
+    }
+}
+
 /// A resource-selection game instance: the set of networks and their
 /// bandwidths (Mbps), with equal-share utilities.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -36,9 +45,16 @@ impl ResourceSelectionGame {
     {
         let rates = network_rates
             .into_iter()
-            .map(|(id, rate)| (id, if rate.is_finite() { rate.max(0.0) } else { 0.0 }))
+            .map(|(id, rate)| (id, clamp_rate(rate)))
             .collect();
         ResourceSelectionGame { rates }
+    }
+
+    /// Sets the bandwidth of `network`, adding the network when the game
+    /// does not have it yet. The rate is clamped as in [`new`](Self::new),
+    /// so a game updated this way equals one built from the updated rates.
+    pub fn set_rate(&mut self, network: NetworkId, rate: f64) {
+        self.rates.insert(network, clamp_rate(rate));
     }
 
     /// The networks of the game, in ascending identifier order.
@@ -157,5 +173,22 @@ mod tests {
         assert_eq!(game.rate(NetworkId(0)), Some(0.0));
         assert_eq!(game.rate(NetworkId(1)), Some(0.0));
         assert_eq!(game.aggregate_rate(), 5.0);
+    }
+
+    #[test]
+    fn set_rate_matches_a_rebuild() {
+        let mut game = setting1();
+        game.set_rate(NetworkId(2), 2.0);
+        game.set_rate(NetworkId(1), f64::INFINITY);
+        game.set_rate(NetworkId(0), -1.0);
+        game.set_rate(NetworkId(7), 9.0);
+        let rebuilt = ResourceSelectionGame::new(vec![
+            (NetworkId(0), -1.0),
+            (NetworkId(1), f64::INFINITY),
+            (NetworkId(2), 2.0),
+            (NetworkId(7), 9.0),
+        ]);
+        assert_eq!(game, rebuilt);
+        assert_eq!(game.aggregate_rate(), 11.0);
     }
 }

@@ -30,6 +30,22 @@
 //! session; partition 0 always keeps the historical single-stream seed
 //! derivation, so single-partition worlds reproduce the pre-sharding
 //! fleet-path trajectories exactly.
+//!
+//! # Grading cost
+//!
+//! Grading a choice touches shared tables, never per-device copies, and no
+//! network nobody loaded:
+//!
+//! * every area's network list carries a table, built once, of each entry's
+//!   partition-local index. A device remembers which area list its
+//!   `available` copy mirrors, so a choice costs one search of that shared
+//!   (cache-hot) list; the dense index is read back from the partition's
+//!   network list. The full-information counterfactuals walk the same table;
+//! * a partition resets only the share queues it loaded in the previous
+//!   slot, and computes shares only for the networks loaded in this one;
+//! * a bandwidth event updates its network's entries in the capacity map,
+//!   the dense table and the game, and re-sums its partition's owned
+//!   bandwidth — O(events), not a rebuild over the whole universe.
 
 use crate::delay::DelayModel;
 use crate::device::{DeviceId, DeviceOutcome};
@@ -200,16 +216,20 @@ struct DeviceDyn {
 /// `area` caches the service area the device's `available` list was copied
 /// from, so a device that stays put skips the O(K) list comparison every
 /// slot — the difference between O(1) and O(K) per session per slot in
-/// dense-urban worlds with hundreds of visible networks. `sorted` records
-/// whether `available` is ascending, letting membership checks on the hot
-/// grading path binary-search instead of scanning.
+/// dense-urban worlds with hundreds of visible networks. `list` names the
+/// shared [`AreaNetworks`] that `available` equals, so grading searches that
+/// list (one copy per area, hot across the area's devices) and reads the
+/// partition-local index from its table, instead of searching the device's
+/// own 2 KB copy, which is cold every slot.
 #[derive(Debug, Clone, Copy, Default)]
 struct VisibilityCache {
-    /// The area whose network list `available` currently mirrors, or `None`
-    /// when unknown (never refreshed, or just restored from a checkpoint).
+    /// The area the device was last refreshed into, or `None` when unknown
+    /// (never refreshed, or just restored from a checkpoint).
     area: Option<AreaId>,
-    /// Whether `available` is ascending (computed when the list changes).
-    sorted: bool,
+    /// Index of the [`AreaNetworks`] whose list `available` equals. `None`
+    /// when unknown, or when the area has no networks (`available` is then
+    /// empty): grading falls back to searching `available` itself.
+    list: Option<usize>,
 }
 
 /// `true` when `list` is ascending (duplicates allowed) — the precondition
@@ -218,14 +238,32 @@ fn is_ascending(list: &[NetworkId]) -> bool {
     list.windows(2).all(|pair| pair[0] <= pair[1])
 }
 
-/// Membership check on a visible-network list: binary search when the list
-/// is known to be sorted (every topology built from ascending ids — all the
-/// stock worlds), linear scan otherwise. Semantically identical either way.
-fn sees(available: &[NetworkId], sorted: bool, network: NetworkId) -> bool {
-    if sorted {
-        available.binary_search(&network).is_ok()
-    } else {
-        available.contains(&network)
+/// One service area's visible networks plus the grading table built over
+/// them once at construction. Every device in the area holds a copy of
+/// `networks` as its `available` list; grading resolves choices against
+/// this shared list instead.
+#[derive(Debug)]
+struct AreaNetworks {
+    /// The area's networks, in topology order.
+    networks: Vec<NetworkId>,
+    /// Whether `networks` is ascending (true of every stock world), so
+    /// lookups binary-search it.
+    ascending: bool,
+    /// The owning partition's local index of every entry of `networks`.
+    /// `build_partitions` puts an area's networks and every device that can
+    /// enter the area in one partition, so this indexes the grading
+    /// device's own partition.
+    local: Vec<usize>,
+}
+
+impl AreaNetworks {
+    /// Position of `network` in the list, if the area sees it.
+    fn position(&self, network: NetworkId) -> Option<usize> {
+        if self.ascending {
+            self.networks.binary_search(&network).ok()
+        } else {
+            self.networks.iter().position(|&n| n == network)
+        }
     }
 }
 
@@ -284,12 +322,16 @@ impl UnionFind {
 }
 
 /// Per-network share state of one feedback partition, indexed by the
-/// position of the network in the partition's owned-network list.
+/// position of the network in the partition's owned-network list. Every
+/// entry outside `loaded` is zero or empty, so a slot resets only the
+/// networks the previous slot loaded.
 #[derive(Debug, Default)]
 struct ShareState {
     load: Vec<usize>,
     shares: Vec<Vec<f64>>,
     next_share_index: Vec<usize>,
+    /// Local indices with a non-zero `load` this slot, in first-load order.
+    loaded: Vec<usize>,
 }
 
 impl ShareState {
@@ -298,50 +340,93 @@ impl ShareState {
             load: vec![0; networks],
             shares: vec![Vec::new(); networks],
             next_share_index: vec![0; networks],
+            loaded: Vec::new(),
         }
+    }
+
+    /// Clears the entries the last slot loaded.
+    fn reset(&mut self) {
+        for j in self.loaded.drain(..) {
+            self.load[j] = 0;
+            self.shares[j].clear();
+            self.next_share_index[j] = 0;
+        }
+    }
+
+    /// Counts one more session on local network `j`.
+    fn add_load(&mut self, j: usize) {
+        if self.load[j] == 0 {
+            self.loaded.push(j);
+        }
+        self.load[j] += 1;
     }
 }
 
-/// One graded choice resolved against the world tables, so the load and
-/// grading passes search the visibility list, the universe and the
-/// partition's networks once per choice rather than once per pass.
+/// One graded choice resolved against the world tables once per slot, for
+/// both the load and the grading pass. A visible choice costs one search of
+/// the shared area list the device mirrors: the area's table gives the
+/// partition-local index, and the partition's network list the dense index.
+/// A choice the device cannot see falls back to a universe search, because
+/// its switching-delay model still applies. A device whose
+/// [`VisibilityCache`] is empty (a world restored between choose and
+/// feedback) is searched in its own `available` list.
 #[derive(Debug, Clone, Copy)]
 struct ResolvedChoice {
     /// Dense universe index of the chosen network (`None` for an id the
     /// world does not know).
     dense: Option<usize>,
     /// Partition-local index of the chosen network when the session can see
-    /// it and the partition owns it: the share queue it draws from.
+    /// it: the share queue it draws from.
     local: Option<usize>,
 }
 
 impl ResolvedChoice {
     fn new(
-        universe: &[NetworkId],
+        tables: &GradeTables<'_>,
         networks: &[usize],
         device: &DeviceDyn,
-        available_sorted: bool,
+        cache: VisibilityCache,
         chosen: NetworkId,
     ) -> Self {
-        let dense = universe.binary_search(&chosen).ok();
-        let local = if sees(&device.available, available_sorted, chosen) {
-            dense.and_then(|d| networks.binary_search(&d).ok())
-        } else {
-            None
+        let local = match cache.list {
+            Some(list) => {
+                let area = &tables.areas[list];
+                area.position(chosen).map(|position| area.local[position])
+            }
+            None if device.available.contains(&chosen) => tables
+                .universe
+                .binary_search(&chosen)
+                .ok()
+                .and_then(|dense| networks.binary_search(&dense).ok()),
+            None => None,
         };
-        ResolvedChoice { dense, local }
+        match local {
+            Some(local) => ResolvedChoice {
+                dense: Some(networks[local]),
+                local: Some(local),
+            },
+            None => ResolvedChoice {
+                dense: tables.universe.binary_search(&chosen).ok(),
+                local: None,
+            },
+        }
     }
 }
 
 /// One independent feedback partition: a contiguous session range, the
 /// networks only those sessions can ever load, and every per-slot buffer
 /// grading them needs. All buffers persist across slots, so partitioned
-/// grading allocates nothing in steady state.
+/// grading allocates nothing in steady state, and a slot touches only the
+/// share queues it (or the slot before) loaded.
 struct FeedbackPartition {
     range: SessionRange,
     /// Dense universe indices of the networks this partition owns, ascending.
     networks: Vec<usize>,
     state: ShareState,
+    /// Bandwidth of `networks`, summed in ascending order: the telemetry
+    /// fair share's numerator. Re-summed whenever a capacity changes, never
+    /// patched by the delta, so its rounding does not depend on history.
+    owned_bandwidth: f64,
     /// The partition's RNG stream (share noise, switching delays), advanced
     /// in canonical session order.
     rng: StdRng,
@@ -365,6 +450,7 @@ struct FeedbackPartition {
 struct GradeTables<'a> {
     config: &'a SimulationConfig,
     universe: &'a [NetworkId],
+    areas: &'a [AreaNetworks],
     bandwidth_by_index: &'a [f64],
     /// Switching-delay model per dense universe index.
     delay_by_index: &'a [DelayModel],
@@ -381,7 +467,7 @@ fn refresh_device(
     device: &mut DeviceDyn,
     cache: &mut VisibilityCache,
     area_index: &[(AreaId, usize)],
-    area_networks: &[(AreaId, Vec<NetworkId>)],
+    areas: &[AreaNetworks],
     slot: usize,
 ) -> VisibilityUpdate {
     if !profile.is_active_at(slot) {
@@ -397,10 +483,11 @@ fn refresh_device(
         // list comparison below is guaranteed to report Unchanged.
         return VisibilityUpdate::Unchanged;
     }
-    let visible: &[NetworkId] = area_index
+    let list = area_index
         .binary_search_by_key(&area, |&(a, _)| a)
         .ok()
-        .map_or(&[], |found| area_networks[area_index[found].1].1.as_slice());
+        .map(|found| area_index[found].1);
+    let visible: &[NetworkId] = list.map_or(&[], |list| areas[list].networks.as_slice());
     let mut update = VisibilityUpdate::Unchanged;
     if device.available != visible {
         update = if device.available.is_empty() && !device.was_active {
@@ -410,14 +497,17 @@ fn refresh_device(
         };
         device.available.clear();
         device.available.extend_from_slice(visible);
-        cache.sorted = is_ascending(&device.available);
         if let Some(current) = device.current {
-            if !sees(&device.available, cache.sorted, current) {
+            if list
+                .and_then(|list| areas[list].position(current))
+                .is_none()
+            {
                 device.current = None;
             }
         }
     }
     cache.area = Some(area);
+    cache.list = list;
     device.was_active = true;
     update
 }
@@ -459,6 +549,7 @@ fn grade_session(
     pool: &mut Vec<Vec<(NetworkId, f64)>>,
     profile: &DeviceProfile,
     device: &mut DeviceDyn,
+    cache: VisibilityCache,
     chosen: NetworkId,
     resolved: ResolvedChoice,
     slot: SlotIndex,
@@ -511,25 +602,51 @@ fn grade_session(
         // devices' choices. Backing buffers are pooled across slots.
         let mut gains = pool.pop().unwrap_or_default();
         gains.clear();
-        gains.extend(device.available.iter().map(|&network| {
-            let dense = tables.universe.binary_search(&network).ok();
-            let bandwidth = dense.map_or(0.0, |d| tables.bandwidth_by_index[d]);
-            let local = dense.and_then(|d| networks.binary_search(&d).ok());
-            let others = local.map_or(0, |j| state.load[j]) - usize::from(network == chosen);
+        let gain = |network: NetworkId, bandwidth: f64, load: usize| {
+            let others = load - usize::from(network == chosen);
             let rate = bandwidth / (others + 1) as f64;
             (network, (rate / tables.gain_scale).clamp(0.0, 1.0))
-        }));
+        };
+        match cache.list {
+            Some(list) => {
+                let area = &tables.areas[list];
+                gains.extend(area.networks.iter().zip(&area.local).map(|(&network, &j)| {
+                    gain(
+                        network,
+                        tables.bandwidth_by_index[networks[j]],
+                        state.load[j],
+                    )
+                }));
+            }
+            None => gains.extend(device.available.iter().map(|&network| {
+                let dense = tables.universe.binary_search(&network).ok();
+                let bandwidth = dense.map_or(0.0, |d| tables.bandwidth_by_index[d]);
+                let local = dense.and_then(|d| networks.binary_search(&d).ok());
+                gain(network, bandwidth, local.map_or(0, |j| state.load[j]))
+            })),
+        }
         observation.full_gains = Some(gains);
     }
     observation
 }
 
 impl FeedbackPartition {
+    /// Re-sums [`owned_bandwidth`](Self::owned_bandwidth) from the dense
+    /// capacity table, in ascending dense order.
+    fn sum_owned_bandwidth(&mut self, bandwidth_by_index: &[f64]) {
+        self.owned_bandwidth = self
+            .networks
+            .iter()
+            .map(|&dense| bandwidth_by_index[dense])
+            .sum();
+    }
+
     /// Runs one full feedback slot for this partition: load registration,
-    /// share computation (owned networks in ascending dense order) and
-    /// grading, all in canonical session order on the partition's stream.
-    /// `choices`, `profiles`, `devices` and `out` are this partition's
-    /// slices of the fleet-wide buffers.
+    /// share computation (loaded networks in ascending dense order, the
+    /// order noisy sharing draws from the stream in) and grading, all in
+    /// canonical session order on the partition's stream. `choices`,
+    /// `profiles`, `devices` and `out` are this partition's slices of the
+    /// fleet-wide buffers.
     #[allow(clippy::too_many_arguments)]
     fn run_slot(
         &mut self,
@@ -548,20 +665,20 @@ impl FeedbackPartition {
         if telemetry {
             self.metrics.clear();
         }
-        self.state.load.fill(0);
+        self.state.reset();
         self.resolved.clear();
         for (i, choice) in choices.iter().enumerate() {
             match *choice {
                 Some(chosen) => {
                     let resolved = ResolvedChoice::new(
-                        tables.universe,
+                        tables,
                         &self.networks,
                         &devices[i],
-                        visibility[i].sorted,
+                        visibility[i],
                         chosen,
                     );
                     if let Some(local) = resolved.local {
-                        self.state.load[local] += 1;
+                        self.state.add_load(local);
                     }
                     self.resolved.push(resolved);
                 }
@@ -572,17 +689,14 @@ impl FeedbackPartition {
                 }
             }
         }
-        for j in 0..self.networks.len() {
-            self.state.next_share_index[j] = 0;
-            self.state.shares[j].clear();
-            if self.state.load[j] > 0 {
-                tables.config.sharing.shares_into(
-                    tables.bandwidth_by_index[self.networks[j]],
-                    self.state.load[j],
-                    &mut self.rng,
-                    &mut self.state.shares[j],
-                );
-            }
+        self.state.loaded.sort_unstable();
+        for &j in &self.state.loaded {
+            tables.config.sharing.shares_into(
+                tables.bandwidth_by_index[self.networks[j]],
+                self.state.load[j],
+                &mut self.rng,
+                &mut self.state.shares[j],
+            );
         }
         // Definition-4 fair share for this partition's area: the bandwidth
         // the partition owns, split evenly over the sessions graded this
@@ -590,12 +704,7 @@ impl FeedbackPartition {
         // `distance_from_average_bit_rate`).
         let graded = self.resolved.len();
         let fair_share = if telemetry && graded > 0 {
-            let aggregate: f64 = self
-                .networks
-                .iter()
-                .map(|&dense| tables.bandwidth_by_index[dense])
-                .sum();
-            aggregate / graded as f64
+            self.owned_bandwidth / graded as f64
         } else {
             0.0
         };
@@ -616,6 +725,7 @@ impl FeedbackPartition {
                 &mut self.full_gains_pool,
                 &profiles[i],
                 &mut devices[i],
+                visibility[i],
                 chosen,
                 resolved,
                 slot,
@@ -790,11 +900,17 @@ pub struct CongestionEnvironment {
     /// Switching-delay model per dense universe index (`DelayModel::None`
     /// for ids without a network spec), parallel to `bandwidth_by_index`.
     delay_by_index: Vec<DelayModel>,
-    area_networks: Vec<(AreaId, Vec<NetworkId>)>,
-    /// Sorted `(area id, index into area_networks)` lookup — visibility
-    /// refresh runs per active device per slot, so it must not scan the
-    /// (possibly tens-of-thousands-entry) area list linearly. Keeps the
-    /// *first* entry per id, matching the linear `find` it replaces.
+    /// Owning feedback partition per dense universe index, parallel to
+    /// `bandwidth_by_index`: the partition whose cached bandwidth sum an
+    /// event on that network invalidates.
+    partition_by_index: Vec<usize>,
+    /// Every service area's network list and grading table, in topology
+    /// order.
+    areas: Vec<AreaNetworks>,
+    /// Sorted `(area id, index into areas)` lookup — visibility refresh runs
+    /// per active device per slot, so it must not scan the (possibly
+    /// tens-of-thousands-entry) area list linearly. Keeps the *first* entry
+    /// per id, matching the linear `find` it replaces.
     area_index: Vec<(AreaId, usize)>,
     game: ResourceSelectionGame,
     recorder: Option<RunRecorder>,
@@ -878,12 +994,7 @@ impl CongestionEnvironment {
         // of the linear scan this index replaces.
         area_index.dedup_by_key(|&mut (area, _)| area);
 
-        let game = ResourceSelectionGame::new(bandwidths.iter().map(|(&n, &r)| (n, r)));
         let network_count = universe.len();
-        let mut bandwidth_by_index = vec![0.0; network_count];
-        for (i, &network) in universe.iter().enumerate() {
-            bandwidth_by_index[i] = bandwidths.get(&network).copied().unwrap_or(0.0);
-        }
         // Later specs of a repeated id win, as in `bandwidths`.
         let mut delay_by_index = vec![DelayModel::None; network_count];
         for spec in &networks {
@@ -895,6 +1006,30 @@ impl CongestionEnvironment {
 
         let (ranges, partition_networks) =
             build_partitions(&universe, &area_networks, &area_index, &profiles);
+        let mut partition_by_index = vec![0; network_count];
+        let mut local_by_index = vec![0; network_count];
+        for (partition, networks) in partition_networks.iter().enumerate() {
+            for (local, &dense) in networks.iter().enumerate() {
+                partition_by_index[dense] = partition;
+                local_by_index[dense] = local;
+            }
+        }
+        let areas: Vec<AreaNetworks> = area_networks
+            .into_iter()
+            .map(|(_, networks)| AreaNetworks {
+                ascending: is_ascending(&networks),
+                local: networks
+                    .iter()
+                    .map(|network| {
+                        let dense = universe
+                            .binary_search(network)
+                            .expect("the universe holds every area's networks");
+                        local_by_index[dense]
+                    })
+                    .collect(),
+                networks,
+            })
+            .collect();
         let partitions: Vec<FeedbackPartition> = ranges
             .iter()
             .zip(partition_networks)
@@ -903,6 +1038,7 @@ impl CongestionEnvironment {
                 range,
                 state: ShareState::new(networks.len()),
                 networks,
+                owned_bandwidth: 0.0,
                 rng: partition_rng(env_seed, partition),
                 resolved: Vec::new(),
                 choices: Vec::new(),
@@ -925,7 +1061,7 @@ impl CongestionEnvironment {
         event_slots.sort_unstable();
         event_slots.dedup();
 
-        CongestionEnvironment {
+        let mut environment = CongestionEnvironment {
             config,
             visibility: vec![VisibilityCache::default(); profiles.len()],
             profiles,
@@ -934,11 +1070,12 @@ impl CongestionEnvironment {
             gain_scale,
             universe,
             bandwidths,
-            bandwidth_by_index,
+            bandwidth_by_index: vec![0.0; network_count],
             delay_by_index,
-            area_networks,
+            partition_by_index,
+            areas,
             area_index,
-            game,
+            game: ResourceSelectionGame::new(std::iter::empty()),
             recorder: None,
             partitions,
             ranges,
@@ -947,7 +1084,9 @@ impl CongestionEnvironment {
             event_slots,
             telemetry_enabled: false,
             slot_metrics: SlotMetrics::new(),
-        }
+        };
+        environment.rebuild_capacities();
+        environment
     }
 
     /// Enables the paper-metrics recorder (distance to Nash, stable-state
@@ -1025,20 +1164,35 @@ impl CongestionEnvironment {
             .map(|recorder| recorder.finish(&self.game, outcomes))
     }
 
-    /// Applies the bandwidth events due at `slot`; the game and the dense
-    /// capacity table are only rebuilt when one fired.
-    fn apply_due_events(&mut self, slot: usize) {
-        let due = self.schedule.due(slot);
-        if due.is_empty() {
-            return;
+    /// Rebuilds every table derived from `bandwidths` — the game, the dense
+    /// capacity table and each partition's owned-bandwidth sum — from
+    /// scratch. [`apply_due_events`](Self::apply_due_events) keeps them
+    /// equal to this, one event at a time.
+    fn rebuild_capacities(&mut self) {
+        self.game = ResourceSelectionGame::new(self.bandwidths.iter().map(|(&n, &r)| (n, r)));
+        for (bandwidth, network) in self.bandwidth_by_index.iter_mut().zip(&self.universe) {
+            *bandwidth = self.bandwidths.get(network).copied().unwrap_or(0.0);
         }
-        for event in due {
+        for partition in &mut self.partitions {
+            partition.sum_owned_bandwidth(&self.bandwidth_by_index);
+        }
+    }
+
+    /// Applies the bandwidth events due at `slot`, in schedule order. Each
+    /// updates its own network in the capacity map, the dense table and the
+    /// game, and re-sums the owning partition's bandwidth.
+    fn apply_due_events(&mut self, slot: usize) {
+        for event in self.schedule.due(slot) {
+            let dense = self
+                .universe
+                .binary_search(&event.network)
+                .expect("the universe holds every event's network");
             self.bandwidths
                 .insert(event.network, event.new_bandwidth_mbps);
-        }
-        self.game = ResourceSelectionGame::new(self.bandwidths.iter().map(|(&n, &r)| (n, r)));
-        for (i, &network) in self.universe.iter().enumerate() {
-            self.bandwidth_by_index[i] = self.bandwidths.get(&network).copied().unwrap_or(0.0);
+            self.bandwidth_by_index[dense] = event.new_bandwidth_mbps;
+            self.game.set_rate(event.network, event.new_bandwidth_mbps);
+            self.partitions[self.partition_by_index[dense]]
+                .sum_owned_bandwidth(&self.bandwidth_by_index);
         }
     }
 }
@@ -1063,12 +1217,12 @@ impl Environment for CongestionEnvironment {
             devices,
             visibility,
             area_index,
-            area_networks,
+            areas,
             ranges,
             ..
         } = self;
         let area_index: &[(AreaId, usize)] = area_index;
-        let area_networks: &[(AreaId, Vec<NetworkId>)] = area_networks;
+        let areas: &[AreaNetworks] = areas;
         let mut jobs: Vec<PartitionJob<'_>> = Vec::with_capacity(ranges.len());
         let mut devices_rest: &mut [DeviceDyn] = devices;
         let mut visibility_rest: &mut [VisibilityCache] = visibility;
@@ -1087,18 +1241,12 @@ impl Environment for CongestionEnvironment {
                     .zip(job_devices.iter_mut())
                     .zip(job_visibility.iter_mut())
                 {
-                    let pending = match refresh_device(
-                        profile,
-                        device,
-                        cache,
-                        area_index,
-                        area_networks,
-                        slot,
-                    ) {
-                        VisibilityUpdate::Inactive | VisibilityUpdate::Unchanged => false,
-                        VisibilityUpdate::Changed => true,
-                        VisibilityUpdate::FirstActivation => differs_from_home(profile, device),
-                    };
+                    let pending =
+                        match refresh_device(profile, device, cache, area_index, areas, slot) {
+                            VisibilityUpdate::Inactive | VisibilityUpdate::Unchanged => false,
+                            VisibilityUpdate::Changed => true,
+                            VisibilityUpdate::FirstActivation => differs_from_home(profile, device),
+                        };
                     device.pending_change = pending;
                 }
             }));
@@ -1154,6 +1302,7 @@ impl Environment for CongestionEnvironment {
             profiles,
             config,
             universe,
+            areas,
             bandwidth_by_index,
             delay_by_index,
             gain_scale,
@@ -1165,6 +1314,7 @@ impl Environment for CongestionEnvironment {
         let tables = GradeTables {
             config,
             universe,
+            areas,
             bandwidth_by_index,
             delay_by_index,
             gain_scale: *gain_scale,
@@ -1315,21 +1465,11 @@ impl Environment for CongestionEnvironment {
             partition.rng = StdRng::from_state(rng);
         }
         self.devices = state.devices;
-        // The visibility cache is derived data: recompute sortedness from the
-        // restored lists and drop the area memo, so the next refresh falls
-        // back to the (historical) full list comparison.
-        self.visibility = self
-            .devices
-            .iter()
-            .map(|device| VisibilityCache {
-                area: None,
-                sorted: is_ascending(&device.available),
-            })
-            .collect();
-        self.game = ResourceSelectionGame::new(self.bandwidths.iter().map(|(&n, &r)| (n, r)));
-        for (i, &network) in self.universe.iter().enumerate() {
-            self.bandwidth_by_index[i] = self.bandwidths.get(&network).copied().unwrap_or(0.0);
-        }
+        // The visibility cache is derived data: forget it, so the next
+        // refresh falls back to the (historical) full list comparison and
+        // grading before that refresh searches the restored lists.
+        self.visibility.fill(VisibilityCache::default());
+        self.rebuild_capacities();
         Ok(())
     }
 }
@@ -1471,6 +1611,15 @@ mod tests {
     /// A replicated multi-area world: `areas` areas of `per_area` devices,
     /// each area its own network triple (the scenario-library shape).
     fn replicated(areas: usize, per_area: usize) -> CongestionEnvironment {
+        replicated_with_events(areas, per_area, Vec::new())
+    }
+
+    /// [`replicated`] with a bandwidth event schedule.
+    fn replicated_with_events(
+        areas: usize,
+        per_area: usize,
+        events: Vec<BandwidthEvent>,
+    ) -> CongestionEnvironment {
         let mut networks = Vec::new();
         let mut service_areas = Vec::new();
         let mut profiles = Vec::new();
@@ -1499,7 +1648,7 @@ mod tests {
         CongestionEnvironment::new(
             networks,
             Topology::new(service_areas),
-            Vec::new(),
+            events,
             profiles,
             SimulationConfig::default(),
             21,
@@ -1634,5 +1783,182 @@ mod tests {
         // The serialized states (per-partition RNG positions included) must
         // agree exactly afterwards.
         assert_eq!(forward.state(), reversed.state());
+    }
+
+    /// An observation with every float as its bit pattern, so comparisons
+    /// are bit-exact.
+    type ObservationBits = (
+        usize,
+        NetworkId,
+        u64,
+        u64,
+        bool,
+        u64,
+        Option<Vec<(NetworkId, u64)>>,
+    );
+
+    fn observation_bits(observations: &[Option<Observation>]) -> Vec<Option<ObservationBits>> {
+        observations
+            .iter()
+            .map(|observation| {
+                observation.as_ref().map(|o| {
+                    (
+                        o.slot,
+                        o.network,
+                        o.bit_rate_mbps.to_bits(),
+                        o.scaled_gain.to_bits(),
+                        o.switched,
+                        o.switching_delay_s.to_bits(),
+                        o.full_gains
+                            .as_ref()
+                            .map(|gains| gains.iter().map(|&(n, g)| (n, g.to_bits())).collect()),
+                    )
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn incremental_bandwidth_updates_equal_a_rebuild() {
+        // Slot 2 fires two events on network 4, one on network 100 (an
+        // event-only network without a spec, owned by partition 0) and a
+        // negative rate (`BandwidthEvent::new` would clamp it); slot 5
+        // recovers two of them.
+        let events = vec![
+            BandwidthEvent::new(2, NetworkId(4), 5.0),
+            BandwidthEvent::new(2, NetworkId(100), 40.0),
+            BandwidthEvent {
+                at_slot: 2,
+                network: NetworkId(8),
+                new_bandwidth_mbps: -3.0,
+            },
+            BandwidthEvent::new(2, NetworkId(4), 9.0),
+            BandwidthEvent::new(5, NetworkId(4), 7.0),
+            BandwidthEvent::new(5, NetworkId(8), 22.0),
+        ];
+        let build = || {
+            let mut env = replicated_with_events(3, 4, events.clone());
+            env.config.sharing = crate::sharing::SharingModel::testbed();
+            for profile in env.profiles.iter_mut().step_by(3) {
+                profile.needs_full_information = true;
+            }
+            assert!(env.set_telemetry(true));
+            env
+        };
+        let mut env = build();
+        let sessions = 12usize;
+        let mut out: Vec<Option<Observation>> = vec![None; sessions];
+        let mut out_twin: Vec<Option<Observation>> = vec![None; sessions];
+        for slot in 0..8 {
+            env.begin_slot(slot);
+            // The twin rebuilds every capacity table from the state text.
+            let mut twin = build();
+            twin.restore(&env.state().unwrap()).unwrap();
+            assert_eq!(env.game(), twin.game(), "slot {slot}");
+            let bits = |table: &[f64]| table.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&env.bandwidth_by_index),
+                bits(&twin.bandwidth_by_index),
+                "slot {slot}"
+            );
+            let sums = |env: &CongestionEnvironment| {
+                env.partitions
+                    .iter()
+                    .map(|p| p.owned_bandwidth.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(sums(&env), sums(&twin), "slot {slot}");
+
+            let choices: Vec<Option<NetworkId>> = (0..sessions)
+                .map(|i| {
+                    ((i + slot) % 5 != 4).then(|| NetworkId(((i / 4) * 3 + (i + slot) % 3) as u32))
+                })
+                .collect();
+            env.feedback(slot, &choices, &mut out);
+            twin.feedback(slot, &choices, &mut out_twin);
+            assert_eq!(
+                observation_bits(&out),
+                observation_bits(&out_twin),
+                "slot {slot}"
+            );
+            assert_eq!(env.telemetry(), twin.telemetry(), "slot {slot}");
+            assert_eq!(env.state(), twin.state(), "slot {slot}");
+        }
+        assert_eq!(env.game().rate(NetworkId(4)), Some(7.0));
+        assert_eq!(env.game().rate(NetworkId(100)), Some(40.0));
+    }
+
+    #[test]
+    fn a_choice_the_device_cannot_see_earns_nothing_but_pays_its_delay() {
+        // Areas 0 (networks 0–2, sessions 0–1) and 1 (networks 3–5, sessions
+        // 2–3). Network `d` switches in exactly 1 + d seconds.
+        let build = || {
+            let mut env = replicated(2, 2);
+            env.delay_by_index = (0..6)
+                .map(|dense| DelayModel::Constant(1.0 + dense as f64))
+                .collect();
+            env.profiles[0].needs_full_information = true;
+            env
+        };
+        let mut sequential = build();
+        let mut partitioned = build();
+        let mut out: Vec<Option<Observation>> = vec![None; 4];
+        let mut out_partitioned: Vec<Option<Observation>> = vec![None; 4];
+        let slots = [
+            [NetworkId(2), NetworkId(2), NetworkId(5), NetworkId(5)],
+            // Session 0 picks area 1's network 4; session 2 an unknown id.
+            [NetworkId(4), NetworkId(2), NetworkId(999), NetworkId(5)],
+        ];
+        for (slot, picks) in slots.iter().enumerate() {
+            let choices: Vec<Option<NetworkId>> = picks.iter().copied().map(Some).collect();
+            sequential.begin_slot(slot);
+            partitioned.begin_slot(slot);
+            sequential.feedback(slot, &choices, &mut out);
+            partitioned.feedback_partitioned(
+                slot,
+                &choices,
+                &mut out_partitioned,
+                &ReverseExecutor,
+            );
+            assert_eq!(
+                observation_bits(&out),
+                observation_bits(&out_partitioned),
+                "slot {slot}"
+            );
+        }
+        assert_eq!(sequential.state(), partitioned.state());
+
+        let invisible = out[0].as_ref().unwrap();
+        assert_eq!(invisible.network, NetworkId(4));
+        assert_eq!(invisible.bit_rate_mbps, 0.0);
+        assert_eq!(invisible.scaled_gain, 0.0);
+        assert!(invisible.switched);
+        assert_eq!(invisible.switching_delay_s, 5.0, "network 4's delay model");
+        let outcome = sequential.outcome(0, String::new(), 0);
+        assert_eq!((outcome.switches, outcome.total_delay_seconds), (1, 5.0));
+        // Counterfactuals cover exactly the visible networks; session 1 is
+        // alone on network 2, and nobody loads network 4 in area 1.
+        let scale = sequential.gain_scale();
+        assert_eq!(
+            invisible.full_gains.as_deref(),
+            Some(
+                &[
+                    (NetworkId(0), 4.0 / scale),
+                    (NetworkId(1), 7.0 / scale),
+                    (NetworkId(2), 11.0 / scale),
+                ][..]
+            )
+        );
+        assert_eq!(out[1].as_ref().unwrap().bit_rate_mbps, 22.0);
+
+        let unknown = out[2].as_ref().unwrap();
+        assert_eq!(unknown.bit_rate_mbps, 0.0);
+        assert!(unknown.switched);
+        assert_eq!(
+            unknown.switching_delay_s, 0.0,
+            "unknown ids use DelayModel::None"
+        );
+        assert_eq!(sequential.outcome(2, String::new(), 0).switches, 1);
+        assert_eq!(out[3].as_ref().unwrap().bit_rate_mbps, 22.0);
     }
 }

@@ -7,7 +7,7 @@
 //! γ-mixed distribution, then applies the importance-weighted multiplicative
 //! update to the chosen network only.
 
-use crate::error::{check_networks, check_unit_interval};
+use crate::error::check_networks;
 use crate::policy::{Observation, Policy, PolicyStats, SelectionKind};
 use crate::{ConfigError, GammaSchedule, NetworkId, SamplerStrategy, SlotIndex, WeightTable};
 use rand::RngCore;
@@ -30,12 +30,9 @@ impl Exp3Config {
     /// # Errors
     ///
     /// Returns [`ConfigError::ParameterOutOfRange`] if a fixed γ lies outside
-    /// `(0, 1]`.
+    /// `(0, 1]` or a γ floor outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if let GammaSchedule::Fixed(g) = self.gamma {
-            check_unit_interval("gamma", g)?;
-        }
-        Ok(())
+        self.gamma.validate()
     }
 }
 
@@ -85,6 +82,11 @@ impl Exp3 {
     #[must_use]
     pub fn current_gamma(&self) -> f64 {
         self.current_gamma
+    }
+
+    /// The configuration this policy was built with.
+    pub(crate) fn config(&self) -> &Exp3Config {
+        &self.config
     }
 
     /// Read access to the weight table (useful for inspection in tests).

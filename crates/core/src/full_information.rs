@@ -51,6 +51,11 @@ pub struct FullInformation {
 }
 
 impl FullInformation {
+    /// The configuration this forecaster was built with.
+    pub(crate) fn config(&self) -> &FullInformationConfig {
+        &self.config
+    }
+
     /// The exponential weight table.
     pub(crate) fn weights(&self) -> &WeightTable {
         &self.weights

@@ -5,6 +5,8 @@
 //! Theorem 1 (which requires γ → 0) applies. A fixed γ is also provided for
 //! textbook EXP3.
 
+use crate::error::check_unit_interval;
+use crate::ConfigError;
 use serde::{Deserialize, Serialize};
 
 /// A schedule mapping a decision index (block or slot, 1-based) to γ ∈ (0, 1].
@@ -26,6 +28,22 @@ impl GammaSchedule {
     #[must_use]
     pub fn paper_default() -> Self {
         GammaSchedule::InverseCubeRoot { floor: 1e-3 }
+    }
+
+    /// Checks the schedule's parameter: a fixed γ must lie in `(0, 1]`, an
+    /// [`InverseCubeRoot`](Self::InverseCubeRoot) floor in `[0, 1]` (a floor
+    /// of 0 is valid: [`value`](Self::value) lifts it to the smallest
+    /// positive `f64`). Every config holding a schedule validates it here.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        match *self {
+            GammaSchedule::Fixed(gamma) => check_unit_interval("gamma", gamma),
+            GammaSchedule::InverseCubeRoot { floor } if (0.0..=1.0).contains(&floor) => Ok(()),
+            GammaSchedule::InverseCubeRoot { floor } => Err(ConfigError::ParameterOutOfRange {
+                parameter: "gamma floor",
+                value: floor,
+                expected: "a finite value in [0, 1]",
+            }),
+        }
     }
 
     /// Evaluates the schedule at `index` (1-based). An `index` of 0 is treated
@@ -99,6 +117,33 @@ mod tests {
     fn floor_is_respected() {
         let schedule = GammaSchedule::InverseCubeRoot { floor: 0.05 };
         assert!(schedule.value(usize::MAX / 2) >= 0.05);
+    }
+
+    #[test]
+    fn constructors_reject_a_floor_outside_the_unit_interval() {
+        // A floor above 1 used to pass validation, and the first γ then
+        // panicked in `clamp` (min > max) inside a constructor that returns
+        // `Result`.
+        use crate::{Exp3, Exp3Config, NetworkId, SmartExp3, SmartExp3Config};
+        let networks = vec![NetworkId(0), NetworkId(1)];
+        for floor in [6.0, 2.0, 1.0 + f64::EPSILON, -0.5, f64::NAN, f64::INFINITY] {
+            let gamma = GammaSchedule::InverseCubeRoot { floor };
+            let exp3 = Exp3Config {
+                gamma,
+                ..Exp3Config::default()
+            };
+            let smart = SmartExp3Config {
+                gamma,
+                ..SmartExp3Config::default()
+            };
+            assert!(Exp3::new(networks.clone(), exp3).is_err(), "{floor}");
+            assert!(SmartExp3::new(networks.clone(), smart).is_err(), "{floor}");
+        }
+        for floor in [0.0, 1e-3, 1.0] {
+            let gamma = GammaSchedule::InverseCubeRoot { floor };
+            assert_eq!(gamma.validate(), Ok(()), "{floor}");
+            assert!(gamma.value(usize::MAX / 2) > 0.0);
+        }
     }
 
     #[test]

@@ -163,9 +163,7 @@ impl SmartExp3Config {
     /// Returns a [`ConfigError`] describing the first invalid parameter.
     pub fn validate(&self) -> Result<(), ConfigError> {
         check_unit_interval("beta", self.beta)?;
-        if let GammaSchedule::Fixed(g) = self.gamma {
-            check_unit_interval("gamma", g)?;
-        }
+        self.gamma.validate()?;
         check_unit_interval("switch_back_majority", self.switch_back_majority)?;
         check_unit_interval(
             "reset_probability_threshold",

@@ -53,21 +53,24 @@ impl PolicyState {
         }
     }
 
-    /// Checks the shape and finiteness of the weight table an EXP3-family
-    /// state (EXP3, Smart EXP3, the full-information forecaster) carries; see
-    /// [`WeightTable::check_shape`](crate::WeightTable::check_shape). States
-    /// without a table always pass.
+    /// Checks what a restored EXP3-family state (EXP3, Smart EXP3, the
+    /// full-information forecaster) must satisfy before it steps: its config
+    /// passes the `validate` its constructor runs, and its weight table has
+    /// a consistent shape and finite weights (see
+    /// [`WeightTable::check_shape`](crate::WeightTable::check_shape)).
+    /// States without a config or table always pass.
     ///
     /// # Errors
     ///
     /// Describes the first violated condition.
-    pub fn check_shape(&self) -> Result<(), String> {
-        let weights = match self {
-            PolicyState::Exp3(p) => p.weights(),
-            PolicyState::SmartExp3(p) => p.weights(),
-            PolicyState::FullInformation(p) => p.weights(),
+    pub fn validate(&self) -> Result<(), String> {
+        let (config, weights) = match self {
+            PolicyState::Exp3(p) => (p.config().validate(), p.weights()),
+            PolicyState::SmartExp3(p) => (p.config().validate(), p.weights()),
+            PolicyState::FullInformation(p) => (p.config().validate(), p.weights()),
             PolicyState::Greedy(_) | PolicyState::FixedRandom(_) => return Ok(()),
         };
+        config.map_err(|error| error.to_string())?;
         weights.check_shape()
     }
 

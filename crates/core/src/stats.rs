@@ -18,7 +18,8 @@ use serde::{Deserialize, Serialize, Value};
 /// entries) no longer fit in cache. Iteration order (ascending id) and the
 /// serialized shape (a sequence of `[id, entry]` pairs under
 /// `per_network`) are those of the previous `BTreeMap`-backed
-/// representation.
+/// representation. The most-used cache is derived: it is not written, and
+/// reading rebuilds it from the entries.
 ///
 /// [`Greedy`]: crate::Greedy
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -153,41 +154,14 @@ impl NetworkStats {
         self.most_used_cache.map(|(n, _)| n)
     }
 
-    /// Recomputes the most-used cache from scratch (after bulk mutations).
+    /// Recomputes the most-used cache from scratch (after bulk mutations
+    /// and on restore).
     fn rescan_most_used(&mut self) {
         self.most_used_cache = self
             .pairs()
             .filter(|(_, e)| e.slots > 0)
             .max_by_key(|(_, e)| e.slots)
             .map(|(n, e)| (n, e.slots));
-    }
-
-    /// Folds another statistics table into this one, summing slot counts,
-    /// block counts and gain totals per network. Used by the fleet engine to
-    /// combine per-session (or per-shard) tables into fleet-wide aggregates;
-    /// merging is associative, so any grouping yields the same table, and the
-    /// fleet engine always merges in session order so the floating-point gain
-    /// totals are reproducible too.
-    pub fn merge(&mut self, other: &NetworkStats) {
-        for (network, stats) in other.pairs() {
-            let entry = self.entry_mut(network);
-            entry.slots += stats.slots;
-            entry.blocks += stats.blocks;
-            entry.total_gain += stats.total_gain;
-        }
-        self.rescan_most_used();
-    }
-
-    /// Total slots recorded across all networks.
-    #[must_use]
-    pub fn total_slots(&self) -> u64 {
-        self.entries.iter().map(|e| e.slots).sum()
-    }
-
-    /// Total gain recorded across all networks.
-    #[must_use]
-    pub fn total_gain(&self) -> f64 {
-        self.entries.iter().map(|e| e.total_gain).sum()
     }
 
     /// The networks with at least one recorded slot or block, ascending.
@@ -220,21 +194,16 @@ impl NetworkStats {
     }
 }
 
-/// Writes `(network, entry)` pairs,
-/// `{"per_network":[[id,{…}],…],"most_used_cache":…}`, so checkpoints do not
-/// see the split layout.
+/// Writes `(network, entry)` pairs, `{"per_network":[[id,{…}],…]}`, so
+/// checkpoints do not see the split layout. The most-used cache is not
+/// written: reading rebuilds it, so a text cannot make it disagree with the
+/// entries.
 impl Serialize for NetworkStats {
     fn to_value(&self) -> Value {
-        Value::Map(vec![
-            (
-                "per_network".to_string(),
-                Value::Seq(self.pairs().map(|pair| pair.to_value()).collect()),
-            ),
-            (
-                "most_used_cache".to_string(),
-                self.most_used_cache.to_value(),
-            ),
-        ])
+        Value::Map(vec![(
+            "per_network".to_string(),
+            Value::Seq(self.pairs().map(|pair| pair.to_value()).collect()),
+        )])
     }
 }
 
@@ -248,12 +217,21 @@ impl Deserialize for NetworkStats {
         })?;
         let pairs: Vec<(NetworkId, PerNetwork)> =
             serde::from_field(fields, "per_network", "NetworkStats")?;
+        // Lookups binary-search the ids, so they must ascend strictly.
+        if let Some(pair) = pairs.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
+            return Err(serde::Error::custom(format!(
+                "`NetworkStats` lists network {} after network {}",
+                pair[1].0, pair[0].0
+            )));
+        }
         let (ids, entries) = pairs.into_iter().unzip();
-        Ok(NetworkStats {
+        let mut stats = NetworkStats {
             ids,
             entries,
-            most_used_cache: serde::from_field(fields, "most_used_cache", "NetworkStats")?,
-        })
+            most_used_cache: None,
+        };
+        stats.rescan_most_used();
+        Ok(stats)
     }
 }
 
@@ -333,11 +311,9 @@ mod tests {
         }
         stats.retain_networks(&[NetworkId(1), NetworkId(3)]);
         assert_eq!(stats.most_used(), rescan(&stats));
-        let mut other = NetworkStats::new();
         for _ in 0..9 {
-            other.record_slot(NetworkId(1), 0.2);
+            stats.record_slot(NetworkId(1), 0.2);
         }
-        stats.merge(&other);
         assert_eq!(stats.most_used(), rescan(&stats));
         assert_eq!(stats.most_used(), Some(NetworkId(1)));
         stats.clear();
@@ -352,11 +328,9 @@ mod tests {
         }
         stats.record_block(NetworkId(9));
         stats.record_block(NetworkId(2));
-        let mut other = NetworkStats::new();
-        other.record_slot(NetworkId(4), 0.75);
-        other.record_slot(NetworkId(1), 0.0625);
-        other.record_block(NetworkId(1));
-        stats.merge(&other);
+        stats.record_slot(NetworkId(4), 0.75);
+        stats.record_slot(NetworkId(1), 0.0625);
+        stats.record_block(NetworkId(1));
         stats.retain_networks(&[NetworkId(1), NetworkId(2), NetworkId(4), NetworkId(7)]);
         // Written by the `Vec<(NetworkId, PerNetwork)>` layout this type had
         // before its ids and entries were split; checkpoints keep it.
@@ -364,11 +338,43 @@ mod tests {
             [1,{\"slots\":1,\"blocks\":1,\"total_gain\":0.0625}],\
             [2,{\"slots\":1,\"blocks\":1,\"total_gain\":0.5}],\
             [4,{\"slots\":2,\"blocks\":0,\"total_gain\":1.75}],\
-            [7,{\"slots\":2,\"blocks\":0,\"total_gain\":0.375}]],\
-            \"most_used_cache\":[7,2]}";
+            [7,{\"slots\":2,\"blocks\":0,\"total_gain\":0.375}]]}";
         assert_eq!(serde_json::to_string(&stats).unwrap(), WIRE);
         let back: NetworkStats = serde_json::from_str(WIRE).unwrap();
         assert_eq!(back, stats);
         assert_eq!(serde_json::to_string(&back).unwrap(), WIRE);
+    }
+
+    #[test]
+    fn reading_rebuilds_the_most_used_cache() {
+        // A written cache is ignored, here one that disagrees with the
+        // entries (it names network 1, but 7 has the most slots): the next
+        // slot on 7 extends the rebuilt count instead of tripping the
+        // incremental update.
+        let text = "{\"per_network\":[\
+            [1,{\"slots\":1,\"blocks\":0,\"total_gain\":0.5}],\
+            [7,{\"slots\":3,\"blocks\":0,\"total_gain\":0.5}]],\
+            \"most_used_cache\":[1,9]}";
+        let mut stats: NetworkStats = serde_json::from_str(text).unwrap();
+        assert_eq!(stats.most_used(), Some(NetworkId(7)));
+        stats.record_slot(NetworkId(7), 0.5);
+        assert_eq!(stats.most_used(), Some(NetworkId(7)));
+        assert_eq!(stats.slots(NetworkId(7)), 4);
+    }
+
+    #[test]
+    fn reading_rejects_ids_that_do_not_ascend() {
+        let entry = "{\"slots\":1,\"blocks\":0,\"total_gain\":0.5}";
+        for ids in [[7, 1], [3, 3]] {
+            let text = format!(
+                "{{\"per_network\":[[{},{entry}],[{},{entry}]]}}",
+                ids[0], ids[1]
+            );
+            let error = serde_json::from_str::<NetworkStats>(&text).unwrap_err();
+            assert!(
+                error.to_string().contains("after network"),
+                "{ids:?}: {error}"
+            );
+        }
     }
 }

@@ -47,9 +47,14 @@
 //! ## Checkpointing
 //!
 //! [`FleetEngine::snapshot`] captures every session (policy learning state
-//! via [`PolicyState`], RNG stream state, gain statistics) into a serde tree
-//! that [`FleetEngine::from_snapshot`] restores **bit-identically**: a
-//! restored fleet produces exactly the trajectory the original would have.
+//! via [`PolicyState`], RNG stream state, and the engine's gain record: two
+//! counters, slots observed and summed gain) into a serde tree that
+//! [`FleetEngine::from_snapshot`] restores **bit-identically**: a restored
+//! fleet produces exactly the trajectory the original would have. The
+//! per-network gain statistics a policy acts on live in its own state; the
+//! engine keeps no copy. Restore validates what it cannot trust the text
+//! for (session ids, policy configs, weight tables, the wake queue) and
+//! fails with a typed [`SnapshotError`].
 //! [`FleetEngine::to_json`] / [`FleetEngine::from_json`] wrap that in a
 //! stable text format.
 //!
@@ -116,9 +121,9 @@ use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 use serde::{Deserialize, Serialize};
 use smartexp3_core::{
-    splitmix64, ConfigError, Environment, Exp3, FleetPolicies, NetworkId, NetworkStats,
-    Observation, PartitionExecutor, PartitionJob, Policy, PolicyFactory, PolicyKind, PolicyState,
-    PolicyStats, SharedFeedback, SlotIndex, SmartExp3,
+    splitmix64, ConfigError, Environment, Exp3, FleetPolicies, NetworkId, Observation,
+    PartitionExecutor, PartitionJob, Policy, PolicyFactory, PolicyKind, PolicyState, PolicyStats,
+    SharedFeedback, SlotIndex, SmartExp3,
 };
 use smartexp3_telemetry::{
     Histogram, LatencyStats, SamplerCounters, SlotTiming, TelemetryRecord, TelemetrySink,
@@ -218,7 +223,10 @@ pub fn session_rng(root_seed: u64, id: SessionId) -> StdRng {
     StdRng::seed_from_u64(splitmix64(mixed))
 }
 
-/// One hosted session: a policy plus its private RNG stream and statistics.
+/// One hosted session: a policy plus its private RNG stream and gain record.
+///
+/// It holds only what the engine cannot derive: the session's id is its
+/// index and its last choice lives in the engine's `last` mirror.
 ///
 /// `P` is the policy storage: a concrete EXP3-family type on the
 /// monomorphized fleet lanes (the policy lives *inline* in the lane's `Vec`,
@@ -226,28 +234,20 @@ pub fn session_rng(root_seed: u64, id: SessionId) -> StdRng {
 /// lane. `Box<dyn Policy>` implements [`Policy`] by delegation, so every
 /// phase loop is written once, generically.
 struct LaneSession<P> {
-    id: SessionId,
     kind: PolicyKind,
     policy: P,
     rng: StdRng,
-    /// Per-session gain statistics ([`NetworkStats`]), merged into fleet-wide
-    /// per-kind aggregates by [`FleetEngine::metrics`].
-    gains: NetworkStats,
-    /// The network chosen for the slot currently in flight (or the most
-    /// recently completed one).
-    last_choice: Option<NetworkId>,
+    /// Slots observed, summed into [`KindMetrics::slots`].
+    slots: u64,
+    /// Scaled gain summed over the observed slots, in slot order, summed
+    /// into [`KindMetrics::gain`].
+    gain: f64,
 }
 
 impl<P: Policy> LaneSession<P> {
-    fn choose(&mut self, slot: SlotIndex) -> NetworkId {
-        let chosen = self.policy.choose(slot, &mut self.rng);
-        self.last_choice = Some(chosen);
-        chosen
-    }
-
     fn observe(&mut self, observation: &Observation) {
-        self.gains
-            .record_slot(observation.network, observation.scaled_gain);
+        self.slots += 1;
+        self.gain += observation.scaled_gain;
         self.policy.observe(observation, &mut self.rng);
     }
 }
@@ -375,19 +375,20 @@ pub struct KindMetrics {
     pub sessions: usize,
     /// Summed behavioural counters of those sessions.
     pub policy: PolicyStats,
-    /// Per-network gain statistics summed over those sessions.
-    pub gains: NetworkStats,
+    /// Slots observed, summed over those sessions.
+    pub slots: u64,
+    /// Scaled gain summed over those sessions, in session order.
+    pub gain: f64,
 }
 
 impl KindMetrics {
     /// Mean scaled gain per slot across all sessions of this kind.
     #[must_use]
     pub fn mean_gain(&self) -> f64 {
-        let slots = self.gains.total_slots();
-        if slots == 0 {
+        if self.slots == 0 {
             0.0
         } else {
-            self.gains.total_gain() / slots as f64
+            self.gain / self.slots as f64
         }
     }
 }
@@ -487,22 +488,26 @@ impl std::error::Error for SnapshotError {}
 
 /// Snapshot format version written by this engine.
 ///
-/// A version-9 snapshot holds the engine configuration, every session's
+/// A version-10 snapshot holds the engine configuration, every session's
 /// policy state (weight tables with their distribution cache and, for
 /// [`SamplerStrategy::Alias`](smartexp3_core::SamplerStrategy) configs, the
 /// frozen Vose table, dirty-arm overlay and sampler counters), RNG stream
-/// and gain statistics, the event-driven engine's wake queue
+/// and gain record (two counters, [`SessionSnapshot::slots`] and
+/// [`SessionSnapshot::gain`]), the event-driven engine's wake queue
 /// ([`FleetSnapshot::wake_queue`]) and, optionally, the dynamic state of the
 /// [`Environment`] the fleet was stepped through
 /// ([`FleetSnapshot::environment`]) — everything a restored fleet needs to
 /// continue on the exact trajectory of the original. A snapshot of any
-/// other version is rejected with [`SnapshotError::UnsupportedVersion`].
-pub const SNAPSHOT_VERSION: u32 = 9;
+/// other version is rejected with [`SnapshotError::UnsupportedVersion`];
+/// [`FleetEngine::from_json`] reads the version before the rest of the
+/// text, so an older text gets that error rather than a missing-field one.
+pub const SNAPSHOT_VERSION: u32 = 10;
 
 /// Checkpoint of one session.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionSnapshot {
-    /// Session identifier.
+    /// Session identifier: always the session's index, which restore
+    /// checks.
     pub id: u64,
     /// Policy kind (kept alongside the state because the Smart EXP3 feature
     /// ablations all share the [`PolicyState::SmartExp3`] variant).
@@ -511,8 +516,10 @@ pub struct SessionSnapshot {
     pub policy: PolicyState,
     /// The session RNG stream's 256-bit internal state.
     pub rng: [u64; 4],
-    /// Per-session gain statistics.
-    pub gains: NetworkStats,
+    /// Slots the session observed ([`KindMetrics::slots`]).
+    pub slots: u64,
+    /// Scaled gain summed over those slots ([`KindMetrics::gain`]).
+    pub gain: f64,
     /// Network used in the most recent slot.
     pub last_choice: Option<NetworkId>,
 }
@@ -527,7 +534,8 @@ pub struct FleetSnapshot {
     pub config: FleetConfig,
     /// Next slot to be stepped.
     pub slot: SlotIndex,
-    /// Next session id to be assigned.
+    /// Next session id to be assigned: always the session count, which
+    /// restore checks.
     pub next_id: u64,
     /// Decisions taken so far.
     pub decisions: u64,
@@ -699,13 +707,14 @@ pub struct FleetEngine {
     pool: Option<ThreadPool>,
     /// Sessions in global session order, stored as contiguous homogeneous
     /// lane segments (see the crate docs on fleet lanes). `self.last` always
-    /// holds one entry per session, so it doubles as the session count.
+    /// holds one entry per session, so it doubles as the session count (and
+    /// the next session id: ids are the session indices).
     segments: Vec<LaneSegment>,
     slot: SlotIndex,
-    next_id: u64,
     decisions: u64,
-    /// Mirror of every session's most recent choice, maintained by the choose
-    /// phase so [`last_choices`](Self::last_choices) is a zero-alloc read.
+    /// Every session's most recent choice, written by the choose phase so
+    /// [`last_choices`](Self::last_choices) is a zero-alloc read; the only
+    /// copy, so snapshots read it too.
     last: Vec<Option<NetworkId>>,
     /// One persistent [`SlotScratch`] per shard, grown on fleet growth only —
     /// steady-state stepping performs no per-**session** allocation. (A small
@@ -772,7 +781,6 @@ impl FleetEngine {
             pool,
             segments: Vec::new(),
             slot: 0,
-            next_id: 0,
             decisions: 0,
             last: Vec::new(),
             scratch: Vec::new(),
@@ -814,24 +822,32 @@ impl FleetEngine {
         self.slot
     }
 
-    /// Builds the `LaneSession` for the next session id, advancing the id
-    /// counter and growing the last-choice mirror. The caller appends the
-    /// session to the appropriate lane.
-    fn new_lane_session<P>(&mut self, kind: PolicyKind, policy: P) -> LaneSession<P> {
-        let id = SessionId(self.next_id);
-        self.next_id += 1;
+    /// Adds one session, with the next id (its index) and that id's RNG
+    /// stream, to the lane `append` extends, and grows the last-choice
+    /// mirror.
+    fn push_session<P>(
+        &mut self,
+        kind: PolicyKind,
+        policy: P,
+        append: fn(&mut Self, LaneSession<P>),
+    ) -> SessionId {
+        let id = SessionId(self.len() as u64);
+        let rng = session_rng(self.config.root_seed, id);
+        append(
+            self,
+            LaneSession {
+                kind,
+                policy,
+                rng,
+                slots: 0,
+                gain: 0.0,
+            },
+        );
         self.last.push(None);
         // A grown fleet needs its wake queue re-seeded (the new session has
         // no pending wake yet).
         self.wakes_primed = false;
-        LaneSession {
-            id,
-            kind,
-            rng: session_rng(self.config.root_seed, id),
-            policy,
-            gains: NetworkStats::new(),
-            last_choice: None,
-        }
+        id
     }
 
     /// Appends to the trailing boxed segment, or starts one. (And likewise
@@ -863,10 +879,7 @@ impl FleetEngine {
     /// run on the fallback lane; bulk EXP3-family adds through
     /// [`add_fleet`](Self::add_fleet) go to the monomorphized lanes.
     pub fn add_session(&mut self, kind: PolicyKind, policy: Box<dyn Policy>) -> SessionId {
-        let session = self.new_lane_session(kind, policy);
-        let id = session.id;
-        self.append_boxed(session);
-        id
+        self.push_session(kind, policy, Self::append_boxed)
     }
 
     /// Bulk-adds `count` sessions of `kind` built by `factory` (via the
@@ -890,21 +903,11 @@ impl FleetEngine {
         Ok(match factory.build_fleet_concrete(kind, count)? {
             FleetPolicies::Exp3(policies) => policies
                 .into_iter()
-                .map(|policy| {
-                    let session = self.new_lane_session(kind, policy);
-                    let id = session.id;
-                    self.append_exp3(session);
-                    id
-                })
+                .map(|policy| self.push_session(kind, policy, Self::append_exp3))
                 .collect(),
             FleetPolicies::SmartExp3(policies) => policies
                 .into_iter()
-                .map(|policy| {
-                    let session = self.new_lane_session(kind, policy);
-                    let id = session.id;
-                    self.append_smart(session);
-                    id
-                })
+                .map(|policy| self.push_session(kind, policy, Self::append_smart))
                 .collect(),
             FleetPolicies::Boxed(policies) => policies
                 .into_iter()
@@ -1108,7 +1111,7 @@ impl FleetEngine {
                                         .on_networks_changed(networks, &mut session.rng);
                                 }
                                 choices[i] = if view.active {
-                                    let chosen = session.choose(t);
+                                    let chosen = session.policy.choose(t, &mut session.rng);
                                     last[i] = Some(chosen);
                                     decided += 1;
                                     Some(chosen)
@@ -1555,7 +1558,8 @@ impl FleetEngine {
             entry.policy.shared_observations += stats.shared_observations;
             entry.policy.sampler_rebuilds += stats.sampler_rebuilds;
             entry.policy.overlay_hits += stats.overlay_hits;
-            entry.gains.merge(&session.gains);
+            entry.slots += session.slots;
+            entry.gain += session.gain;
         });
         per_kind.sort_by_key(|(kind, _)| PolicyKind::all().iter().position(|k| k == kind));
         FleetMetrics {
@@ -1579,18 +1583,22 @@ impl FleetEngine {
         let mut failed: Option<SnapshotError> = None;
         for_each_lane_session!(&self.segments, |session| {
             if failed.is_none() {
+                // Sessions are visited in order, so the next index is the
+                // number already written.
+                let index = sessions.len();
                 match session.policy.state() {
                     Some(policy) => sessions.push(SessionSnapshot {
-                        id: session.id.0,
+                        id: index as u64,
                         kind: session.kind,
                         policy,
                         rng: session.rng.state(),
-                        gains: session.gains.clone(),
-                        last_choice: session.last_choice,
+                        slots: session.slots,
+                        gain: session.gain,
+                        last_choice: self.last[index],
                     }),
                     None => {
                         failed = Some(SnapshotError::UnsupportedPolicy {
-                            session: session.id,
+                            session: SessionId(index as u64),
                             kind: session.kind,
                         });
                     }
@@ -1620,7 +1628,7 @@ impl FleetEngine {
             version: SNAPSHOT_VERSION,
             config: self.config.clone(),
             slot: self.slot,
-            next_id: self.next_id,
+            next_id: self.len() as u64,
             decisions: self.decisions,
             sessions,
             environment: None,
@@ -1687,9 +1695,10 @@ impl FleetEngine {
     ///
     /// Returns [`SnapshotError::UnsupportedVersion`] for snapshots from an
     /// incompatible engine version, and [`SnapshotError::Malformed`] for
-    /// session ids, a weight table whose arrays disagree with its arm list
-    /// (see [`PolicyState::check_shape`]) or a wake queue the engine cannot
-    /// have written (see [`WakeEntry`]).
+    /// session ids, a policy config its constructor would reject or a weight
+    /// table whose arrays disagree with its arm list (see
+    /// [`PolicyState::validate`]) or a wake queue the engine cannot have
+    /// written (see [`WakeEntry`]).
     pub fn from_snapshot(snapshot: FleetSnapshot) -> Result<Self, SnapshotError> {
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(snapshot.version));
@@ -1715,12 +1724,12 @@ impl FleetEngine {
                 snapshot.next_id
             )));
         }
-        // A weight table whose arrays disagree with its arm list would panic
-        // on the session's first draw or update.
+        // An out-of-range config or a weight table whose arrays disagree with
+        // its arm list would panic on the session's first draw or update.
         for (index, session) in snapshot.sessions.iter().enumerate() {
             session
                 .policy
-                .check_shape()
+                .validate()
                 .map_err(|error| SnapshotError::Malformed(format!("session {index}: {error}")))?;
         }
         let wakes = snapshot
@@ -1731,37 +1740,33 @@ impl FleetEngine {
         engine.slot = snapshot.slot;
         engine.decisions = snapshot.decisions;
         for s in snapshot.sessions {
-            let id = SessionId(s.id);
-            let rng = StdRng::from_state(s.rng);
+            let (kind, rng) = (s.kind, StdRng::from_state(s.rng));
+            let (slots, gain) = (s.slots, s.gain);
             engine.last.push(s.last_choice);
             match s.policy {
                 PolicyState::Exp3(policy) => engine.append_exp3(LaneSession {
-                    id,
-                    kind: s.kind,
+                    kind,
                     policy: *policy,
                     rng,
-                    gains: s.gains,
-                    last_choice: s.last_choice,
+                    slots,
+                    gain,
                 }),
                 PolicyState::SmartExp3(policy) => engine.append_smart(LaneSession {
-                    id,
-                    kind: s.kind,
+                    kind,
                     policy: *policy,
                     rng,
-                    gains: s.gains,
-                    last_choice: s.last_choice,
+                    slots,
+                    gain,
                 }),
                 other => engine.append_boxed(LaneSession {
-                    id,
-                    kind: s.kind,
+                    kind,
                     policy: other.into_policy(),
                     rng,
-                    gains: s.gains,
-                    last_choice: s.last_choice,
+                    slots,
+                    gain,
                 }),
             }
         }
-        engine.next_id = snapshot.next_id;
         if let Some(wakes) = wakes {
             engine.wakes = wakes;
             engine.wakes_primed = true;
@@ -1780,14 +1785,38 @@ impl FleetEngine {
 
     /// Restores a fleet from JSON text produced by [`to_json`](Self::to_json).
     ///
+    /// The version is read first, so a text of another version gets
+    /// [`SnapshotError::UnsupportedVersion`] whatever its layout.
+    ///
     /// # Errors
     ///
     /// Returns [`SnapshotError::Malformed`] on parse failures and
     /// [`SnapshotError::UnsupportedVersion`] on version mismatches.
     pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
-        let snapshot: FleetSnapshot =
-            serde_json::from_str(text).map_err(|e| SnapshotError::Malformed(e.to_string()))?;
-        Self::from_snapshot(snapshot)
+        match serde_json::from_str(text).map_err(|e| SnapshotError::Malformed(e.to_string()))? {
+            Versioned::Current(snapshot) => Self::from_snapshot(snapshot),
+            Versioned::Other(version) => Err(SnapshotError::UnsupportedVersion(version)),
+        }
+    }
+}
+
+/// A snapshot text decoded version first: a text of another version is not
+/// decoded further, so its layout cannot turn the version error into a
+/// missing-field one.
+enum Versioned {
+    Current(FleetSnapshot),
+    Other(u32),
+}
+
+impl Deserialize for Versioned {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let version = value
+            .as_map()
+            .and_then(|fields| serde::from_field::<u32>(fields, "version", "FleetSnapshot").ok());
+        match version {
+            Some(version) if version != SNAPSHOT_VERSION => Ok(Versioned::Other(version)),
+            _ => FleetSnapshot::from_value(value).map(Versioned::Current),
+        }
     }
 }
 
@@ -1856,7 +1885,7 @@ mod tests {
         assert_eq!(smart.sessions, 40);
         assert!(smart.mean_gain() > 0.0);
         assert_eq!(
-            smart.gains.total_slots(),
+            smart.slots,
             50 * 40,
             "every smart session records every slot"
         );
@@ -1899,14 +1928,30 @@ mod tests {
         // A full text that only names another version gets the one generic
         // diagnostic.
         let text = fleet.to_json().unwrap();
-        let v8 = text.replacen("\"version\":9", "\"version\":8", 1);
-        assert_ne!(v8, text);
-        match FleetEngine::from_json(&v8) {
-            Err(error @ SnapshotError::UnsupportedVersion(8)) => assert_eq!(
-                error.to_string(),
-                "unsupported fleet snapshot format version 8 (this engine writes version 9)"
-            ),
-            other => panic!("expected UnsupportedVersion(8), got {other:?}"),
+        let v9 = text.replacen("\"version\":10", "\"version\":9", 1);
+        // A real version-9 text: each session carries a per-network `gains`
+        // table instead of the two counters, and every stats table its
+        // most-used cache. The version is read first, so the missing
+        // counters never become a missing-field error.
+        let real_v9 = v9
+            .replace(
+                "\"slots\":0,\"gain\":0.0",
+                "\"gains\":{\"per_network\":[],\"most_used_cache\":null}",
+            )
+            .replace(
+                "\"per_network\":[]}",
+                "\"per_network\":[],\"most_used_cache\":null}",
+            );
+        assert_eq!(real_v9.matches("\"gains\":").count(), fleet.len());
+        for v9 in [v9, real_v9] {
+            assert_ne!(v9, text);
+            match FleetEngine::from_json(&v9) {
+                Err(error @ SnapshotError::UnsupportedVersion(9)) => assert_eq!(
+                    error.to_string(),
+                    "unsupported fleet snapshot format version 9 (this engine writes version 10)"
+                ),
+                other => panic!("expected UnsupportedVersion(9), got {other:?}"),
+            }
         }
         // The sampler strategy that is gone no longer parses.
         let tree = text.replace("\"Linear\"", "\"Tree\"");
@@ -1917,7 +1962,7 @@ mod tests {
         }
         // Bare texts of earlier versions lack most fields: an error, never
         // a restored fleet or a panic.
-        for version in 2u32..=8 {
+        for version in 2u32..=9 {
             let bare = format!("{{\"version\":{version},\"sessions\":[]}}");
             assert!(FleetEngine::from_json(&bare).is_err(), "version {version}");
         }

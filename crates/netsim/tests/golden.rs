@@ -206,7 +206,7 @@ fn burst_fingerprint(fleet: &FleetEngine) -> (String, u64) {
     let mut snapshot = fleet.snapshot().expect("distributed fleets snapshot");
     snapshot.config.threads = None;
     snapshot.config.shard_size = 0;
-    let gains: f64 = snapshot.sessions.iter().map(|s| s.gains.total_gain()).sum();
+    let gains: f64 = snapshot.sessions.iter().map(|s| s.gain).sum();
     (
         serde_json::to_string(&snapshot).expect("snapshots serialize"),
         gains.to_bits(),

@@ -11,12 +11,23 @@
 //! field is left out on write and set to `Default::default()` on read, as
 //! upstream does. Any other `serde` attribute is a compile error rather
 //! than silently ignored.
+//!
+//! The generated code goes straight between fields and JSON text: a
+//! `Serialize` impl pushes each member's key and writes its value, and a
+//! `Deserialize` impl walks the object's members with the
+//! `serde::Deserializer` cursor. A reader ignores unknown members, keeps the
+//! first of duplicated ones (checking and skipping the rest), fails on a
+//! missing member that is not `#[serde(skip)]` (`Option` fields included),
+//! reads skipped members as `Default` even when present, and ignores array
+//! elements past a tuple's arity.
 
 use proc_macro::{Delimiter, Group, TokenStream, TokenTree};
 
 #[derive(Debug)]
 struct Field {
     name: String,
+    /// The field's type, as source text.
+    ty: String,
     /// `#[serde(skip)]`: not written, read as `Default::default()`.
     skip: bool,
 }
@@ -25,7 +36,8 @@ struct Field {
 enum Fields {
     Unit,
     Named(Vec<Field>),
-    Tuple(usize),
+    /// The fields' types.
+    Tuple(Vec<String>),
 }
 
 #[derive(Debug)]
@@ -93,7 +105,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
                     Fields::Named(parse_named_fields(g.stream())?)
                 }
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                    Fields::Tuple(count_tuple_fields(g.stream())?)
+                    Fields::Tuple(parse_tuple_fields(g.stream())?)
                 }
                 Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
                 other => return Err(format!("unexpected token after `struct {name}`: {other:?}")),
@@ -181,21 +193,27 @@ fn expect_ident(tokens: &[TokenTree], pos: &mut usize) -> Result<String, String>
     }
 }
 
-/// Skips one field type: everything up to (but not including) the next comma
+/// Takes one field type: everything up to (but not including) the next comma
 /// that sits outside `<...>` and outside any delimiter group.
-fn skip_type(tokens: &[TokenTree], pos: &mut usize) {
+fn take_type(tokens: &[TokenTree], pos: &mut usize) -> String {
+    let start = *pos;
     let mut angle_depth = 0i32;
     while let Some(token) = tokens.get(*pos) {
         if let TokenTree::Punct(p) = token {
             match p.as_char() {
                 '<' => angle_depth += 1,
                 '>' => angle_depth -= 1,
-                ',' if angle_depth == 0 => return,
+                ',' if angle_depth == 0 => break,
                 _ => {}
             }
         }
         *pos += 1;
     }
+    tokens[start..*pos]
+        .iter()
+        .cloned()
+        .collect::<TokenStream>()
+        .to_string()
 }
 
 fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
@@ -216,27 +234,26 @@ fn parse_named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
                 ))
             }
         }
-        skip_type(&tokens, &mut pos);
+        let ty = take_type(&tokens, &mut pos);
         pos += 1; // the separating comma, if any
-        fields.push(Field { name, skip });
+        fields.push(Field { name, ty, skip });
     }
     Ok(fields)
 }
 
-fn count_tuple_fields(body: TokenStream) -> Result<usize, String> {
+fn parse_tuple_fields(body: TokenStream) -> Result<Vec<String>, String> {
     let tokens: Vec<TokenTree> = body.into_iter().collect();
     let mut pos = 0;
-    let mut count = 0;
+    let mut types = Vec::new();
     while pos < tokens.len() {
         skip_attributes_and_visibility(&tokens, &mut pos)?;
         if pos >= tokens.len() {
             break;
         }
-        skip_type(&tokens, &mut pos);
+        types.push(take_type(&tokens, &mut pos));
         pos += 1; // the separating comma, if any
-        count += 1;
     }
-    Ok(count)
+    Ok(types)
 }
 
 fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
@@ -252,7 +269,7 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
         let fields = match tokens.get(pos) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 pos += 1;
-                Fields::Tuple(count_tuple_fields(g.stream())?)
+                Fields::Tuple(parse_tuple_fields(g.stream())?)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 pos += 1;
@@ -283,6 +300,16 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
 // Code generation
 // ---------------------------------------------------------------------------
 
+/// A Rust string literal holding `text`.
+fn literal(text: &str) -> String {
+    format!("{text:?}")
+}
+
+/// The names of the fields that are written (not `#[serde(skip)]`).
+fn written(fields: &[Field]) -> impl Iterator<Item = &str> {
+    fields.iter().filter(|f| !f.skip).map(|f| f.name.as_str())
+}
+
 fn gen_serialize(item: &Item) -> String {
     let (name, body) = match item {
         Item::Struct { name, fields } => (name, serialize_struct_body(fields)),
@@ -292,31 +319,62 @@ fn gen_serialize(item: &Item) -> String {
         "#[automatically_derived]\n\
          #[allow(clippy::all, clippy::pedantic)]\n\
          impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
+             fn serialize(&self, __out: &mut ::std::string::String) {{\n{body}\n}}\n\
          }}"
     )
 }
 
+/// Statements writing `values` (expressions of references) as a JSON
+/// array, after `prefix` and before `suffix`.
+fn serialize_seq(prefix: &str, values: &[String], suffix: &str) -> String {
+    let items: Vec<String> = values
+        .iter()
+        .map(|value| format!("::serde::Serialize::serialize({value}, __out);"))
+        .collect();
+    format!(
+        "__out.push_str({});\n{}\n__out.push_str({});",
+        literal(&format!("{prefix}[")),
+        items.join("\n__out.push(',');\n"),
+        literal(&format!("]{suffix}"))
+    )
+}
+
+/// Statements writing the written fields as a JSON object, after `prefix`
+/// and before `suffix`; `access` turns a field name into a reference to
+/// its value.
+fn serialize_map(
+    prefix: &str,
+    fields: &[Field],
+    suffix: &str,
+    access: fn(&str) -> String,
+) -> String {
+    let mut statements = Vec::new();
+    let mut pending = format!("{prefix}{{");
+    for (i, f) in written(fields).enumerate() {
+        let separator = if i == 0 { "" } else { "," };
+        pending.push_str(&format!("{separator}\"{f}\":"));
+        statements.push(format!(
+            "__out.push_str({});\n::serde::Serialize::serialize({}, __out);",
+            literal(&pending),
+            access(f)
+        ));
+        pending.clear();
+    }
+    pending.push_str(&format!("}}{suffix}"));
+    statements.push(format!("__out.push_str({});", literal(&pending)));
+    statements.join("\n")
+}
+
 fn serialize_struct_body(fields: &Fields) -> String {
     match fields {
-        Fields::Unit => "::serde::Value::Null".to_string(),
-        Fields::Named(fields) => {
-            let entries: Vec<String> = written(fields)
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from({f:?}), \
-                         ::serde::Serialize::to_value(&self.{f}))"
-                    )
-                })
-                .collect();
-            format!("::serde::Value::Map(::std::vec![{}])", entries.join(", "))
+        Fields::Unit => "__out.push_str(\"null\");".to_string(),
+        Fields::Named(fields) => serialize_map("", fields, "", |f| format!("&self.{f}")),
+        Fields::Tuple(types) if types.len() == 1 => {
+            "::serde::Serialize::serialize(&self.0, __out);".to_string()
         }
-        Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Fields::Tuple(arity) => {
-            let items: Vec<String> = (0..*arity)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Seq(::std::vec![{}])", items.join(", "))
+        Fields::Tuple(types) => {
+            let values: Vec<String> = (0..types.len()).map(|i| format!("&self.{i}")).collect();
+            serialize_seq("", &values, "")
         }
     }
 }
@@ -326,68 +384,38 @@ fn serialize_enum_body(name: &str, variants: &[Variant]) -> String {
         .iter()
         .map(|v| {
             let tag = &v.name;
+            let open = format!("{{\"{tag}\":");
             match &v.fields {
                 Fields::Unit => format!(
-                    "{name}::{tag} => \
-                     ::serde::Value::Str(::std::string::String::from({tag:?}))"
+                    "{name}::{tag} => __out.push_str({}),",
+                    literal(&format!("\"{tag}\""))
                 ),
-                Fields::Tuple(arity) => {
-                    let binds: Vec<String> = (0..*arity).map(|i| format!("__f{i}")).collect();
-                    let payload = if *arity == 1 {
-                        "::serde::Serialize::to_value(__f0)".to_string()
+                Fields::Tuple(types) => {
+                    let binds: Vec<String> = (0..types.len()).map(|i| format!("__f{i}")).collect();
+                    let body = if types.len() == 1 {
+                        format!(
+                            "__out.push_str({});\n\
+                             ::serde::Serialize::serialize(__f0, __out);\n\
+                             __out.push('}}');",
+                            literal(&open)
+                        )
                     } else {
-                        let items: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
-                        format!("::serde::Value::Seq(::std::vec![{}])", items.join(", "))
+                        serialize_seq(&open, &binds, "}")
                     };
-                    format!(
-                        "{name}::{tag}({}) => ::serde::Value::Map(::std::vec![\
-                         (::std::string::String::from({tag:?}), {payload})])",
-                        binds.join(", ")
-                    )
+                    format!("{name}::{tag}({}) => {{\n{body}\n}}", binds.join(", "))
                 }
                 Fields::Named(fields) => {
-                    let names: Vec<&str> = written(fields).collect();
-                    let entries: Vec<String> = names
-                        .iter()
-                        .map(|f| {
-                            format!(
-                                "(::std::string::String::from({f:?}), \
-                                 ::serde::Serialize::to_value({f}))"
-                            )
-                        })
-                        .collect();
-                    let pattern: Vec<&str> = names.iter().copied().chain([".."]).collect();
+                    let pattern: Vec<&str> = written(fields).chain([".."]).collect();
                     format!(
-                        "{name}::{tag} {{ {} }} => ::serde::Value::Map(::std::vec![\
-                         (::std::string::String::from({tag:?}), \
-                         ::serde::Value::Map(::std::vec![{}]))])",
+                        "{name}::{tag} {{ {} }} => {{\n{}\n}}",
                         pattern.join(", "),
-                        entries.join(", ")
+                        serialize_map(&open, fields, "}", str::to_string)
                     )
                 }
             }
         })
         .collect();
-    format!("match self {{\n{}\n}}", arms.join(",\n"))
-}
-
-/// The names of the fields that are written (not `#[serde(skip)]`).
-fn written(fields: &[Field]) -> impl Iterator<Item = &str> {
-    fields.iter().filter(|f| !f.skip).map(|f| f.name.as_str())
-}
-
-/// One field initializer of a generated `from_value`: read from the map
-/// `entries`, or `Default::default()` for a skipped field.
-fn field_init(field: &Field, entries: &str, context: &str) -> String {
-    let f = &field.name;
-    if field.skip {
-        format!("{f}: ::std::default::Default::default()")
-    } else {
-        format!("{f}: ::serde::from_field({entries}, {f:?}, {context:?})?")
-    }
+    format!("match self {{\n{}\n}}", arms.join("\n"))
 }
 
 fn gen_deserialize(item: &Item) -> String {
@@ -399,114 +427,137 @@ fn gen_deserialize(item: &Item) -> String {
         "#[automatically_derived]\n\
          #[allow(clippy::all, clippy::pedantic)]\n\
          impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(__value: &::serde::Value) \
+             fn deserialize(__de: &mut ::serde::Deserializer<'_>) \
              -> ::std::result::Result<Self, ::serde::Error> {{\n{body}\n}}\n\
          }}"
     )
 }
 
-fn deserialize_struct_body(name: &str, fields: &Fields) -> String {
-    match fields {
-        Fields::Unit => format!("::std::result::Result::Ok({name})"),
-        Fields::Named(fields) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| field_init(f, "__entries", name))
-                .collect();
-            format!(
-                "let __entries = __value.as_map().ok_or_else(|| \
-                 ::serde::Error::custom(::std::format!(\
-                 \"expected map for struct `{name}`, found {{}}\", __value.kind())))?;\n\
-                 ::std::result::Result::Ok({name} {{ {} }})",
-                inits.join(", ")
-            )
-        }
-        Fields::Tuple(1) => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__value)?))")
-        }
-        Fields::Tuple(arity) => {
-            let inits: Vec<String> = (0..*arity)
-                .map(|i| format!("::serde::from_element(__items, {i}, {name:?})?"))
-                .collect();
-            format!(
-                "let __items = __value.as_seq().ok_or_else(|| \
-                 ::serde::Error::custom(::std::format!(\
-                 \"expected sequence for `{name}`, found {{}}\", __value.kind())))?;\n\
-                 ::std::result::Result::Ok({name}({}))",
-                inits.join(", ")
-            )
-        }
-    }
-}
-
-fn deserialize_enum_body(name: &str, variants: &[Variant]) -> String {
-    let unit_arms: Vec<String> = variants
+/// A block reading a JSON object into `constructor { fields }`: the first
+/// occurrence of each written field's member is read, every other member
+/// is checked and skipped.
+fn deserialize_map(constructor: &str, fields: &[Field], context: &str) -> String {
+    let slots: Vec<String> = fields
         .iter()
-        .filter(|v| matches!(v.fields, Fields::Unit))
-        .map(|v| {
-            let tag = &v.name;
-            format!("{tag:?} => ::std::result::Result::Ok({name}::{tag}),")
+        .enumerate()
+        .filter(|(_, f)| !f.skip)
+        .map(|(i, f)| {
+            format!(
+                "let mut __v{i}: ::std::option::Option<{}> = ::std::option::Option::None;",
+                f.ty
+            )
         })
         .collect();
-    let data_arms: Vec<String> = variants
+    let arms: Vec<String> = fields
         .iter()
-        .filter(|v| !matches!(v.fields, Fields::Unit))
-        .map(|v| {
-            let tag = &v.name;
-            let context = format!("{name}::{tag}");
-            let build = match &v.fields {
-                Fields::Unit => unreachable!("filtered above"),
-                Fields::Tuple(1) => format!(
-                    "::std::result::Result::Ok({name}::{tag}(\
-                     ::serde::Deserialize::from_value(__payload)?))"
-                ),
-                Fields::Tuple(arity) => {
-                    let inits: Vec<String> = (0..*arity)
-                        .map(|i| format!("::serde::from_element(__items, {i}, {context:?})?"))
-                        .collect();
-                    format!(
-                        "{{ let __items = __payload.as_seq().ok_or_else(|| \
-                         ::serde::Error::custom(\"expected sequence for `{context}`\"))?;\n\
-                         ::std::result::Result::Ok({name}::{tag}({})) }}",
-                        inits.join(", ")
-                    )
-                }
-                Fields::Named(fields) => {
-                    let inits: Vec<String> = fields
-                        .iter()
-                        .map(|f| field_init(f, "__fields", &context))
-                        .collect();
-                    format!(
-                        "{{ let __fields = __payload.as_map().ok_or_else(|| \
-                         ::serde::Error::custom(\"expected map for `{context}`\"))?;\n\
-                         ::std::result::Result::Ok({name}::{tag} {{ {} }}) }}",
-                        inits.join(", ")
-                    )
-                }
-            };
-            format!("{tag:?} => {build},")
+        .enumerate()
+        .filter(|(_, f)| !f.skip)
+        .map(|(i, f)| {
+            format!(
+                "{} if __v{i}.is_none() => {{ __v{i} = ::std::option::Option::Some(\
+                 ::serde::Deserialize::deserialize(__de)\
+                 .map_err(|__e| __e.within({}))?); }}",
+                literal(&f.name),
+                literal(&format!("field `{}` of `{context}`", f.name))
+            )
+        })
+        .collect();
+    let inits: Vec<String> = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let n = &f.name;
+            if f.skip {
+                format!("{n}: ::std::default::Default::default()")
+            } else {
+                format!(
+                    "{n}: __v{i}.ok_or_else(|| ::serde::Error::custom({}))?",
+                    literal(&format!("missing field `{n}` in `{context}`"))
+                )
+            }
         })
         .collect();
     format!(
-        "match __value {{\n\
-             ::serde::Value::Str(__tag) => match __tag.as_str() {{\n\
-                 {unit}\n\
-                 __other => ::std::result::Result::Err(::serde::Error::custom(\
-                 ::std::format!(\"unknown unit variant `{{__other}}` of enum `{name}`\"))),\n\
-             }},\n\
-             ::serde::Value::Map(__entries) if __entries.len() == 1 => {{\n\
-                 let (__tag, __payload) = &__entries[0];\n\
-                 let _ = __payload;\n\
-                 match __tag.as_str() {{\n\
-                     {data}\n\
-                     __other => ::std::result::Result::Err(::serde::Error::custom(\
-                     ::std::format!(\"unknown variant `{{__other}}` of enum `{name}`\"))),\n\
-                 }}\n\
-             }},\n\
-             __other => ::std::result::Result::Err(::serde::Error::custom(\
-             ::std::format!(\"expected enum `{name}`, found {{}}\", __other.kind()))),\n\
+        "{{\n{}\n\
+         __de.begin_map({})?;\n\
+         while let ::std::option::Option::Some(__key) = __de.next_key()? {{\n\
+             match &*__key {{\n{}\n_ => __de.skip_value()?,\n}}\n\
+         }}\n\
+         {constructor} {{ {} }}\n\
          }}",
-        unit = unit_arms.join("\n"),
-        data = data_arms.join("\n"),
+        slots.join("\n"),
+        literal(&format!("map for `{context}`")),
+        arms.join("\n"),
+        inits.join(", ")
+    )
+}
+
+/// A block reading a JSON array into `constructor(elements)`; elements past
+/// the arity are checked and skipped.
+fn deserialize_seq(constructor: &str, types: &[String], context: &str) -> String {
+    let reads: Vec<String> = types
+        .iter()
+        .enumerate()
+        .map(|(i, ty)| {
+            format!(
+                "let __v{i}: {ty} = __de.element({i}, {})?;",
+                literal(context)
+            )
+        })
+        .collect();
+    let values: Vec<String> = (0..types.len()).map(|i| format!("__v{i}")).collect();
+    format!(
+        "{{\n__de.begin_seq({})?;\n{}\n__de.skip_elements()?;\n{constructor}({})\n}}",
+        literal(&format!("sequence for `{context}`")),
+        reads.join("\n"),
+        values.join(", ")
+    )
+}
+
+fn deserialize_struct_body(name: &str, fields: &Fields) -> String {
+    let value = match fields {
+        Fields::Unit => format!("{{ __de.skip_value()?; {name} }}"),
+        Fields::Named(fields) => deserialize_map(name, fields, name),
+        Fields::Tuple(types) if types.len() == 1 => {
+            format!("{name}(::serde::Deserialize::deserialize(__de)?)")
+        }
+        Fields::Tuple(types) => deserialize_seq(name, types, name),
+    };
+    format!("::std::result::Result::Ok({value})")
+}
+
+fn deserialize_enum_body(name: &str, variants: &[Variant]) -> String {
+    let arms: Vec<String> = variants
+        .iter()
+        .map(|v| {
+            let tag = &v.name;
+            let path = format!("{name}::{tag}");
+            let (payload, value) = match &v.fields {
+                Fields::Unit => (false, path),
+                Fields::Tuple(types) if types.len() == 1 => (
+                    true,
+                    format!("{path}(::serde::Deserialize::deserialize(__de)?)"),
+                ),
+                Fields::Tuple(types) => (true, deserialize_seq(&path, types, &path)),
+                Fields::Named(fields) => (true, deserialize_map(&path, fields, &path)),
+            };
+            format!("({}, {payload}) => {value},", literal(tag))
+        })
+        .collect();
+    let expected = literal(&format!("enum `{name}`"));
+    format!(
+        "let (__tag, __payload) = __de.enum_tag({expected})?;\n\
+         let __value = match (&*__tag, __payload) {{\n\
+             {}\n\
+             (__other, false) => return ::std::result::Result::Err(::serde::Error::custom(\
+             ::std::format!(\"unknown unit variant `{{__other}}` of enum `{name}`\"))),\n\
+             (__other, true) => return ::std::result::Result::Err(::serde::Error::custom(\
+             ::std::format!(\"unknown variant `{{__other}}` of enum `{name}`\"))),\n\
+         }};\n\
+         if __payload {{\n\
+             __de.end_enum({expected})?;\n\
+         }}\n\
+         ::std::result::Result::Ok(__value)",
+        arms.join("\n")
     )
 }

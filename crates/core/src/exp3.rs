@@ -408,7 +408,8 @@ mod tests {
         observe_against_a_twin(&mut policy, chosen);
 
         let chosen = draw_past_the_first_arm(&mut policy);
-        let mut restored = Exp3::from_value(&policy.to_value()).unwrap();
+        let text = serde_json::to_string(&policy).unwrap();
+        let mut restored: Exp3 = serde_json::from_str(&text).unwrap();
         assert_eq!(restored.current_position, 0);
         observe_against_a_twin(&mut restored, chosen);
     }

@@ -1,7 +1,7 @@
 //! Per-network gain statistics used by greedy choices and reset detection.
 
 use crate::NetworkId;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Deserializer, Serialize};
 
 /// Running statistics about the gains observed from each network.
 ///
@@ -199,24 +199,27 @@ impl NetworkStats {
 /// written: reading rebuilds it, so a text cannot make it disagree with the
 /// entries.
 impl Serialize for NetworkStats {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![(
-            "per_network".to_string(),
-            Value::Seq(self.pairs().map(|pair| pair.to_value()).collect()),
-        )])
+    fn serialize(&self, out: &mut String) {
+        out.push_str("{\"per_network\":[");
+        for (i, pair) in self.pairs().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            pair.serialize(out);
+        }
+        out.push_str("]}");
     }
 }
 
+/// The written layout of [`NetworkStats`].
+#[derive(Deserialize)]
+struct NetworkStatsText {
+    per_network: Vec<(NetworkId, PerNetwork)>,
+}
+
 impl Deserialize for NetworkStats {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let fields = value.as_map().ok_or_else(|| {
-            serde::Error::custom(format!(
-                "expected map for struct `NetworkStats`, found {}",
-                value.kind()
-            ))
-        })?;
-        let pairs: Vec<(NetworkId, PerNetwork)> =
-            serde::from_field(fields, "per_network", "NetworkStats")?;
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, serde::Error> {
+        let pairs = NetworkStatsText::deserialize(de)?.per_network;
         // Lookups binary-search the ids, so they must ascend strictly.
         if let Some(pair) = pairs.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
             return Err(serde::Error::custom(format!(

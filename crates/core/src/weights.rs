@@ -89,6 +89,14 @@ use serde::{Deserialize, Serialize};
 /// contract the property tests assert.
 const PATCH_LIMIT: u32 = 64;
 
+/// Relative gap between `exp_sum` and a from-scratch `Σ exp_weights` that
+/// [`WeightTable::check_shape`] accepts. The running sum drifts by about one
+/// ulp per constant-time patch and at most `PATCH_LIMIT` patches separate
+/// two rebuilds, so a table the program wrote stays near 1e-14 — well inside
+/// the 1e-12 the property suite asserts of the cached distribution, and
+/// three orders of magnitude inside this bound.
+const EXP_SUM_TOLERANCE: f64 = 1e-9;
+
 /// How far (in the log domain) a weight may rise **above** the cached shift
 /// reference before the alias strategy rebuilds. The linear strategy rebuilds
 /// on any overshoot — the historical behaviour its golden pins encode — but
@@ -400,12 +408,14 @@ impl WeightTable {
         self.overlay_hits
     }
 
-    /// Checks that the table's arrays agree with its arm list and that its
-    /// weights and caches are finite: the conditions every draw and update
-    /// relies on. A table deserialized from text the program did not write
-    /// can violate them, and the first draw or update would then panic or
-    /// silently poison the distribution, so checkpoint restores run this
-    /// before use. Probability sums are not checked.
+    /// Checks that the table's arrays agree with its arm list, that its
+    /// weights and caches are finite and that the running normaliser
+    /// `exp_sum` agrees with the exponentials it normalises: the conditions
+    /// every draw and update relies on. A table deserialized from text the
+    /// program did not write can violate them, and the first draw or update
+    /// would then panic or silently skew the distribution (an `exp_sum` ten
+    /// times too large makes the probabilities sum to (1 − γ)/10 + γ), so
+    /// checkpoint restores run this before use.
     ///
     /// # Errors
     ///
@@ -416,8 +426,10 @@ impl WeightTable {
     /// index out of range; a dirty position out of range; a non-finite entry
     /// of `log_weights`, `exp_weights`, `alias_prob` or `alias_mass`, a
     /// non-finite `alias_total` or `dirty_mass`; and, when the table has
-    /// arms, a non-finite `max_log_weight` or an `exp_sum` that is not finite
-    /// and positive. (An empty table — a device that sees no network — holds
+    /// arms, a non-finite `max_log_weight`, an `exp_sum` that is not finite
+    /// and positive, or one that differs from `Σ exp_weights` (summed in
+    /// position order) by more than 1e-9 of that sum (`EXP_SUM_TOLERANCE`). (An
+    /// empty table — a device that sees no network — holds
     /// `max_log_weight = -inf` legitimately.)
     pub fn check_shape(&self) -> Result<(), String> {
         let k = self.arms.len();
@@ -490,6 +502,13 @@ impl WeightTable {
         if k > 0 && !(self.exp_sum.is_finite() && self.exp_sum > 0.0) {
             return Err(format!(
                 "`exp_sum` is {}, not finite and positive",
+                self.exp_sum
+            ));
+        }
+        let sum: f64 = self.exp_weights.iter().sum();
+        if k > 0 && (!sum.is_finite() || (self.exp_sum - sum).abs() > EXP_SUM_TOLERANCE * sum) {
+            return Err(format!(
+                "`exp_sum` is {}, but `exp_weights` sum to {sum}",
                 self.exp_sum
             ));
         }
@@ -1575,7 +1594,7 @@ mod tests {
         assert_eq!(empty.max_log_weight, f64::NEG_INFINITY);
         assert_eq!(empty.check_shape(), Ok(()));
         type Break = fn(&mut WeightTable);
-        let breaks: [(&str, Break); 16] = [
+        let breaks: [(&str, Break); 17] = [
             ("log_weights", |t| {
                 t.log_weights.pop();
             }),
@@ -1598,6 +1617,7 @@ mod tests {
             ("dirty_mass", |t| t.dirty_mass = f64::NAN),
             ("max_log_weight", |t| t.max_log_weight = f64::NEG_INFINITY),
             ("exp_sum", |t| t.exp_sum = 0.0),
+            ("exp_sum", |t| t.exp_sum *= 1.0 + 1e-6),
         ];
         for (name, break_table) in breaks {
             let mut broken = table.clone();

@@ -48,15 +48,17 @@
 //!
 //! [`FleetEngine::snapshot`] captures every session (policy learning state
 //! via [`PolicyState`], RNG stream state, and the engine's gain record: two
-//! counters, slots observed and summed gain) into a serde tree that
+//! counters, slots observed and summed gain) into a [`FleetSnapshot`] that
 //! [`FleetEngine::from_snapshot`] restores **bit-identically**: a restored
 //! fleet produces exactly the trajectory the original would have. The
 //! per-network gain statistics a policy acts on live in its own state; the
 //! engine keeps no copy. Restore validates what it cannot trust the text
-//! for (session ids, policy configs, weight tables, the wake queue) and
+//! for (session ids, policy configs, weight tables and their normalisers,
+//! the wake queue, and against an environment its session count) and
 //! fails with a typed [`SnapshotError`].
 //! [`FleetEngine::to_json`] / [`FleetEngine::from_json`] wrap that in a
-//! stable text format.
+//! stable text format, written and read without an intermediate document
+//! tree.
 //!
 //! ```rust
 //! use smartexp3_core::{
@@ -119,7 +121,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
 use smartexp3_core::{
     splitmix64, ConfigError, Environment, Exp3, FleetPolicies, NetworkId, Observation,
     PartitionExecutor, PartitionJob, Policy, PolicyFactory, PolicyKind, PolicyState, PolicyStats,
@@ -1658,12 +1660,15 @@ impl FleetEngine {
     /// Restores a fleet from a snapshot taken with
     /// [`snapshot_env`](Self::snapshot_env), applying the embedded
     /// environment state to `env` (a freshly built environment with the same
-    /// static configuration).
+    /// static configuration). Nothing is applied to `env` unless the whole
+    /// snapshot is accepted.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError::Environment`] when the snapshot carries no
-    /// environment state or the environment rejects it, plus every error
+    /// environment state, when its session count differs from
+    /// `env.sessions()` (stepping would panic), or when the environment
+    /// rejects its state, plus every error
     /// [`from_snapshot`](Self::from_snapshot) can produce.
     pub fn from_snapshot_env(
         mut snapshot: FleetSnapshot,
@@ -1679,6 +1684,13 @@ impl FleetEngine {
             SnapshotError::Environment("snapshot carries no environment state".to_string())
         })?;
         let engine = Self::from_snapshot(snapshot)?;
+        if engine.len() != env.sessions() {
+            return Err(SnapshotError::Environment(format!(
+                "snapshot holds {} sessions, the environment describes {}",
+                engine.len(),
+                env.sessions()
+            )));
+        }
         env.restore(&state)
             .map_err(|error| SnapshotError::Environment(error.to_string()))?;
         Ok(engine)
@@ -1809,15 +1821,36 @@ enum Versioned {
 }
 
 impl Deserialize for Versioned {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let version = value
-            .as_map()
-            .and_then(|fields| serde::from_field::<u32>(fields, "version", "FleetSnapshot").ok());
-        match version {
-            Some(version) if version != SNAPSHOT_VERSION => Ok(Versioned::Other(version)),
-            _ => FleetSnapshot::from_value(value).map(Versioned::Current),
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, serde::Error> {
+        let start = de.clone();
+        match other_version(de)? {
+            Some(version) => Ok(Versioned::Other(version)),
+            None => {
+                *de = start;
+                FleetSnapshot::deserialize(de).map(Versioned::Current)
+            }
         }
     }
+}
+
+/// Scans a snapshot object's members, skipping each, for its first
+/// `version`. A `u32` other than [`SNAPSHOT_VERSION`] is returned once the
+/// whole object has been checked; on the current version, or a `version`
+/// that is no `u32`, the scan stops early with `None` and the full read
+/// decides.
+fn other_version(de: &mut Deserializer<'_>) -> Result<Option<u32>, serde::Error> {
+    de.begin_map("map for struct `FleetSnapshot`")?;
+    let mut other = None;
+    while let Some(key) = de.next_key()? {
+        if key == "version" && other.is_none() {
+            match u32::deserialize(&mut de.clone()) {
+                Ok(version) if version != SNAPSHOT_VERSION => other = Some(version),
+                _ => return Ok(None),
+            }
+        }
+        de.skip_value()?;
+    }
+    Ok(other)
 }
 
 #[cfg(test)]

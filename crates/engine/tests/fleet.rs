@@ -184,6 +184,15 @@ fn restore_rejects_weight_tables_that_disagree_with_their_arms() {
                 }),
             ));
         }
+        // A normaliser ten times its weights' sum used to restore, and the
+        // session's probabilities then summed to (1 − γ)/10 + γ.
+        let start = text.find("\"exp_sum\":").unwrap() + "\"exp_sum\":".len();
+        let end = start + text[start..].find(',').unwrap();
+        let exp_sum: f64 = text[start..end].parse().unwrap();
+        broken.push((
+            "an exp_sum ten times its weights' sum".to_string(),
+            format!("{}{:?}{}", &text[..start], exp_sum * 10.0, &text[end..]),
+        ));
         for token in ["NaN", "inf", "-inf"] {
             for field in ["log_weights", "exp_weights"] {
                 broken.push((

@@ -13,6 +13,12 @@
 //! world and step 3 slots; a panic anywhere fails the suite. The untouched
 //! text restores, re-serializes byte-identically and continues on the
 //! original's trajectory.
+//!
+//! Two pins guard the JSON layer itself. The writer pin fixes the length and
+//! 64-bit FNV-1a of every corpus text, of its environment text and of one
+//! `JsonlSink` telemetry line. The reader pin fixes a digest of every case's
+//! verdict: the `SnapshotError` variant that refused it, or the FNV-1a of
+//! the restored fleet's re-serialized text.
 
 use netsim::{
     setting1_networks, AreaId, CongestionEnvironment, DeviceProfile, ServiceArea, SimulationConfig,
@@ -21,9 +27,12 @@ use netsim::{
 use smartexp3_core::{
     splitmix64, Environment, NetworkId, PolicyFactory, PolicyKind, SamplerStrategy,
 };
-use smartexp3_engine::{FleetConfig, FleetEngine, FleetSnapshot};
+use smartexp3_engine::{FleetConfig, FleetEngine, FleetSnapshot, SnapshotError};
 use smartexp3_env::{
     dense_urban, duty_cycle, equal_share, DenseUrbanConfig, DutyCycleConfig, Scenario,
+};
+use smartexp3_telemetry::{
+    JsonlSink, LatencyStats, RingSink, SlotTiming, TelemetryRecord, TelemetrySink,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -157,13 +166,38 @@ fn checkpoint(fleet: &FleetEngine, env: &dyn Environment) -> String {
 }
 
 /// Restores `text` into a freshly built world of `entry`. Every way of
-/// refusing the text is a typed error.
-fn restore(entry: &Entry, text: &str) -> Result<(FleetEngine, Box<dyn Environment>), String> {
-    let snapshot: FleetSnapshot = serde_json::from_str(text).map_err(|e| e.to_string())?;
+/// refusing the text is a typed error; a text that does not parse is
+/// `Malformed`, as [`FleetEngine::from_json`] reports it.
+fn restore(
+    entry: &Entry,
+    text: &str,
+) -> Result<(FleetEngine, Box<dyn Environment>), SnapshotError> {
+    let snapshot: FleetSnapshot =
+        serde_json::from_str(text).map_err(|e| SnapshotError::Malformed(e.to_string()))?;
     let (_, mut env) = (entry.build)();
-    let fleet =
-        FleetEngine::from_snapshot_env(snapshot, env.as_mut()).map_err(|e| e.to_string())?;
+    let fleet = FleetEngine::from_snapshot_env(snapshot, env.as_mut())?;
     Ok((fleet, env))
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A case's verdict as the reader pin hashes it.
+fn verdict(outcome: &Result<(FleetEngine, Box<dyn Environment>), SnapshotError>) -> String {
+    match outcome {
+        Ok((fleet, env)) => format!(
+            "restored {:016x}",
+            fnv1a(checkpoint(fleet, env.as_ref()).as_bytes())
+        ),
+        Err(SnapshotError::UnsupportedPolicy { .. }) => "UnsupportedPolicy".to_string(),
+        Err(SnapshotError::UnsupportedVersion(_)) => "UnsupportedVersion".to_string(),
+        Err(SnapshotError::Malformed(_)) => "Malformed".to_string(),
+        Err(SnapshotError::Environment(_)) => "Environment".to_string(),
+    }
 }
 
 /// Byte span of every object member (`"key":value`) of the JSON `text`, at
@@ -318,6 +352,7 @@ fn member_scanner_finds_every_member_at_every_depth() {
 fn mutated_checkpoints_fail_typed_or_restore_and_step() {
     let mut panicked = Vec::new();
     let (mut restored_cases, mut total) = (0usize, 0usize);
+    let mut verdicts = String::new();
     for (salt, entry) in CORPUS.iter().enumerate() {
         let (mut fleet, mut env) = (entry.build)();
         step(&mut fleet, env.as_mut(), entry.events, entry.warm_up);
@@ -356,12 +391,19 @@ fn mutated_checkpoints_fail_typed_or_restore_and_step() {
         for (what, mutated) in mutations(&text, salt as u64) {
             total += 1;
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                restore(entry, &mutated)
-                    .map(|(mut fleet, mut env)| step(&mut fleet, env.as_mut(), entry.events, STEPS))
+                let outcome = restore(entry, &mutated);
+                let verdict = verdict(&outcome);
+                if let Ok((mut fleet, mut env)) = outcome {
+                    step(&mut fleet, env.as_mut(), entry.events, STEPS);
+                }
+                verdict
             }));
             match outcome {
-                Ok(Ok(())) => restored_cases += 1,
-                Ok(Err(_)) => {}
+                Ok(verdict) => {
+                    restored_cases += usize::from(verdict.starts_with("restored"));
+                    verdicts.push_str(&verdict);
+                    verdicts.push('\n');
+                }
                 Err(_) => panicked.push(format!("{}: {what}", entry.name)),
             }
         }
@@ -374,4 +416,84 @@ fn mutated_checkpoints_fail_typed_or_restore_and_step() {
     );
     // The overwrites must reach restores, not only parse errors.
     assert!(restored_cases > 0, "no mutated case restored");
+    assert_eq!(
+        (total, restored_cases, fnv1a(verdicts.as_bytes())),
+        READER_PIN,
+        "a case's verdict moved"
+    );
+}
+
+/// Cases, restored cases and the FNV-1a of every case's verdict line, in
+/// corpus and mutation order.
+const READER_PIN: (usize, usize, u64) = (26873, 2528, 0x23e2_eba6_bdc3_26da);
+
+/// Length and FNV-1a of each corpus text, then of its environment text.
+const WRITER_PINS: [(&str, [(usize, u64); 2]); 4] = [
+    (
+        "equal_share",
+        [(6815, 0x0505_a446_e131_42c8), (762, 0x6500_5675_fe29_296b)],
+    ),
+    (
+        "duty_cycle",
+        [(6227, 0x0125_b6b9_a31e_84d3), (732, 0xd0db_6248_0db1_3513)],
+    ),
+    (
+        "dense_urban",
+        [(3156, 0xb692_e24a_39ee_4eb2), (620, 0x1e45_ecda_f18f_1a4b)],
+    ),
+    (
+        "dead_zone",
+        [(2883, 0x86f2_52a6_1bf5_12ce), (559, 0xf2db_9140_f614_de5b)],
+    ),
+];
+
+/// Length and FNV-1a of the `JsonlSink` line of [`telemetry_record`].
+const TELEMETRY_PIN: (usize, u64) = (624, 0x3558_5a55_a6eb_03ce);
+
+/// The last record of a short equal_share run with telemetry, with fixed
+/// timing and latency in place of the host clock's.
+fn telemetry_record() -> TelemetryRecord {
+    let mut scenario = equal_share(5, PolicyKind::SmartExp3, config()).unwrap();
+    assert!(scenario.enable_telemetry());
+    let mut ring = RingSink::new(1);
+    scenario.run_streaming(4, &mut ring);
+    let mut record = ring.latest().expect("a record per slot").clone();
+    record.timing = SlotTiming {
+        begin_slot_s: 0.1 + 0.2,
+        choose_s: 1e-7,
+        feedback_s: 2.5e-6,
+        observe_s: f64::MIN_POSITIVE,
+    };
+    record.latency = Some(LatencyStats {
+        count: 7,
+        mean_s: 1.0 / 3.0,
+        p50_s: 0.0,
+        p95_s: 1e300,
+        p99_s: 123_456.789,
+    });
+    record
+}
+
+#[test]
+fn corpus_texts_and_a_telemetry_line_keep_their_bytes() {
+    let pin = |text: &str| (text.len(), fnv1a(text.as_bytes()));
+    for (entry, (name, pins)) in CORPUS.iter().zip(WRITER_PINS) {
+        assert_eq!(entry.name, name);
+        let (mut fleet, mut env) = (entry.build)();
+        step(&mut fleet, env.as_mut(), entry.events, entry.warm_up);
+        let text = checkpoint(&fleet, env.as_ref());
+        let environment = env.state().expect("every corpus world checkpoints");
+        assert_eq!([pin(&text), pin(&environment)], pins, "{name}");
+    }
+
+    let path = std::env::temp_dir().join(format!(
+        "snapshot_fuzz_telemetry_{}.jsonl",
+        std::process::id()
+    ));
+    let mut sink = JsonlSink::create(&path).unwrap();
+    sink.record(&telemetry_record());
+    assert_eq!(sink.finish().unwrap(), 1);
+    let line = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(pin(&line), TELEMETRY_PIN, "{line}");
 }

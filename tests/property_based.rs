@@ -46,6 +46,8 @@ fn weight_table_probabilities_always_form_a_distribution() {
             let gain = uniform(&mut rng, 0.0, 50.0);
             table.multiplicative_update(NetworkId(arm), 0.3, gain);
         }
+        // The running normaliser stays within the tolerance restore checks.
+        assert_eq!(table.check_shape(), Ok(()), "case {case}");
         let probs = table.probabilities(gamma);
         assert_eq!(probs.len(), arms);
         let sum: f64 = probs.iter().sum();

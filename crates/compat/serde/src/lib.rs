@@ -383,7 +383,9 @@ impl<T: Deserialize> Deserialize for Vec<T> {
         de.begin_seq("sequence")?;
         let mut items = Vec::new();
         while de.next_element()? {
-            items.push(T::deserialize(de)?);
+            let item =
+                T::deserialize(de).map_err(|e| e.within(&format!("element {}", items.len())));
+            items.push(item?);
         }
         Ok(items)
     }

@@ -56,11 +56,6 @@ impl FullInformation {
         &self.config
     }
 
-    /// The exponential weight table.
-    pub(crate) fn weights(&self) -> &WeightTable {
-        &self.weights
-    }
-
     /// Creates the forecaster over `networks`.
     ///
     /// # Errors

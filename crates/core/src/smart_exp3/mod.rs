@@ -71,11 +71,16 @@ pub struct SmartExp3 {
     /// computed): β is fixed per policy and every fresh decision consults the
     /// formula up to three times (reset condition, greedy condition, final
     /// block length), so the `powf` is paid once per distinct `x` instead of
-    /// per decision. Serialized so a restored policy stays byte-identical.
+    /// per decision. Not serialized: a restored policy refills it with the
+    /// very values [`block_length`] computes, so its decisions and its
+    /// checkpoints stay byte-identical.
+    #[serde(skip)]
     block_length_memo: Vec<u64>,
     /// Recycled backing storage for [`BlockState::slot_gains`]: the gain log
     /// of a finished block's predecessor is cleared and reused by the next
-    /// block, so steady-state block turnover performs no allocation.
+    /// block, so steady-state block turnover performs no allocation. Always
+    /// empty between calls (only its capacity is kept), so not serialized.
+    #[serde(skip)]
     gain_log_pool: Vec<f64>,
 
     last_kind: SelectionKind,
@@ -83,11 +88,6 @@ pub struct SmartExp3 {
 }
 
 impl SmartExp3 {
-    /// The EXP3 weight table.
-    pub(crate) fn weights(&self) -> &WeightTable {
-        &self.weights
-    }
-
     /// Creates a Smart EXP3 policy over `networks`.
     ///
     /// # Errors

@@ -55,23 +55,21 @@ impl PolicyState {
 
     /// Checks what a restored EXP3-family state (EXP3, Smart EXP3, the
     /// full-information forecaster) must satisfy before it steps: its config
-    /// passes the `validate` its constructor runs, and its weight table has
-    /// a consistent shape and finite weights (see
-    /// [`WeightTable::check_shape`](crate::WeightTable::check_shape)).
-    /// States without a config or table always pass.
+    /// passes the `validate` its constructor runs. States without a config
+    /// always pass. (A weight table is checked where it is read: see
+    /// [`WeightTable`](crate::WeightTable)'s `Deserialize`.)
     ///
     /// # Errors
     ///
-    /// Describes the first violated condition.
+    /// Describes the violated condition.
     pub fn validate(&self) -> Result<(), String> {
-        let (config, weights) = match self {
-            PolicyState::Exp3(p) => (p.config().validate(), p.weights()),
-            PolicyState::SmartExp3(p) => (p.config().validate(), p.weights()),
-            PolicyState::FullInformation(p) => (p.config().validate(), p.weights()),
+        let config = match self {
+            PolicyState::Exp3(p) => p.config().validate(),
+            PolicyState::SmartExp3(p) => p.config().validate(),
+            PolicyState::FullInformation(p) => p.config().validate(),
             PolicyState::Greedy(_) | PolicyState::FixedRandom(_) => return Ok(()),
         };
-        config.map_err(|error| error.to_string())?;
-        weights.check_shape()
+        config.map_err(|error| error.to_string())
     }
 
     /// The [`PolicyKind`] family this state belongs to.

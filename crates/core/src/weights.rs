@@ -41,9 +41,14 @@
 //!    `exp_sum` equals `Σ exp_weights[i]` up to the accumulated rounding of at
 //!    most `PATCH_LIMIT` constant-time adjustments (relative error well below
 //!    1e-12, the tolerance the property tests assert).
-//! 4. Every field is serialized, so a snapshot restores the cache **bit
-//!    identically** and a restored policy continues on the exact trajectory
-//!    of the original.
+//! 4. Only the canonical state is serialized: the arms, `log_weights`, the
+//!    shift reference, the running `exp_sum`, the patch count, the strategy,
+//!    each dirty arm's position and frozen mass, the running overlay mass and
+//!    the two sampler counters. Reading a table rebuilds the arm index, the
+//!    exponentials and the Vose table with the code that builds them
+//!    everywhere else, bit for bit, so a restored policy continues on the
+//!    exact trajectory of the original; the reader rejects a text whose
+//!    canonical fields disagree (see [`WeightTable`]'s `Deserialize`).
 //!
 //! ## Amortised-O(1) sampling (`SamplerStrategy::Alias`)
 //!
@@ -80,7 +85,7 @@
 use crate::NetworkId;
 use rand::Rng;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
 
 /// Number of constant-time cache adjustments allowed before the next update
 /// performs a full rebuild. Each adjustment perturbs the running sum by at
@@ -89,12 +94,14 @@ use serde::{Deserialize, Serialize};
 /// contract the property tests assert.
 const PATCH_LIMIT: u32 = 64;
 
-/// Relative gap between `exp_sum` and a from-scratch `Σ exp_weights` that
-/// [`WeightTable::check_shape`] accepts. The running sum drifts by about one
-/// ulp per constant-time patch and at most `PATCH_LIMIT` patches separate
-/// two rebuilds, so a table the program wrote stays near 1e-14 — well inside
-/// the 1e-12 the property suite asserts of the cached distribution, and
-/// three orders of magnitude inside this bound.
+/// Relative gap between a running sum and its from-scratch value that a
+/// table read from text may carry: `exp_sum` against `Σ exp_weights`, and
+/// `dirty_mass` against the dirty arms' fresh deltas (relative to the
+/// table's total mass). The running sums drift by about one ulp per
+/// constant-time patch and at most `PATCH_LIMIT` patches separate two
+/// rebuilds, so a table the program wrote stays near 1e-14 — well inside the
+/// 1e-12 the property suite asserts of the cached distribution, and three
+/// orders of magnitude inside this bound.
 const EXP_SUM_TOLERANCE: f64 = 1e-9;
 
 /// How far (in the log domain) a weight may rise **above** the cached shift
@@ -152,16 +159,22 @@ pub struct DistributionSummary {
 }
 
 /// Exponential weight table over a (possibly changing) set of networks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Serialized as its canonical state only (see the module docs' cache
+/// invariant 4): the `#[serde(skip)]` fields are caches that reading a
+/// table rebuilds.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WeightTable {
     arms: Vec<NetworkId>,
     /// Natural-log weights; `log_weights[i]` corresponds to `arms[i]`.
     log_weights: Vec<f64>,
     /// `(arm, position)` pairs sorted by arm, for O(log k) lookups.
+    #[serde(skip)]
     index: Vec<(NetworkId, usize)>,
     /// Cached maximum of `log_weights` (the softmax shift).
     max_log_weight: f64,
     /// Cached `exp(log_weights[i] − max_log_weight)`.
+    #[serde(skip)]
     exp_weights: Vec<f64>,
     /// Cached `Σ exp_weights[i]`, maintained incrementally.
     exp_sum: f64,
@@ -171,21 +184,23 @@ pub struct WeightTable {
     strategy: SamplerStrategy,
     /// Vose alias table: probability of keeping the column's own arm.
     /// Empty unless the strategy is [`SamplerStrategy::Alias`].
+    #[serde(skip)]
     alias_prob: Vec<f64>,
     /// Vose alias table: the alternative arm of each column.
+    #[serde(skip)]
     alias_idx: Vec<usize>,
-    /// The exponentials the alias table was frozen over (`exp_weights` at
-    /// the last [`rebuild_alias`](Self::rebuild_alias)); the overlay walk
-    /// needs them to compute each dirty arm's fresh delta mass.
-    alias_mass: Vec<f64>,
-    /// `Σ alias_mass` at freeze time (recomputed exactly, not the drifting
-    /// `exp_sum`).
+    /// Total mass the alias table was frozen over (summed from scratch, not
+    /// the drifting `exp_sum`).
+    #[serde(skip)]
     alias_total: f64,
-    /// Positions patched since the alias table was frozen (deduplicated;
-    /// bounded by `PATCH_LIMIT` between cache rebuilds).
-    dirty: Vec<usize>,
-    /// `Σ_dirty (exp_weights[j] − alias_mass[j])` — the overlay's share of
-    /// the sampled mass, always ≥ 0 (negative deltas force a rebuild).
+    /// Positions patched since the alias table was frozen, each with its
+    /// frozen mass: the exponential it had at the freeze, which is what its
+    /// first patch removed (deduplicated; bounded by `PATCH_LIMIT` between
+    /// cache rebuilds). A clean arm's frozen mass is its current mass, so
+    /// only dirty arms need theirs kept.
+    dirty: Vec<(usize, f64)>,
+    /// `Σ_dirty (exp_weights[j] − frozen mass of j)` — the overlay's share
+    /// of the sampled mass, always ≥ 0 (negative deltas force a rebuild).
     dirty_mass: f64,
     /// Times the alias table has been (re)built — the observable cost signal
     /// for rebuild storms. Stays 0 under the linear strategy.
@@ -239,7 +254,6 @@ impl WeightTable {
             strategy,
             alias_prob: Vec::new(),
             alias_idx: Vec::new(),
-            alias_mass: Vec::new(),
             alias_total: 0.0,
             dirty: Vec::new(),
             dirty_mass: 0.0,
@@ -300,60 +314,76 @@ impl WeightTable {
             .iter()
             .cloned()
             .fold(f64::NEG_INFINITY, f64::max);
-        let max = self.max_log_weight;
-        self.exp_weights.clear();
-        self.exp_weights
-            .extend(self.log_weights.iter().map(|&lw| (lw - max).exp()));
+        self.rebuild_exp_weights();
         self.exp_sum = self.exp_weights.iter().sum();
         self.patches = 0;
         self.rebuild_alias();
     }
 
+    /// Recomputes every `exp(lw − max_log_weight)` against the current shift
+    /// reference.
+    fn rebuild_exp_weights(&mut self) {
+        let max = self.max_log_weight;
+        self.exp_weights.clear();
+        self.exp_weights
+            .extend(self.log_weights.iter().map(|&lw| (lw - max).exp()));
+    }
+
     /// (Re)freezes the Vose alias table over the cached exponentials, in
     /// O(k), and clears the dirty-arm overlay. No-op (beyond clearing) under
     /// the linear strategy.
+    fn rebuild_alias(&mut self) {
+        self.dirty.clear();
+        self.dirty_mass = 0.0;
+        if self.strategy == SamplerStrategy::Alias {
+            self.sampler_rebuilds += 1;
+        }
+        let masses = std::mem::take(&mut self.exp_weights);
+        self.freeze_alias(&masses);
+        self.exp_weights = masses;
+    }
+
+    /// Builds the Vose alias table over `masses` (one per arm) under the
+    /// alias strategy, and empties it under the linear one. Touches neither
+    /// the overlay nor the rebuild counter: [`rebuild_alias`](Self::rebuild_alias)
+    /// freezes the current exponentials, and the reader re-freezes the
+    /// masses a written table was frozen over.
     ///
-    /// Vose's method: scale every mass to `e_i · k / Σe`, split the columns
+    /// Vose's method: scale every mass to `m_i · k / Σm`, split the columns
     /// into deficit (< 1) and surplus (≥ 1) stacks, then repeatedly top a
     /// deficit column up from a surplus one so every column holds exactly
     /// one unit — `alias_prob[c]` of it belonging to arm `c` and the rest to
     /// `alias_idx[c]`. Floating-point leftovers keep their initialised
     /// `prob = 1, idx = self`, which is the exact-arithmetic limit.
-    fn rebuild_alias(&mut self) {
+    fn freeze_alias(&mut self, masses: &[f64]) {
         self.alias_prob.clear();
         self.alias_idx.clear();
-        self.alias_mass.clear();
         self.alias_total = 0.0;
-        self.dirty.clear();
-        self.dirty_mass = 0.0;
-        if self.strategy != SamplerStrategy::Alias {
-            return;
-        }
-        self.sampler_rebuilds += 1;
-        let k = self.exp_weights.len();
-        if k == 0 {
+        let k = masses.len();
+        if self.strategy != SamplerStrategy::Alias || k == 0 {
             return;
         }
         // The freeze total is summed from scratch — the alias decode must be
-        // internally consistent with `alias_mass`, not with the incrementally
-        // drifting `exp_sum`.
-        let total: f64 = self.exp_weights.iter().sum();
+        // internally consistent with the frozen masses, not with the
+        // incrementally drifting `exp_sum`.
+        let total: f64 = masses.iter().sum();
         self.alias_prob.resize(k, 1.0);
         self.alias_idx.extend(0..k);
         if !(total.is_finite() && total > 0.0) {
             // Damaged masses (the non-finite-update guard failed upstream):
-            // freeze a uniform table so sampling stays sound, mirroring the
+            // keep the uniform table so sampling stays sound, mirroring the
             // linear walk's never-panic contract.
-            self.alias_mass.resize(k, 1.0);
             self.alias_total = k as f64;
             return;
         }
-        self.alias_mass.extend_from_slice(&self.exp_weights);
         self.alias_total = total;
         let scale = k as f64 / total;
-        let mut scaled: Vec<f64> = self.exp_weights.iter().map(|&e| e * scale).collect();
-        let mut small: Vec<usize> = Vec::new();
-        let mut large: Vec<usize> = Vec::new();
+        let mut scaled: Vec<f64> = masses.iter().map(|&m| m * scale).collect();
+        // Sized for the worst case up front, so a freeze allocates each
+        // stack once instead of growing it through about log2(k)
+        // reallocations.
+        let mut small: Vec<usize> = Vec::with_capacity(k);
+        let mut large: Vec<usize> = Vec::with_capacity(k);
         for (i, &s) in scaled.iter().enumerate() {
             if s < 1.0 {
                 small.push(i);
@@ -374,19 +404,19 @@ impl WeightTable {
     }
 
     /// Folds a constant-time cache patch into the dirty-arm overlay: arm `i`
-    /// now carries `delta_mass` more mass than the frozen alias table gives
-    /// it. Only positive deltas reach here (the rebuild condition routes
-    /// negative ones to a full rebuild), so the overlay mass never goes
-    /// negative. Re-freezes the table when the overlay outgrows
-    /// [`DIRTY_MASS_FRACTION`] of the total.
-    fn overlay_patch(&mut self, i: usize, delta_mass: f64) {
+    /// went from mass `removed` to `added`. Only positive deltas reach here
+    /// (the rebuild condition routes negative ones to a full rebuild), so
+    /// the overlay mass never goes negative. Re-freezes the table when the
+    /// overlay outgrows [`DIRTY_MASS_FRACTION`] of the total.
+    fn overlay_patch(&mut self, i: usize, removed: f64, added: f64) {
         // O(dirty) dedup keeps the overlay walk exact: a duplicate entry
         // would double-count the arm's delta. `dirty` is bounded by
         // `PATCH_LIMIT`, so this scan is as constant as the patch itself.
-        if !self.dirty.contains(&i) {
-            self.dirty.push(i);
+        // An arm's first patch since the freeze removes its frozen mass.
+        if !self.dirty.iter().any(|&(j, _)| j == i) {
+            self.dirty.push((i, removed));
         }
-        self.dirty_mass += delta_mass;
+        self.dirty_mass += added - removed;
         let total = self.alias_total + self.dirty_mass;
         if !(total.is_finite() && total > 0.0) || self.dirty_mass > DIRTY_MASS_FRACTION * total {
             self.rebuild_alias();
@@ -406,113 +436,6 @@ impl WeightTable {
     #[must_use]
     pub fn overlay_hits(&self) -> u64 {
         self.overlay_hits
-    }
-
-    /// Checks that the table's arrays agree with its arm list, that its
-    /// weights and caches are finite and that the running normaliser
-    /// `exp_sum` agrees with the exponentials it normalises: the conditions
-    /// every draw and update relies on. A table deserialized from text the
-    /// program did not write can violate them, and the first draw or update
-    /// would then panic or silently skew the distribution (an `exp_sum` ten
-    /// times too large makes the probabilities sum to (1 − γ)/10 + γ), so
-    /// checkpoint restores run this before use.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first violated condition: `log_weights`, `exp_weights`
-    /// or `index` not as long as `arms`; an `index` that is not strictly
-    /// ascending by arm or points at a position holding another arm; alias
-    /// arrays that are not all empty or all `arms.len()` long, or an alias
-    /// index out of range; a dirty position out of range; a non-finite entry
-    /// of `log_weights`, `exp_weights`, `alias_prob` or `alias_mass`, a
-    /// non-finite `alias_total` or `dirty_mass`; and, when the table has
-    /// arms, a non-finite `max_log_weight`, an `exp_sum` that is not finite
-    /// and positive, or one that differs from `Σ exp_weights` (summed in
-    /// position order) by more than 1e-9 of that sum (`EXP_SUM_TOLERANCE`). (An
-    /// empty table — a device that sees no network — holds
-    /// `max_log_weight = -inf` legitimately.)
-    pub fn check_shape(&self) -> Result<(), String> {
-        let k = self.arms.len();
-        for (name, len) in [
-            ("log_weights", self.log_weights.len()),
-            ("exp_weights", self.exp_weights.len()),
-            ("index", self.index.len()),
-        ] {
-            if len != k {
-                return Err(format!("`{name}` holds {len} entries for {k} arms"));
-            }
-        }
-        if let Some(pair) = self.index.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
-            return Err(format!(
-                "`index` is not strictly ascending at arm {}",
-                pair[1].0 .0
-            ));
-        }
-        if let Some(&(arm, position)) = self
-            .index
-            .iter()
-            .find(|&&(arm, position)| self.arms.get(position) != Some(&arm))
-        {
-            return Err(format!(
-                "`index` maps arm {} to position {position}, which holds another arm",
-                arm.0
-            ));
-        }
-        let alias = [
-            self.alias_prob.len(),
-            self.alias_idx.len(),
-            self.alias_mass.len(),
-        ];
-        if alias != [0; 3] && alias != [k; 3] {
-            return Err(format!(
-                "alias arrays hold {alias:?} entries for {k} arms (all empty or all {k})"
-            ));
-        }
-        if let Some(&column) = self.alias_idx.iter().find(|&&column| column >= k) {
-            return Err(format!("`alias_idx` names column {column} of {k}"));
-        }
-        if let Some(&position) = self.dirty.iter().find(|&&position| position >= k) {
-            return Err(format!("`dirty` names position {position} of {k}"));
-        }
-        for (name, values) in [
-            ("log_weights", &self.log_weights),
-            ("exp_weights", &self.exp_weights),
-            ("alias_prob", &self.alias_prob),
-            ("alias_mass", &self.alias_mass),
-        ] {
-            if let Some((position, value)) = values
-                .iter()
-                .enumerate()
-                .find(|(_, value)| !value.is_finite())
-            {
-                return Err(format!("`{name}` holds {value} at position {position}"));
-            }
-        }
-        for (name, value) in [
-            ("alias_total", self.alias_total),
-            ("dirty_mass", self.dirty_mass),
-        ] {
-            if !value.is_finite() {
-                return Err(format!("`{name}` is {value}"));
-            }
-        }
-        if k > 0 && !self.max_log_weight.is_finite() {
-            return Err(format!("`max_log_weight` is {}", self.max_log_weight));
-        }
-        if k > 0 && !(self.exp_sum.is_finite() && self.exp_sum > 0.0) {
-            return Err(format!(
-                "`exp_sum` is {}, not finite and positive",
-                self.exp_sum
-            ));
-        }
-        let sum: f64 = self.exp_weights.iter().sum();
-        if k > 0 && (!sum.is_finite() || (self.exp_sum - sum).abs() > EXP_SUM_TOLERANCE * sum) {
-            return Err(format!(
-                "`exp_sum` is {}, but `exp_weights` sum to {sum}",
-                self.exp_sum
-            ));
-        }
-        Ok(())
     }
 
     /// Rebuilds the sorted arm index (positions shift after a removal).
@@ -578,7 +501,7 @@ impl WeightTable {
                 // The cache patch held; mirror it into the sampler structure
                 // so draws see the same incrementally maintained masses.
                 if self.strategy == SamplerStrategy::Alias {
-                    self.overlay_patch(i, added - removed);
+                    self.overlay_patch(i, removed, added);
                 }
             } else {
                 self.rebuild_cache();
@@ -867,8 +790,8 @@ impl WeightTable {
             // disagree by ulps, so the walk clamps to the last dirty arm
             // exactly as the linear walk clamps to its last arm.
             let mut remaining = s * total;
-            for (walked, &j) in self.dirty.iter().enumerate() {
-                let delta = self.exp_weights[j] - self.alias_mass[j];
+            for (walked, &(j, frozen)) in self.dirty.iter().enumerate() {
+                let delta = self.exp_weights[j] - frozen;
                 if remaining < delta || walked + 1 == self.dirty.len() {
                     return (j, true);
                 }
@@ -952,6 +875,157 @@ impl WeightTable {
             }
             self.max_log_weight = 0.0;
         }
+    }
+}
+
+/// The written layout of a [`WeightTable`]: its canonical state.
+#[derive(Deserialize)]
+struct WeightTableText {
+    arms: Vec<NetworkId>,
+    log_weights: Vec<f64>,
+    max_log_weight: f64,
+    exp_sum: f64,
+    patches: u32,
+    strategy: SamplerStrategy,
+    dirty: Vec<(usize, f64)>,
+    dirty_mass: f64,
+    sampler_rebuilds: u64,
+    overlay_hits: u64,
+}
+
+/// Reads a table's canonical state and rebuilds its caches with the code
+/// that builds them everywhere else: the arm index, every `exp(lw −
+/// max_log_weight)` against the written shift reference, and the Vose table
+/// over the masses it was frozen over (each clean arm's exponential, each
+/// dirty arm's frozen mass). A table the program wrote comes back equal to
+/// the one written, bit for bit.
+///
+/// A text the program did not write can break what every draw and update
+/// relies on — the first would then panic or silently skew the
+/// distribution (an `exp_sum` ten times too large makes the probabilities
+/// sum to (1 − γ)/10 + γ) — so this reader is where such a table is
+/// refused. It fails when `log_weights` is not as long as `arms`; an arm is
+/// listed twice; a log-weight is not finite; a table with arms has a
+/// non-finite `max_log_weight` or an `exp_sum` that is not finite and
+/// positive; a rebuilt exponential is not finite; `exp_sum` differs from
+/// the rebuilt exponentials' sum (in position order) by more than 1e-9 of
+/// that sum (`EXP_SUM_TOLERANCE`); a dirty position is out of range or
+/// repeated, or its frozen mass is not finite; a linear table has dirty
+/// arms; or `dirty_mass` is not finite or differs from the dirty arms'
+/// fresh mass (rebuilt exponential − frozen mass, summed in dirty order) by
+/// more than 1e-9 of the table's total mass. (An empty table — a device
+/// that sees no network — holds `max_log_weight = -inf` legitimately.)
+impl Deserialize for WeightTable {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, serde::Error> {
+        WeightTable::from_text(WeightTableText::deserialize(de)?).map_err(serde::Error::custom)
+    }
+}
+
+impl WeightTable {
+    /// Builds a table from its canonical state, rebuilding its caches, or
+    /// describes the first condition the state breaks (see the
+    /// `Deserialize` impl).
+    fn from_text(text: WeightTableText) -> Result<Self, String> {
+        let k = text.arms.len();
+        if text.log_weights.len() != k {
+            return Err(format!(
+                "`log_weights` holds {} entries for {k} arms",
+                text.log_weights.len()
+            ));
+        }
+        let mut table = WeightTable {
+            arms: text.arms,
+            log_weights: text.log_weights,
+            index: Vec::with_capacity(k),
+            max_log_weight: text.max_log_weight,
+            exp_weights: Vec::with_capacity(k),
+            exp_sum: text.exp_sum,
+            patches: text.patches,
+            strategy: text.strategy,
+            alias_prob: Vec::new(),
+            alias_idx: Vec::new(),
+            alias_total: 0.0,
+            dirty: text.dirty,
+            dirty_mass: text.dirty_mass,
+            sampler_rebuilds: text.sampler_rebuilds,
+            overlay_hits: text.overlay_hits,
+        };
+        table.rebuild_index();
+        if let Some(pair) = table.index.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(format!("arm {} is listed twice", pair[0].0 .0));
+        }
+        if let Some((position, lw)) = table
+            .log_weights
+            .iter()
+            .enumerate()
+            .find(|(_, lw)| !lw.is_finite())
+        {
+            return Err(format!("`log_weights` holds {lw} at position {position}"));
+        }
+        if k > 0 && !table.max_log_weight.is_finite() {
+            return Err(format!("`max_log_weight` is {}", table.max_log_weight));
+        }
+        if k > 0 && !(table.exp_sum.is_finite() && table.exp_sum > 0.0) {
+            return Err(format!(
+                "`exp_sum` is {}, not finite and positive",
+                table.exp_sum
+            ));
+        }
+        table.rebuild_exp_weights();
+        if let Some((position, e)) = table
+            .exp_weights
+            .iter()
+            .enumerate()
+            .find(|(_, e)| !e.is_finite())
+        {
+            return Err(format!(
+                "`log_weights` at position {position} exponentiates to {e} \
+                 against `max_log_weight` {}",
+                table.max_log_weight
+            ));
+        }
+        let sum: f64 = table.exp_weights.iter().sum();
+        if !(sum.is_finite() && (table.exp_sum - sum).abs() <= EXP_SUM_TOLERANCE * sum) {
+            return Err(format!(
+                "`exp_sum` is {}, but the exponentials sum to {sum}",
+                table.exp_sum
+            ));
+        }
+        let mut seen = vec![false; k];
+        for &(position, frozen) in &table.dirty {
+            if position >= k {
+                return Err(format!("`dirty` names position {position} of {k}"));
+            }
+            if std::mem::replace(&mut seen[position], true) {
+                return Err(format!("`dirty` names position {position} twice"));
+            }
+            if !frozen.is_finite() {
+                return Err(format!("`dirty` freezes position {position} at {frozen}"));
+            }
+        }
+        if table.strategy == SamplerStrategy::Linear && !table.dirty.is_empty() {
+            return Err("a linear table holds dirty arms".to_string());
+        }
+        let mut frozen_masses = table.exp_weights.clone();
+        for &(position, frozen) in &table.dirty {
+            frozen_masses[position] = frozen;
+        }
+        table.freeze_alias(&frozen_masses);
+        let fresh: f64 = table
+            .dirty
+            .iter()
+            .map(|&(position, frozen)| table.exp_weights[position] - frozen)
+            .sum();
+        let total = table.alias_total + table.dirty_mass;
+        if !(table.dirty_mass.is_finite()
+            && (table.dirty_mass - fresh).abs() <= EXP_SUM_TOLERANCE * total)
+        {
+            return Err(format!(
+                "`dirty_mass` is {}, but the dirty arms carry {fresh} fresh mass",
+                table.dirty_mass
+            ));
+        }
+        Ok(table)
     }
 }
 
@@ -1239,9 +1313,9 @@ mod tests {
 
     /// Per-arm probabilities the alias decode actually samples: mass decoded
     /// from the Vose columns (each column holds `alias_total / k`, split by
-    /// its coin threshold) plus each dirty arm's fresh delta, mixed with the
-    /// γ/k uniform share — the ground truth for what `invert_alias` draws,
-    /// reconstructed without inverting anything.
+    /// its coin threshold) plus each dirty arm's fresh delta over its frozen
+    /// mass, mixed with the γ/k uniform share — the ground truth for what
+    /// `invert_alias` draws, reconstructed without inverting anything.
     fn alias_decoded_probabilities(table: &WeightTable, gamma: f64) -> Vec<f64> {
         let k = table.len();
         let column_mass = table.alias_total / k as f64;
@@ -1250,8 +1324,8 @@ mod tests {
             mass[c] += column_mass * table.alias_prob[c];
             mass[table.alias_idx[c]] += column_mass * (1.0 - table.alias_prob[c]);
         }
-        for &j in &table.dirty {
-            mass[j] += table.exp_weights[j] - table.alias_mass[j];
+        for &(j, frozen) in &table.dirty {
+            mass[j] += table.exp_weights[j] - frozen;
         }
         let total = table.alias_total + table.dirty_mass;
         mass.into_iter()
@@ -1421,7 +1495,8 @@ mod tests {
         // A small positive update patches the overlay instead of rebuilding.
         table.multiplicative_update(NetworkId(3), 0.2, 0.4);
         assert_eq!(table.sampler_rebuilds(), built_at_start);
-        assert_eq!(table.dirty, vec![3]);
+        // The arm's frozen mass is its uniform exponential, exp(0).
+        assert_eq!(table.dirty, vec![(3, 1.0)]);
         assert!(table.dirty_mass > 0.0);
         // Sampling inside the overlay slice counts a hit: aim just past the
         // uniform head, inside the fresh fraction.
@@ -1580,50 +1655,133 @@ mod tests {
         }
     }
 
-    /// Tables built by the program pass the shape check (an empty one with
-    /// its `-inf` maximum included), and each array that disagrees with the
-    /// arm list or holds a non-finite value fails it.
+    /// The text of `table`, with `edit` applied to a copy first.
+    fn edited_text(table: &WeightTable, edit: impl FnOnce(&mut WeightTable)) -> String {
+        let mut edited = table.clone();
+        edit(&mut edited);
+        serde_json::to_string(&edited).unwrap()
+    }
+
+    /// Tables built by the program read back equal to the table written, an
+    /// empty one with its `-inf` maximum included, and each canonical field
+    /// that breaks a condition draws and updates rely on is refused by name.
     #[test]
-    fn shape_check_names_each_broken_array() {
+    fn reader_names_each_broken_field() {
         let mut table = WeightTable::uniform_with_strategy(&arms(4), SamplerStrategy::Alias);
         table.multiplicative_update(NetworkId(2), 0.2, 0.5);
         assert!(!table.dirty.is_empty());
-        assert_eq!(table.check_shape(), Ok(()));
-        assert_eq!(WeightTable::uniform(&arms(3)).check_shape(), Ok(()));
+        let linear = WeightTable::uniform(&arms(3));
         let empty = WeightTable::uniform(&[]);
         assert_eq!(empty.max_log_weight, f64::NEG_INFINITY);
-        assert_eq!(empty.check_shape(), Ok(()));
+        for written in [&table, &linear, &empty] {
+            let text = serde_json::to_string(written).unwrap();
+            assert_eq!(
+                &serde_json::from_str::<WeightTable>(&text).unwrap(),
+                written
+            );
+        }
         type Break = fn(&mut WeightTable);
-        let breaks: [(&str, Break); 17] = [
+        let breaks: [(&str, Break); 13] = [
             ("log_weights", |t| {
                 t.log_weights.pop();
             }),
-            ("exp_weights", |t| t.exp_weights.push(1.0)),
-            ("index", |t| {
-                t.index.pop();
-            }),
-            ("index", |t| t.index.swap(0, 1)),
-            ("index", |t| t.index[0].1 = 1),
-            ("alias", |t| {
-                t.alias_mass.pop();
-            }),
-            ("alias_idx", |t| t.alias_idx[0] = 4),
-            ("dirty", |t| t.dirty.push(4)),
+            ("listed twice", |t| t.arms[1] = t.arms[0]),
             ("log_weights", |t| t.log_weights[1] = f64::NAN),
-            ("exp_weights", |t| t.exp_weights[0] = f64::INFINITY),
-            ("alias_prob", |t| t.alias_prob[3] = f64::NEG_INFINITY),
-            ("alias_mass", |t| t.alias_mass[2] = f64::NAN),
-            ("alias_total", |t| t.alias_total = f64::INFINITY),
-            ("dirty_mass", |t| t.dirty_mass = f64::NAN),
             ("max_log_weight", |t| t.max_log_weight = f64::NEG_INFINITY),
+            ("exponentiates to inf", |t| t.max_log_weight = -800.0),
             ("exp_sum", |t| t.exp_sum = 0.0),
             ("exp_sum", |t| t.exp_sum *= 1.0 + 1e-6),
+            ("`dirty` names position 4", |t| t.dirty.push((4, 1.0))),
+            ("twice", |t| t.dirty.push(t.dirty[0])),
+            ("freezes position 2 at NaN", |t| t.dirty[0].1 = f64::NAN),
+            ("dirty_mass", |t| t.dirty_mass = f64::INFINITY),
+            ("dirty_mass", |t| t.dirty_mass *= 1.0 + 1e-6),
+            ("linear table holds dirty arms", |t| {
+                t.strategy = SamplerStrategy::Linear;
+            }),
         ];
         for (name, break_table) in breaks {
-            let mut broken = table.clone();
-            break_table(&mut broken);
-            let error = broken.check_shape().unwrap_err();
+            let text = edited_text(&table, break_table);
+            let error = serde_json::from_str::<WeightTable>(&text)
+                .unwrap_err()
+                .to_string();
             assert!(error.contains(name), "{name}: {error}");
+        }
+    }
+
+    /// An overlay mass that disagrees with the dirty arms is refused. Such a
+    /// table used to restore and then draw far from the probabilities it
+    /// stated: with its 16-arm alias table's `dirty_mass` multiplied by
+    /// 1000, 200k stratified draws gave arm 0 a share of 0.024 where it
+    /// states 0.063.
+    #[test]
+    fn reader_rejects_an_overlay_mass_that_disagrees_with_the_dirty_arms() {
+        let mut table = WeightTable::uniform_with_strategy(&arms(16), SamplerStrategy::Alias);
+        for arm in [0, 1, 2, 0, 1, 2, 0] {
+            table.multiplicative_update(NetworkId(arm), 0.1, 0.5);
+        }
+        assert_eq!(table.dirty.len(), 3);
+        assert_eq!(
+            table.sampler_rebuilds(),
+            1,
+            "every update patched the overlay"
+        );
+        let text = serde_json::to_string(&table).unwrap();
+        assert_eq!(serde_json::from_str::<WeightTable>(&text).unwrap(), table);
+        let inflated = text.replace(
+            &format!("\"dirty_mass\":{:?}", table.dirty_mass),
+            &format!("\"dirty_mass\":{:?}", table.dirty_mass * 1000.0),
+        );
+        assert_ne!(inflated, text);
+        let error = serde_json::from_str::<WeightTable>(&inflated).unwrap_err();
+        assert!(error.to_string().contains("dirty_mass"), "{error}");
+    }
+
+    /// A table read from text samples from exponentials rebuilt from its
+    /// log-weights, never from a stale written cache: an edit of a
+    /// log-weight or of the shift reference that moves the exponentials'
+    /// sum away from `exp_sum` is refused, and an edit inside the tolerance
+    /// restores with the probabilities of a from-scratch softmax. (A
+    /// `log_weights[5]` edited from 0.0 to 3.0 used to restore stating
+    /// p[5] = 0.062 while its log-weights imply 0.521.)
+    #[test]
+    fn restored_tables_never_sample_from_stale_caches() {
+        let gamma = 0.1;
+        for strategy in [SamplerStrategy::Linear, SamplerStrategy::Alias] {
+            let mut table = WeightTable::uniform_with_strategy(&arms(16), strategy);
+            for arm in [0, 3, 9, 3] {
+                table.multiplicative_update(NetworkId(arm), gamma, 0.4);
+            }
+            assert_eq!(table.log_weights[5], 0.0);
+            let max = table.max_log_weight;
+            type Edit = Box<dyn Fn(&mut WeightTable)>;
+            let refused: [Edit; 2] = [
+                Box::new(|t| t.log_weights[5] = 3.0),
+                Box::new(move |t| t.max_log_weight = max + 2.0),
+            ];
+            for (case, edit) in refused.into_iter().enumerate() {
+                let text = edited_text(&table, edit);
+                let error = serde_json::from_str::<WeightTable>(&text).unwrap_err();
+                assert!(
+                    error.to_string().contains("exp_sum"),
+                    "{strategy:?} case {case}: {error}"
+                );
+            }
+            let tolerated: [Edit; 2] = [
+                Box::new(|t| t.log_weights[5] = 1e-13),
+                Box::new(move |t| t.max_log_weight = max + 1e-13),
+            ];
+            for (case, edit) in tolerated.into_iter().enumerate() {
+                let text = edited_text(&table, edit);
+                let restored: WeightTable = serde_json::from_str(&text).unwrap();
+                let naive = naive_probabilities(&restored, gamma);
+                for (p, n) in restored.probabilities(gamma).iter().zip(&naive) {
+                    assert!(
+                        (p - n).abs() < 1e-12,
+                        "{strategy:?} case {case}: {p} vs {n}"
+                    );
+                }
+            }
         }
     }
 }

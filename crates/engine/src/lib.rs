@@ -52,10 +52,14 @@
 //! [`FleetEngine::from_snapshot`] restores **bit-identically**: a restored
 //! fleet produces exactly the trajectory the original would have. The
 //! per-network gain statistics a policy acts on live in its own state; the
-//! engine keeps no copy. Restore validates what it cannot trust the text
-//! for (session ids, policy configs, weight tables and their normalisers,
-//! the wake queue, and against an environment its session count) and
-//! fails with a typed [`SnapshotError`].
+//! engine keeps no copy. A snapshot writes each fact once: a session's id is
+//! its index, and a weight table writes its canonical state, from which
+//! reading it rebuilds the distribution cache and the Vose table with the
+//! code that builds them everywhere else. What the text cannot be trusted
+//! for is checked where it is read (each weight table's weights against its
+//! normalisers and overlay) and on restore (policy configs, the wake queue,
+//! and against an environment its session count); either way a refused
+//! text is a typed [`SnapshotError`].
 //! [`FleetEngine::to_json`] / [`FleetEngine::from_json`] wrap that in a
 //! stable text format, written and read without an intermediate document
 //! tree.
@@ -490,29 +494,30 @@ impl std::error::Error for SnapshotError {}
 
 /// Snapshot format version written by this engine.
 ///
-/// A version-10 snapshot holds the engine configuration, every session's
-/// policy state (weight tables with their distribution cache and, for
-/// [`SamplerStrategy::Alias`](smartexp3_core::SamplerStrategy) configs, the
-/// frozen Vose table, dirty-arm overlay and sampler counters), RNG stream
-/// and gain record (two counters, [`SessionSnapshot::slots`] and
-/// [`SessionSnapshot::gain`]), the event-driven engine's wake queue
-/// ([`FleetSnapshot::wake_queue`]) and, optionally, the dynamic state of the
-/// [`Environment`] the fleet was stepped through
-/// ([`FleetSnapshot::environment`]) — everything a restored fleet needs to
-/// continue on the exact trajectory of the original. A snapshot of any
-/// other version is rejected with [`SnapshotError::UnsupportedVersion`];
-/// [`FleetEngine::from_json`] reads the version before the rest of the
-/// text, so an older text gets that error rather than a missing-field one.
-pub const SNAPSHOT_VERSION: u32 = 10;
+/// A version-11 snapshot holds the engine configuration, every session's
+/// policy state, RNG stream and gain record (two counters,
+/// [`SessionSnapshot::slots`] and [`SessionSnapshot::gain`]), the
+/// event-driven engine's wake queue ([`FleetSnapshot::wake_queue`]) and,
+/// optionally, the dynamic state of the [`Environment`] the fleet was
+/// stepped through ([`FleetSnapshot::environment`]) — everything a restored
+/// fleet needs to continue on the exact trajectory of the original. Each
+/// fact is written once: weight tables hold their canonical state (weights,
+/// running sums, and for [`SamplerStrategy::Alias`](smartexp3_core::SamplerStrategy)
+/// configs the dirty arms' frozen masses and the sampler counters), and
+/// reading one rebuilds its distribution cache and Vose table; a session's
+/// id is its index. A snapshot of any other version is rejected with
+/// [`SnapshotError::UnsupportedVersion`]; [`FleetEngine::from_json`] reads
+/// the version before the rest of the text, so an older text gets that
+/// error rather than a missing-field one.
+pub const SNAPSHOT_VERSION: u32 = 11;
 
-/// Checkpoint of one session.
+/// Checkpoint of one session. Its id is its index in
+/// [`FleetSnapshot::sessions`] and is not written.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionSnapshot {
-    /// Session identifier: always the session's index, which restore
-    /// checks.
-    pub id: u64,
     /// Policy kind (kept alongside the state because the Smart EXP3 feature
-    /// ablations all share the [`PolicyState::SmartExp3`] variant).
+    /// ablations all share the [`PolicyState::SmartExp3`] variant, and
+    /// [`FleetEngine::add_session`] accepts any label for one).
     pub kind: PolicyKind,
     /// Full policy learning state.
     pub policy: PolicyState,
@@ -536,12 +541,10 @@ pub struct FleetSnapshot {
     pub config: FleetConfig,
     /// Next slot to be stepped.
     pub slot: SlotIndex,
-    /// Next session id to be assigned: always the session count, which
-    /// restore checks.
-    pub next_id: u64,
     /// Decisions taken so far.
     pub decisions: u64,
-    /// Every session, in session order.
+    /// Every session, in session order: a session's id is its index here,
+    /// and the next id to be assigned is the session count.
     pub sessions: Vec<SessionSnapshot>,
     /// Dynamic state of the [`Environment`] the fleet was stepped through
     /// (its own opaque JSON, see [`Environment::state`]), or `None` when the
@@ -572,8 +575,7 @@ impl FleetSnapshot {
 pub struct WakeEntry {
     /// The slot at which the session next decides.
     pub wake: SlotIndex,
-    /// The session (by id — session ids are assigned sequentially, so this
-    /// is also the session's index).
+    /// The session, by index (a session's id is its index).
     pub session: u64,
 }
 
@@ -1590,7 +1592,6 @@ impl FleetEngine {
                 let index = sessions.len();
                 match session.policy.state() {
                     Some(policy) => sessions.push(SessionSnapshot {
-                        id: index as u64,
                         kind: session.kind,
                         policy,
                         rng: session.rng.state(),
@@ -1630,7 +1631,6 @@ impl FleetEngine {
             version: SNAPSHOT_VERSION,
             config: self.config.clone(),
             slot: self.slot,
-            next_id: self.len() as u64,
             decisions: self.decisions,
             sessions,
             environment: None,
@@ -1706,38 +1706,18 @@ impl FleetEngine {
     /// # Errors
     ///
     /// Returns [`SnapshotError::UnsupportedVersion`] for snapshots from an
-    /// incompatible engine version, and [`SnapshotError::Malformed`] for
-    /// session ids, a policy config its constructor would reject or a weight
-    /// table whose arrays disagree with its arm list (see
+    /// incompatible engine version, and [`SnapshotError::Malformed`] for a
+    /// policy config its constructor would reject (see
     /// [`PolicyState::validate`]) or a wake queue the engine cannot have
-    /// written (see [`WakeEntry`]).
+    /// written (see [`WakeEntry`]). A weight table whose fields disagree is
+    /// refused earlier, as its text is read ([`from_json`](Self::from_json)).
     pub fn from_snapshot(snapshot: FleetSnapshot) -> Result<Self, SnapshotError> {
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(snapshot.version));
         }
-        // The engine assigns ids as `0..len` and derives each RNG stream
-        // from the id, so a rewound or repeated id would hand later sessions
-        // the streams of earlier ones.
         let sessions = snapshot.sessions.len();
-        if let Some((index, session)) = snapshot
-            .sessions
-            .iter()
-            .enumerate()
-            .find(|&(index, session)| session.id != index as u64)
-        {
-            return Err(SnapshotError::Malformed(format!(
-                "session {index} carries id {}",
-                session.id
-            )));
-        }
-        if snapshot.next_id != sessions as u64 {
-            return Err(SnapshotError::Malformed(format!(
-                "next id {} does not follow the {sessions} sessions",
-                snapshot.next_id
-            )));
-        }
-        // An out-of-range config or a weight table whose arrays disagree with
-        // its arm list would panic on the session's first draw or update.
+        // An out-of-range config would panic on the session's first draw or
+        // update. (Weight tables are checked as they are read.)
         for (index, session) in snapshot.sessions.iter().enumerate() {
             session
                 .policy
@@ -1961,12 +1941,13 @@ mod tests {
         // A full text that only names another version gets the one generic
         // diagnostic.
         let text = fleet.to_json().unwrap();
-        let v9 = text.replacen("\"version\":10", "\"version\":9", 1);
+        let relabel =
+            |version: u32| text.replacen("\"version\":11", &format!("\"version\":{version}"), 1);
         // A real version-9 text: each session carries a per-network `gains`
         // table instead of the two counters, and every stats table its
         // most-used cache. The version is read first, so the missing
         // counters never become a missing-field error.
-        let real_v9 = v9
+        let real_v9 = relabel(9)
             .replace(
                 "\"slots\":0,\"gain\":0.0",
                 "\"gains\":{\"per_network\":[],\"most_used_cache\":null}",
@@ -1976,14 +1957,17 @@ mod tests {
                 "\"per_network\":[],\"most_used_cache\":null}",
             );
         assert_eq!(real_v9.matches("\"gains\":").count(), fleet.len());
-        for v9 in [v9, real_v9] {
-            assert_ne!(v9, text);
-            match FleetEngine::from_json(&v9) {
-                Err(error @ SnapshotError::UnsupportedVersion(9)) => assert_eq!(
+        for (version, old) in [(10, relabel(10)), (9, relabel(9)), (9, real_v9)] {
+            assert_ne!(old, text);
+            match FleetEngine::from_json(&old) {
+                Err(error @ SnapshotError::UnsupportedVersion(v)) if v == version => assert_eq!(
                     error.to_string(),
-                    "unsupported fleet snapshot format version 9 (this engine writes version 10)"
+                    format!(
+                        "unsupported fleet snapshot format version {version} \
+                         (this engine writes version 11)"
+                    )
                 ),
-                other => panic!("expected UnsupportedVersion(9), got {other:?}"),
+                other => panic!("expected UnsupportedVersion({version}), got {other:?}"),
             }
         }
         // The sampler strategy that is gone no longer parses.
@@ -1995,7 +1979,7 @@ mod tests {
         }
         // Bare texts of earlier versions lack most fields: an error, never
         // a restored fleet or a panic.
-        for version in 2u32..=9 {
+        for version in 2u32..=10 {
             let bare = format!("{{\"version\":{version},\"sessions\":[]}}");
             assert!(FleetEngine::from_json(&bare).is_err(), "version {version}");
         }
@@ -2220,11 +2204,10 @@ mod tests {
         }
         let text = original.to_json().unwrap();
         assert_eq!(restored.to_json().unwrap(), text);
-        // Version-9 texts written while `FleetConfig` still had its
-        // latency, feedback-partitioning and lane switches, and weight
-        // tables still had a Fenwick tree, carry those fields; restore
-        // ignores them (lanes off included) and the fleet round-trips
-        // bit-exactly.
+        // Texts written while `FleetConfig` still had its latency,
+        // feedback-partitioning and lane switches, and weight tables still
+        // had a Fenwick tree, carry those fields; restore ignores them
+        // (lanes off included) and the fleet round-trips bit-exactly.
         let legacy = text
             .replacen(
                 "\"threads\":2",
@@ -2232,11 +2215,11 @@ mod tests {
                  \"wake_latency\":true",
                 1,
             )
-            .replace("\"alias_prob\":", "\"tree\":[],\"alias_prob\":");
+            .replace("\"dirty\":", "\"tree\":[],\"dirty\":");
         assert!(legacy.contains("\"fleet_lanes\":false"));
         assert_eq!(
             legacy.matches("\"tree\":[]").count(),
-            text.matches("\"alias_prob\":").count()
+            text.matches("\"dirty\":").count()
         );
         assert_eq!(
             FleetEngine::from_json(&legacy).unwrap().to_json().unwrap(),

@@ -108,20 +108,6 @@ fn snapshot_restore_resumes_the_exact_trajectory() {
     let mut first_half = mixed_fleet(config, 200);
     run_independent(&mut first_half, cut);
     let checkpoint = first_half.to_json().unwrap();
-    // Ids are the session indices and seed the RNG streams: a rewound
-    // `next_id` would hand later sessions the streams of sessions 0.., and
-    // a repeated id would share one stream between two sessions.
-    let snapshot = first_half.snapshot().unwrap();
-    let mut rewound = snapshot.clone();
-    rewound.next_id = 0;
-    let mut repeated = snapshot;
-    repeated.sessions[1].id = 0;
-    for (what, broken) in [("a rewound next id", rewound), ("a repeated id", repeated)] {
-        match FleetEngine::from_snapshot(broken) {
-            Err(SnapshotError::Malformed(_)) => {}
-            other => panic!("{what}: expected a malformed snapshot, got {other:?}"),
-        }
-    }
     drop(first_half);
 
     let mut resumed = FleetEngine::from_json(&checkpoint).unwrap();
@@ -167,7 +153,7 @@ fn restore_rejects_weight_tables_that_disagree_with_their_arms() {
         let text = fleet.to_json().unwrap();
         assert!(FleetEngine::from_json(&text).is_ok());
         // Session 0's table is the first in the text. Every edit used to
-        // restore: the shape edits then panicked on the next step, and a
+        // restore: the shape edit then panicked on the next step, and a
         // non-finite weight stepped on and was written back into the next
         // checkpoint.
         let mut broken = vec![(
@@ -176,14 +162,6 @@ fn restore_rejects_weight_tables_that_disagree_with_their_arms() {
                 list.rsplit_once(',').unwrap().0.to_string()
             }),
         )];
-        if sampler == SamplerStrategy::Alias {
-            broken.push((
-                "an out-of-range alias index".to_string(),
-                edit_first_list(&text, "alias_idx", |list| {
-                    format!("{}{}", networks.len(), &list[list.find(',').unwrap()..])
-                }),
-            ));
-        }
         // A normaliser ten times its weights' sum used to restore, and the
         // session's probabilities then summed to (1 − γ)/10 + γ.
         let start = text.find("\"exp_sum\":").unwrap() + "\"exp_sum\":".len();
@@ -194,21 +172,21 @@ fn restore_rejects_weight_tables_that_disagree_with_their_arms() {
             format!("{}{:?}{}", &text[..start], exp_sum * 10.0, &text[end..]),
         ));
         for token in ["NaN", "inf", "-inf"] {
-            for field in ["log_weights", "exp_weights"] {
-                broken.push((
-                    format!("{token} in {field}"),
-                    edit_first_list(&text, field, |list| {
-                        format!("{token}{}", &list[list.find(',').unwrap()..])
-                    }),
-                ));
-            }
+            broken.push((
+                format!("{token} in log_weights"),
+                edit_first_list(&text, "log_weights", |list| {
+                    format!("{token}{}", &list[list.find(',').unwrap()..])
+                }),
+            ));
         }
         for (what, broken) in broken {
             assert_ne!(broken, text, "{what}");
             match FleetEngine::from_json(&broken) {
                 Err(SnapshotError::Malformed(message)) => {
+                    // The table's reader refuses it as it is read.
                     assert!(
-                        message.starts_with("session 0: "),
+                        message.contains("`sessions` of `FleetSnapshot`: element 0: ")
+                            && message.contains("field `weights` of `Exp3`: "),
                         "{sampler:?}, {what}: {message}"
                     );
                 }
@@ -217,6 +195,42 @@ fn restore_rejects_weight_tables_that_disagree_with_their_arms() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn restore_rejects_an_overlay_mass_that_disagrees_with_the_dirty_arms() {
+    let config = Exp3Config {
+        sampler: SamplerStrategy::Alias,
+        ..Exp3Config::default()
+    };
+    let mut fleet = FleetEngine::new(FleetConfig::with_root_seed(23));
+    let policy = Exp3::new((0..16).map(NetworkId).collect(), config).unwrap();
+    fleet.add_session(PolicyKind::Exp3, Box::new(policy));
+    run_independent(&mut fleet, 3);
+    let text = fleet.to_json().unwrap();
+    assert_eq!(
+        FleetEngine::from_json(&text).unwrap().to_json().unwrap(),
+        text
+    );
+    // The table patched its overlay instead of re-freezing: its overlay
+    // mass is live. Multiplied by 1000 it used to restore, and the session
+    // then drew arms far from the probabilities it stated.
+    let start = text.find("\"dirty_mass\":").unwrap() + "\"dirty_mass\":".len();
+    let end = start + text[start..].find(',').unwrap();
+    let dirty_mass: f64 = text[start..end].parse().unwrap();
+    assert!(dirty_mass > 0.0, "the overlay is live");
+    let inflated = format!(
+        "{}{:?}{}",
+        &text[..start],
+        dirty_mass * 1000.0,
+        &text[end..]
+    );
+    match FleetEngine::from_json(&inflated) {
+        Err(SnapshotError::Malformed(message)) => {
+            assert!(message.contains("dirty_mass"), "{message}");
+        }
+        other => panic!("expected a malformed snapshot, got {other:?}"),
     }
 }
 
@@ -238,7 +252,7 @@ fn restore_rejects_policy_configs_their_constructors_reject() {
     // and the next step panicked in `clamp` (min > max), and a negative
     // learning rate stepped on.
     let in_session = |session: usize, from: &str, to: &str| {
-        let start = text.find(&format!("{{\"id\":{session},")).unwrap();
+        let (start, _) = text.match_indices("{\"kind\":").nth(session).unwrap();
         let (head, tail) = text.split_at(start);
         format!("{head}{}", tail.replacen(from, to, 1))
     };

@@ -493,9 +493,9 @@ fn malformed_wake_queues_are_rejected_on_restore() {
 #[test]
 fn snapshots_of_another_session_count_are_rejected_on_restore() {
     // A 100-device snapshot with its last session spliced out is
-    // self-consistent (ids and `next_id` agree), so it used to restore into
-    // a fresh 100-device world and panic on the first step. It must end in
-    // a typed error and leave the world untouched.
+    // self-consistent (a session's id is its index), so it used to restore
+    // into a fresh 100-device world and panic on the first step. It must
+    // end in a typed error and leave the world untouched.
     let build = || equal_share(100, PolicyKind::SmartExp3, FleetConfig::with_root_seed(5)).unwrap();
     let mut original = build();
     original.run(3);
@@ -504,7 +504,6 @@ fn snapshots_of_another_session_count_are_rejected_on_restore() {
         .snapshot_env(original.environment.as_ref())
         .unwrap();
     spliced.sessions.pop();
-    spliced.next_id = 99;
     let mut target = build();
     let untouched = target.environment.state();
     match FleetEngine::from_snapshot_env(spliced, target.environment.as_mut()) {

@@ -10,8 +10,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smartexp3::core::{
-    block_length, probability_of, Exp3, Exp3Config, NetworkId, Observation, Policy, SharedFeedback,
-    SmartExp3, SmartExp3Config, WeightTable,
+    block_length, probability_of, Exp3, Exp3Config, NetworkId, Observation, Policy,
+    SamplerStrategy, SharedFeedback, SmartExp3, SmartExp3Config, WeightTable,
 };
 use smartexp3::game::{
     distance_to_nash, is_nash_allocation, jain_index, nash_allocation, standard_deviation,
@@ -36,24 +36,46 @@ fn uniform_usize(rng: &mut StdRng, lo: usize, hi: usize) -> usize {
 
 #[test]
 fn weight_table_probabilities_always_form_a_distribution() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(case);
-        let arms = uniform_usize(&mut rng, 1, 8);
-        let gamma = uniform(&mut rng, 0.0, 1.0);
-        let mut table = WeightTable::uniform(&network_ids(arms));
-        for _ in 0..uniform_usize(&mut rng, 0, 40) {
-            let arm = uniform_usize(&mut rng, 0, arms) as u32;
-            let gain = uniform(&mut rng, 0.0, 50.0);
-            table.multiplicative_update(NetworkId(arm), 0.3, gain);
-        }
-        // The running normaliser stays within the tolerance restore checks.
-        assert_eq!(table.check_shape(), Ok(()), "case {case}");
-        let probs = table.probabilities(gamma);
-        assert_eq!(probs.len(), arms);
-        let sum: f64 = probs.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9, "case {case}: sum {sum}");
-        for p in probs {
-            assert!((0.0..=1.0 + 1e-12).contains(&p), "case {case}: p {p}");
+    const TARGETS: [f64; 6] = [0.0, 0.05, 0.31, 0.5, 0.77, 0.999];
+    for strategy in [SamplerStrategy::Linear, SamplerStrategy::Alias] {
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(case);
+            let arms = uniform_usize(&mut rng, 1, 8);
+            let gamma = uniform(&mut rng, 0.0, 1.0);
+            let mut table = WeightTable::uniform_with_strategy(&network_ids(arms), strategy);
+            for _ in 0..uniform_usize(&mut rng, 0, 40) {
+                let arm = uniform_usize(&mut rng, 0, arms) as u32;
+                let gain = uniform(&mut rng, 0.0, 50.0);
+                table.multiplicative_update(NetworkId(arm), 0.3, gain);
+                // Written and read back, the table is the same table: every
+                // field, the caches the reader rebuilds included, and the
+                // running sums pass the reader's checks. The copy draws the
+                // same arms.
+                let text = serde_json::to_string(&table).unwrap();
+                let copy: WeightTable = serde_json::from_str(&text)
+                    .unwrap_or_else(|error| panic!("{strategy:?} case {case}: {error}"));
+                assert_eq!(copy, table, "{strategy:?} case {case}");
+                for target in TARGETS {
+                    assert_eq!(
+                        copy.sample_at(gamma, target),
+                        table.sample_at(gamma, target),
+                        "{strategy:?} case {case}: target {target}"
+                    );
+                }
+            }
+            let probs = table.probabilities(gamma);
+            assert_eq!(probs.len(), arms);
+            let sum: f64 = probs.iter().sum();
+            assert!(
+                (sum - 1.0).abs() < 1e-9,
+                "{strategy:?} case {case}: sum {sum}"
+            );
+            for p in probs {
+                assert!(
+                    (0.0..=1.0 + 1e-12).contains(&p),
+                    "{strategy:?} case {case}: p {p}"
+                );
+            }
         }
     }
 }

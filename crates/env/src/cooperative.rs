@@ -5,8 +5,8 @@
 //! shows that devices which share what they observed converge markedly
 //! faster than isolated bandits. [`CooperativeEnvironment`] retrofits that
 //! onto **any** existing world: it delegates all world logic (visibility,
-//! activity, joint-choice feedback) to the wrapped environment and, during
-//! the sequential feedback phase, folds each session's observed rate into
+//! activity, joint-choice feedback) to the wrapped environment and, after
+//! the wrapped world grades a slot, folds each session's observed rate into
 //! its **neighbourhood digest** — a per-network, staleness-decayed
 //! [`SharedFeedback`] the whole neighbourhood reads back during the observe
 //! phase.
@@ -25,7 +25,8 @@
 //!   neighbourhood lies within one partition, the wrapper forwards the
 //!   partitions and folds each partition's gossip in a second parallel
 //!   wave, so a cooperative world loses none of the sharded-feedback
-//!   speedup.
+//!   speedup. Otherwise the same fold runs as one job owning every
+//!   neighbourhood.
 //!
 //! Checkpointing composes: [`Environment::state`] bundles the wrapped
 //! environment's state with every digest and every gossip RNG stream, so a
@@ -36,7 +37,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use smartexp3_core::{
     EnvStateError, Environment, NetworkId, Observation, PartitionExecutor, PartitionJob,
-    SessionRange, SessionView, SharedFeedback, SlotIndex,
+    SequentialExecutor, SessionRange, SessionView, SharedFeedback, SlotIndex,
 };
 
 /// How reports propagate through a neighbourhood each slot.
@@ -129,7 +130,7 @@ struct GossipPlan {
 /// neighbourhood ids group contiguously in partition order (empty
 /// neighbourhoods attach to the earliest open group). Returns `None` when
 /// the gossip topology does not align with the partitions — the wrapper
-/// then keeps the sequential path.
+/// then folds the gossip as one job owning every neighbourhood.
 fn build_gossip_plan(
     membership: &[usize],
     neighbourhoods: usize,
@@ -177,7 +178,7 @@ pub struct CooperativeEnvironment {
     rngs: Vec<StdRng>,
     /// `Some` when the gossip topology aligns with the wrapped
     /// environment's feedback partitions — the wrapper then forwards the
-    /// partitions and runs the gossip fold as a second partitioned wave.
+    /// partitions and runs the gossip fold as one job per partition.
     plan: Option<GossipPlan>,
 }
 
@@ -292,33 +293,13 @@ impl Environment for CooperativeEnvironment {
         choices: &[Option<NetworkId>],
         out: &mut [Option<Observation>],
     ) {
-        self.inner.feedback(slot, choices, out);
-        // Gossip phase: age every digest one slot, then fold this slot's
-        // reports in. Sessions are visited in canonical order and each push
-        // draw comes from the session's *neighbourhood* stream, so the
-        // trajectory is independent of how the driver sharded the fleet.
-        for digest in &mut self.digests {
-            digest.decay();
-        }
-        for (index, observation) in out.iter().enumerate() {
-            let Some(observation) = observation else {
-                continue;
-            };
-            let area = self.membership[index];
-            let push = match self.config.mode {
-                GossipMode::Broadcast => true,
-                GossipMode::ProbabilisticPush(probability) => self.rngs[area].gen_bool(probability),
-            };
-            if push {
-                self.digests[area].record(observation.network, observation.scaled_gain);
-            }
-        }
+        self.feedback_partitioned(slot, choices, out, &SequentialExecutor);
     }
 
     fn feedback_partitions(&self) -> Option<&[SessionRange]> {
         // Forward the wrapped environment's partitions only when the gossip
-        // topology splits along them; otherwise the feedback phase must stay
-        // sequential (one neighbourhood's stream would be shared otherwise).
+        // topology splits along them; otherwise the gossip folds as one
+        // whole-fleet job (one neighbourhood's stream would be shared).
         self.plan.as_ref()?;
         self.inner.feedback_partitions()
     }
@@ -330,24 +311,28 @@ impl Environment for CooperativeEnvironment {
         out: &mut [Option<Observation>],
         executor: &dyn PartitionExecutor,
     ) {
-        let Some(plan) = &self.plan else {
-            self.feedback(slot, choices, out);
-            return;
-        };
         // Wave 1: the wrapped world grades its partitions.
         self.inner
             .feedback_partitioned(slot, choices, out, executor);
-        // Wave 2: the gossip fold, one job per partition — each decays and
-        // refills its own neighbourhoods' digests, drawing push decisions
-        // from the neighbourhoods' streams in canonical session order
-        // (bit-identical to the sequential fold in `feedback`).
+        // Wave 2: the gossip fold. Each job ages its own neighbourhoods'
+        // digests one slot, then folds its sessions' reports in, in
+        // canonical order, each push draw from the session's neighbourhood
+        // stream: so the trajectory is independent of how the driver
+        // sharded the fleet. One job per partition when the neighbourhoods
+        // split along them, else one owning the whole fleet.
+        let whole_fleet = [SessionRange::new(0, self.membership.len())];
+        let every_neighbourhood = [(0, self.digests.len())];
+        let (ranges, neighbourhoods): (&[SessionRange], &[(usize, usize)]) = match &self.plan {
+            Some(plan) => (&plan.ranges, &plan.neighbourhoods),
+            None => (&whole_fleet, &every_neighbourhood),
+        };
         let out_view: &[Option<Observation>] = out;
         let membership: &[usize] = &self.membership;
         let mode = self.config.mode;
-        let mut jobs: Vec<PartitionJob<'_>> = Vec::with_capacity(plan.ranges.len());
+        let mut jobs: Vec<PartitionJob<'_>> = Vec::with_capacity(ranges.len());
         let mut digests_rest: &mut [SharedFeedback] = &mut self.digests;
         let mut rngs_rest: &mut [StdRng] = &mut self.rngs;
-        for (range, &(first, last)) in plan.ranges.iter().zip(&plan.neighbourhoods) {
+        for (range, &(first, last)) in ranges.iter().zip(neighbourhoods) {
             let count = last - first;
             let (job_digests, rest) = digests_rest.split_at_mut(count);
             digests_rest = rest;

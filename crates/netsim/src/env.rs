@@ -33,14 +33,15 @@
 //!
 //! # Grading cost
 //!
-//! Grading a choice touches shared tables, never per-device copies, and no
-//! network nobody loaded:
+//! Grading a choice touches shared tables and no network nobody loaded:
 //!
 //! * every area's network list carries a table, built once, of each entry's
-//!   partition-local index. A device remembers which area list its
-//!   `available` copy mirrors, so a choice costs one search of that shared
+//!   partition-local index. A device holds no list of its own: it names the
+//!   area it stands in, so a choice costs one search of that area's shared
 //!   (cache-hot) list; the dense index is read back from the partition's
-//!   network list. The full-information counterfactuals walk the same table;
+//!   network list. The full-information counterfactuals walk the same table.
+//!   A checkpoint writes the area, and restore refuses one off the device's
+//!   route, whose table would index another partition's share queues;
 //! * a partition resets only the share queues it loaded in the previous
 //!   slot, and computes shares only for the networks loaded in this one;
 //! * a bandwidth event updates its network's entries in the capacity map,
@@ -180,25 +181,17 @@ impl DeviceProfile {
     }
 }
 
-/// What [`refresh_device`] found for one device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VisibilityUpdate {
-    /// The device sits this slot out.
-    Inactive,
-    /// Active, same visible networks as before.
-    Unchanged,
-    /// Active and the visible set changed (mobility, topology).
-    Changed,
-    /// Active for the first time (or after its visible set was never
-    /// initialised); the policy hears about it only if the set differs from
-    /// its home networks.
-    FirstActivation,
-}
-
 /// Per-device dynamic state (runtime, not configuration).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 struct DeviceDyn {
-    available: Vec<NetworkId>,
+    /// The area of the device's last active refresh (`None` before its
+    /// first). The device sees that area's networks.
+    area: Option<AreaId>,
+    /// Index of `area`'s [`AreaNetworks`] (`None` without an area, or when
+    /// the topology lists no such area). Derived from `area` through the
+    /// area index: not written, rebuilt by `restore`.
+    #[serde(skip)]
+    list: Option<usize>,
     current: Option<NetworkId>,
     was_active: bool,
     active_now: bool,
@@ -209,27 +202,13 @@ struct DeviceDyn {
     total_delay_seconds: f64,
 }
 
-/// Per-device visibility bookkeeping derived from [`DeviceDyn`] — *not*
-/// serialized (a restore resets it and the next refresh falls back to the
-/// full vector comparison, which is the historical behaviour).
-///
-/// `area` caches the service area the device's `available` list was copied
-/// from, so a device that stays put skips the O(K) list comparison every
-/// slot — the difference between O(1) and O(K) per session per slot in
-/// dense-urban worlds with hundreds of visible networks. `list` names the
-/// shared [`AreaNetworks`] that `available` equals, so grading searches that
-/// list (one copy per area, hot across the area's devices) and reads the
-/// partition-local index from its table, instead of searching the device's
-/// own 2 KB copy, which is cold every slot.
-#[derive(Debug, Clone, Copy, Default)]
-struct VisibilityCache {
-    /// The area the device was last refreshed into, or `None` when unknown
-    /// (never refreshed, or just restored from a checkpoint).
-    area: Option<AreaId>,
-    /// Index of the [`AreaNetworks`] whose list `available` equals. `None`
-    /// when unknown, or when the area has no networks (`available` is then
-    /// empty): grading falls back to searching `available` itself.
-    list: Option<usize>,
+impl DeviceDyn {
+    /// The networks the device sees: its area's list, empty before its
+    /// first activation and in an area the topology does not list.
+    fn visible<'a>(&self, areas: &'a [AreaNetworks]) -> &'a [NetworkId] {
+        self.list
+            .map_or(&[], |list| areas[list].networks.as_slice())
+    }
 }
 
 /// `true` when `list` is ascending (duplicates allowed) — the precondition
@@ -238,10 +217,18 @@ fn is_ascending(list: &[NetworkId]) -> bool {
     list.windows(2).all(|pair| pair[0] <= pair[1])
 }
 
+/// Index into the area lists of `area`'s entry, through the sorted
+/// `area_index`, or `None` when the topology lists no such area.
+fn area_list(area_index: &[(AreaId, usize)], area: AreaId) -> Option<usize> {
+    area_index
+        .binary_search_by_key(&area, |&(a, _)| a)
+        .ok()
+        .map(|found| area_index[found].1)
+}
+
 /// One service area's visible networks plus the grading table built over
-/// them once at construction. Every device in the area holds a copy of
-/// `networks` as its `available` list; grading resolves choices against
-/// this shared list instead.
+/// them once at construction. The area's devices share this list: each
+/// names its area, and grading resolves its choices here.
 #[derive(Debug)]
 struct AreaNetworks {
     /// The area's networks, in topology order.
@@ -364,12 +351,10 @@ impl ShareState {
 
 /// One graded choice resolved against the world tables once per slot, for
 /// both the load and the grading pass. A visible choice costs one search of
-/// the shared area list the device mirrors: the area's table gives the
+/// the shared list of the device's area: the area's table gives the
 /// partition-local index, and the partition's network list the dense index.
 /// A choice the device cannot see falls back to a universe search, because
-/// its switching-delay model still applies. A device whose
-/// [`VisibilityCache`] is empty (a world restored between choose and
-/// feedback) is searched in its own `available` list.
+/// its switching-delay model still applies.
 #[derive(Debug, Clone, Copy)]
 struct ResolvedChoice {
     /// Dense universe index of the chosen network (`None` for an id the
@@ -385,31 +370,17 @@ impl ResolvedChoice {
         tables: &GradeTables<'_>,
         networks: &[usize],
         device: &DeviceDyn,
-        cache: VisibilityCache,
         chosen: NetworkId,
     ) -> Self {
-        let local = match cache.list {
-            Some(list) => {
-                let area = &tables.areas[list];
-                area.position(chosen).map(|position| area.local[position])
-            }
-            None if device.available.contains(&chosen) => tables
-                .universe
-                .binary_search(&chosen)
-                .ok()
-                .and_then(|dense| networks.binary_search(&dense).ok()),
-            None => None,
+        let local = device.list.and_then(|list| {
+            let area = &tables.areas[list];
+            area.position(chosen).map(|position| area.local[position])
+        });
+        let dense = match local {
+            Some(local) => Some(networks[local]),
+            None => tables.universe.binary_search(&chosen).ok(),
         };
-        match local {
-            Some(local) => ResolvedChoice {
-                dense: Some(networks[local]),
-                local: Some(local),
-            },
-            None => ResolvedChoice {
-                dense: tables.universe.binary_search(&chosen).ok(),
-                local: None,
-            },
-        }
+        ResolvedChoice { dense, local }
     }
 }
 
@@ -461,69 +432,62 @@ struct GradeTables<'a> {
 /// into `slot` — the per-session slot refresh the `begin_slot` jobs run (it
 /// touches only the device's own state plus the immutable area tables, so
 /// partitions can run it concurrently without an RNG or any cross-session
-/// coupling).
+/// coupling). An active device records the area it stands in.
+///
+/// Returns whether the device's policy must hear of a new visible set: its
+/// area's list differs from the list it saw before (a `current` network the
+/// new list lacks is dropped), unless the device activates from seeing
+/// nothing into exactly the home networks its policy was built over.
 fn refresh_device(
     profile: &DeviceProfile,
     device: &mut DeviceDyn,
-    cache: &mut VisibilityCache,
     area_index: &[(AreaId, usize)],
     areas: &[AreaNetworks],
     slot: usize,
-) -> VisibilityUpdate {
+) -> bool {
     if !profile.is_active_at(slot) {
         device.was_active = false;
         device.active_now = false;
-        return VisibilityUpdate::Inactive;
+        return false;
     }
     device.active_now = true;
     let area = profile.area_at(slot);
-    if device.was_active && cache.area == Some(area) {
-        // The device stayed in the area its visible list was copied from and
-        // area lists are fixed for the environment's lifetime, so the O(K)
-        // list comparison below is guaranteed to report Unchanged.
-        return VisibilityUpdate::Unchanged;
+    let was_active = std::mem::replace(&mut device.was_active, true);
+    if was_active && device.area == Some(area) {
+        // Area lists are fixed for the environment's lifetime, so a device
+        // that stayed put sees what it saw: no O(K) list comparison.
+        return false;
     }
-    let list = area_index
-        .binary_search_by_key(&area, |&(a, _)| a)
-        .ok()
-        .map(|found| area_index[found].1);
-    let visible: &[NetworkId] = list.map_or(&[], |list| areas[list].networks.as_slice());
-    let mut update = VisibilityUpdate::Unchanged;
-    if device.available != visible {
-        update = if device.available.is_empty() && !device.was_active {
-            VisibilityUpdate::FirstActivation
-        } else {
-            VisibilityUpdate::Changed
-        };
-        device.available.clear();
-        device.available.extend_from_slice(visible);
-        if let Some(current) = device.current {
-            if list
-                .and_then(|list| areas[list].position(current))
-                .is_none()
-            {
-                device.current = None;
-            }
-        }
+    let before = device.visible(areas);
+    device.area = Some(area);
+    device.list = area_list(area_index, area);
+    let visible = device.visible(areas);
+    // Compared as lists: a move between two areas that see the same
+    // networks is no news.
+    if before == visible {
+        return false;
     }
-    cache.area = Some(area);
-    cache.list = list;
-    device.was_active = true;
-    update
+    if device
+        .current
+        .is_some_and(|current| !visible.contains(&current))
+    {
+        device.current = None;
+    }
+    !before.is_empty() || was_active || differs_from_home(profile, visible)
 }
 
-/// `true` when a device's visible set differs (as a set) from the networks
-/// its policy was built over, so its first activation must be announced.
-fn differs_from_home(profile: &DeviceProfile, device: &DeviceDyn) -> bool {
+/// `true` when the networks a device sees differ (as a set) from the
+/// networks its policy was built over, so its first activation must be
+/// announced.
+fn differs_from_home(profile: &DeviceProfile, visible: &[NetworkId]) -> bool {
     let home = &profile.home_networks;
-    let available = &device.available;
-    if available.len() != home.len() {
+    if visible.len() != home.len() {
         return true;
     }
     if is_ascending(home) {
-        !available.iter().all(|n| home.binary_search(n).is_ok())
+        !visible.iter().all(|n| home.binary_search(n).is_ok())
     } else {
-        !available.iter().all(|n| home.contains(n))
+        !visible.iter().all(|n| home.contains(n))
     }
 }
 
@@ -549,7 +513,6 @@ fn grade_session(
     pool: &mut Vec<Vec<(NetworkId, f64)>>,
     profile: &DeviceProfile,
     device: &mut DeviceDyn,
-    cache: VisibilityCache,
     chosen: NetworkId,
     resolved: ResolvedChoice,
     slot: SlotIndex,
@@ -602,28 +565,13 @@ fn grade_session(
         // devices' choices. Backing buffers are pooled across slots.
         let mut gains = pool.pop().unwrap_or_default();
         gains.clear();
-        let gain = |network: NetworkId, bandwidth: f64, load: usize| {
-            let others = load - usize::from(network == chosen);
-            let rate = bandwidth / (others + 1) as f64;
-            (network, (rate / tables.gain_scale).clamp(0.0, 1.0))
-        };
-        match cache.list {
-            Some(list) => {
-                let area = &tables.areas[list];
-                gains.extend(area.networks.iter().zip(&area.local).map(|(&network, &j)| {
-                    gain(
-                        network,
-                        tables.bandwidth_by_index[networks[j]],
-                        state.load[j],
-                    )
-                }));
-            }
-            None => gains.extend(device.available.iter().map(|&network| {
-                let dense = tables.universe.binary_search(&network).ok();
-                let bandwidth = dense.map_or(0.0, |d| tables.bandwidth_by_index[d]);
-                let local = dense.and_then(|d| networks.binary_search(&d).ok());
-                gain(network, bandwidth, local.map_or(0, |j| state.load[j]))
-            })),
+        if let Some(list) = device.list {
+            let area = &tables.areas[list];
+            gains.extend(area.networks.iter().zip(&area.local).map(|(&network, &j)| {
+                let others = state.load[j] - usize::from(network == chosen);
+                let rate = tables.bandwidth_by_index[networks[j]] / (others + 1) as f64;
+                (network, (rate / tables.gain_scale).clamp(0.0, 1.0))
+            }));
         }
         observation.full_gains = Some(gains);
     }
@@ -655,7 +603,6 @@ impl FeedbackPartition {
         choices: &[Option<NetworkId>],
         profiles: &[DeviceProfile],
         devices: &mut [DeviceDyn],
-        visibility: &[VisibilityCache],
         out: &mut [Option<Observation>],
         record: bool,
         telemetry: bool,
@@ -670,13 +617,7 @@ impl FeedbackPartition {
         for (i, choice) in choices.iter().enumerate() {
             match *choice {
                 Some(chosen) => {
-                    let resolved = ResolvedChoice::new(
-                        tables,
-                        &self.networks,
-                        &devices[i],
-                        visibility[i],
-                        chosen,
-                    );
+                    let resolved = ResolvedChoice::new(tables, &self.networks, &devices[i], chosen);
                     if let Some(local) = resolved.local {
                         self.state.add_load(local);
                     }
@@ -725,7 +666,6 @@ impl FeedbackPartition {
                 &mut self.full_gains_pool,
                 &profiles[i],
                 &mut devices[i],
-                visibility[i],
                 chosen,
                 resolved,
                 slot,
@@ -777,10 +717,7 @@ fn build_partitions(
 
     let dense_of = |network: NetworkId| universe.binary_search(&network).ok();
     let networks_in = |area: AreaId| -> &[NetworkId] {
-        area_index
-            .binary_search_by_key(&area, |&(a, _)| a)
-            .ok()
-            .map_or(&[], |found| area_networks[area_index[found].1].1.as_slice())
+        area_list(area_index, area).map_or(&[], |list| area_networks[list].1.as_slice())
     };
 
     // Components: areas merge their networks; a walking device merges every
@@ -888,9 +825,6 @@ pub struct CongestionEnvironment {
     config: SimulationConfig,
     profiles: Vec<DeviceProfile>,
     devices: Vec<DeviceDyn>,
-    /// Derived per-device visibility bookkeeping, parallel to `devices`
-    /// (not serialized; see [`VisibilityCache`]).
-    visibility: Vec<VisibilityCache>,
     schedule: EventSchedule,
     gain_scale: f64,
     /// Dense network index: every id the run can encounter, ascending.
@@ -1063,7 +997,6 @@ impl CongestionEnvironment {
 
         let mut environment = CongestionEnvironment {
             config,
-            visibility: vec![VisibilityCache::default(); profiles.len()],
             profiles,
             devices,
             schedule: EventSchedule::new(events),
@@ -1215,7 +1148,6 @@ impl Environment for CongestionEnvironment {
         let CongestionEnvironment {
             profiles,
             devices,
-            visibility,
             area_index,
             areas,
             ranges,
@@ -1225,29 +1157,17 @@ impl Environment for CongestionEnvironment {
         let areas: &[AreaNetworks] = areas;
         let mut jobs: Vec<PartitionJob<'_>> = Vec::with_capacity(ranges.len());
         let mut devices_rest: &mut [DeviceDyn] = devices;
-        let mut visibility_rest: &mut [VisibilityCache] = visibility;
         let mut profiles_rest: &[DeviceProfile] = profiles;
         for range in ranges.iter() {
             let len = range.len();
             let (job_devices, rest) = devices_rest.split_at_mut(len);
             devices_rest = rest;
-            let (job_visibility, rest) = visibility_rest.split_at_mut(len);
-            visibility_rest = rest;
             let (job_profiles, rest) = profiles_rest.split_at(len);
             profiles_rest = rest;
             jobs.push(Box::new(move || {
-                for ((profile, device), cache) in job_profiles
-                    .iter()
-                    .zip(job_devices.iter_mut())
-                    .zip(job_visibility.iter_mut())
-                {
-                    let pending =
-                        match refresh_device(profile, device, cache, area_index, areas, slot) {
-                            VisibilityUpdate::Inactive | VisibilityUpdate::Unchanged => false,
-                            VisibilityUpdate::Changed => true,
-                            VisibilityUpdate::FirstActivation => differs_from_home(profile, device),
-                        };
-                    device.pending_change = pending;
+                for (profile, device) in job_profiles.iter().zip(job_devices.iter_mut()) {
+                    device.pending_change =
+                        refresh_device(profile, device, area_index, areas, slot);
                 }
             }));
         }
@@ -1256,12 +1176,13 @@ impl Environment for CongestionEnvironment {
 
     fn session_view(&self, session: usize, _slot: SlotIndex) -> SessionView<'_> {
         let device = &self.devices[session];
+        let visible = device.visible(&self.areas);
         SessionView {
             // A device in an area without networks has nothing to choose
             // from: it sits the slot out, but still hears that its set
             // changed (to empty, or back from empty).
-            active: device.active_now && !device.available.is_empty(),
-            networks_changed: device.pending_change.then_some(device.available.as_slice()),
+            active: device.active_now && !visible.is_empty(),
+            networks_changed: device.pending_change.then_some(visible),
         }
     }
 
@@ -1298,7 +1219,6 @@ impl Environment for CongestionEnvironment {
         let CongestionEnvironment {
             partitions,
             devices,
-            visibility,
             profiles,
             config,
             universe,
@@ -1325,7 +1245,6 @@ impl Environment for CongestionEnvironment {
         let mut out_rest: &mut [Option<Observation>] = out;
         let mut choices_rest: &[Option<NetworkId>] = choices;
         let mut profiles_rest: &[DeviceProfile] = profiles;
-        let mut visibility_rest: &[VisibilityCache] = visibility;
         for partition in partitions.iter_mut() {
             let len = partition.range.len();
             let (job_devices, rest) = devices_rest.split_at_mut(len);
@@ -1336,8 +1255,6 @@ impl Environment for CongestionEnvironment {
             choices_rest = rest;
             let (job_profiles, rest) = profiles_rest.split_at(len);
             profiles_rest = rest;
-            let (job_visibility, rest) = visibility_rest.split_at(len);
-            visibility_rest = rest;
             jobs.push(Box::new(move || {
                 partition.run_slot(
                     tables,
@@ -1345,7 +1262,6 @@ impl Environment for CongestionEnvironment {
                     job_choices,
                     job_profiles,
                     job_devices,
-                    job_visibility,
                     job_out,
                     record,
                     telemetry,
@@ -1459,16 +1375,31 @@ impl Environment for CongestionEnvironment {
                 self.schedule.len()
             )));
         }
+        // Grading reads a device's area table, whose entries index the
+        // device's own partition: an area off its route would read another
+        // partition's share queues.
+        for (index, (profile, device)) in self.profiles.iter().zip(&state.devices).enumerate() {
+            if let Some(area) = device.area {
+                if area != profile.area && profile.moves.iter().all(|&(_, to)| to != area) {
+                    return Err(EnvStateError(format!(
+                        "device {index} stands in area {}, which is neither its start area \
+                         nor a move destination",
+                        area.0
+                    )));
+                }
+            }
+        }
         self.bandwidths = state.bandwidths.into_iter().collect();
         self.schedule.set_cursor(state.cursor);
         for (partition, rng) in self.partitions.iter_mut().zip(state.rngs) {
             partition.rng = StdRng::from_state(rng);
         }
         self.devices = state.devices;
-        // The visibility cache is derived data: forget it, so the next
-        // refresh falls back to the (historical) full list comparison and
-        // grading before that refresh searches the restored lists.
-        self.visibility.fill(VisibilityCache::default());
+        for device in &mut self.devices {
+            device.list = device
+                .area
+                .and_then(|area| area_list(&self.area_index, area));
+        }
         self.rebuild_capacities();
         Ok(())
     }
@@ -1608,6 +1539,35 @@ mod tests {
         assert!(env.restore("{broken").is_err());
     }
 
+    #[test]
+    fn a_device_writes_the_area_it_stands_in_not_its_networks() {
+        let mut env = environment(1, Vec::new());
+        env.begin_slot(0);
+        env.feedback(0, &[Some(NetworkId(2))], &mut [None]);
+        assert_eq!(
+            serde_json::to_string(&env.devices[0]).unwrap(),
+            concat!(
+                r#"{"area":0,"current":2,"was_active":true,"active_now":true,"#,
+                r#""pending_change":false,"download_megabits":330.0,"active_slots":1,"#,
+                r#""switches":0,"total_delay_seconds":0.0}"#,
+            )
+        );
+    }
+
+    #[test]
+    fn a_device_state_without_an_area_is_refused() {
+        let mut env = environment(1, Vec::new());
+        env.begin_slot(0);
+        let state = env.state().unwrap();
+        // The shape written before devices named their area: a copy of the
+        // area's networks and no area. Read with a default area, it would
+        // restore a device that sees nothing.
+        let copied = state.replacen(r#""area":0"#, r#""available":[0,1,2]"#, 1);
+        assert_ne!(copied, state);
+        let error = environment(1, Vec::new()).restore(&copied).unwrap_err();
+        assert!(error.0.contains("missing field `area`"), "{error}");
+    }
+
     /// A replicated multi-area world: `areas` areas of `per_area` devices,
     /// each area its own network triple (the scenario-library shape).
     fn replicated(areas: usize, per_area: usize) -> CongestionEnvironment {
@@ -1653,6 +1613,26 @@ mod tests {
             SimulationConfig::default(),
             21,
         )
+    }
+
+    #[test]
+    fn restore_refuses_a_device_in_an_area_off_its_route() {
+        let mut env = replicated(2, 2);
+        env.begin_slot(0);
+        let state = env.state().unwrap();
+        // Device 0 stands in area 0; area 1's table indexes partition 1.
+        let moved = state.replacen(r#""area":0"#, r#""area":1"#, 1);
+        assert_ne!(moved, state);
+        let mut restored = replicated(2, 2);
+        let error = restored.restore(&moved).unwrap_err();
+        assert!(error.0.starts_with("device 0 stands in area 1"), "{error}");
+        assert_eq!(
+            restored.state(),
+            replicated(2, 2).state(),
+            "a refused state leaves the world untouched"
+        );
+        restored.restore(&state).unwrap();
+        assert_eq!(restored.state(), Some(state));
     }
 
     #[test]

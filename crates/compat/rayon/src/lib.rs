@@ -1,12 +1,11 @@
 //! Offline, API-compatible subset of `rayon`.
 //!
-//! Provides the data-parallel surface the fleet engine uses — chunked
-//! parallel iteration over mutable slices plus a [`ThreadPool`] whose
-//! `install` scopes the worker count — implemented on `std::thread::scope`.
-//! Workers pull chunks off a shared atomic cursor, so load balancing is
-//! dynamic while the *assignment of work to chunks* stays fully deterministic
-//! (each chunk is processed exactly once, independently of which worker runs
-//! it or in which order).
+//! Provides the data-parallel surface the workspace uses — `into_par_iter`
+//! over an owned `Vec` of work items plus a [`ThreadPool`] whose `install`
+//! scopes the worker count — implemented on `std::thread::scope`. Workers
+//! pull items off a shared atomic cursor, so load balancing is dynamic while
+//! each item's work stays fully deterministic (each item is processed
+//! exactly once, independently of which worker runs it or in which order).
 
 #![forbid(unsafe_code)]
 
@@ -15,10 +14,7 @@ use std::sync::{Mutex, OnceLock};
 
 pub mod prelude {
     //! Traits imported by `use rayon::prelude::*`.
-    pub use crate::{
-        IndexedParallelIterator, IntoParallelIterator, ParallelIterator, ParallelSlice,
-        ParallelSliceMut,
-    };
+    pub use crate::{IntoParallelIterator, ParallelIterator};
 }
 
 thread_local! {
@@ -129,13 +125,11 @@ impl ThreadPool {
 /// off an atomic cursor. The calling thread is one of the workers, so a call
 /// spawns `workers - 1` threads. The item order a worker observes is
 /// arbitrary, but every item runs exactly once.
-fn drive<T: Send, F: Fn(usize, T) + Sync>(items: Vec<T>, f: F) {
+fn drive<T: Send, F: Fn(T) + Sync>(items: Vec<T>, f: F) {
     let total = items.len();
     let workers = current_num_threads().min(total).max(1);
     if workers <= 1 {
-        for (index, item) in items.into_iter().enumerate() {
-            f(index, item);
-        }
+        items.into_iter().for_each(f);
         return;
     }
     let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
@@ -150,10 +144,10 @@ fn drive<T: Send, F: Fn(usize, T) + Sync>(items: Vec<T>, f: F) {
         }
         let item = cells[index]
             .lock()
-            .expect("chunk cell poisoned")
+            .expect("item cell poisoned")
             .take()
-            .expect("chunk taken twice");
-        f(index, item);
+            .expect("item taken twice");
+        f(item);
     };
     std::thread::scope(|scope| {
         for _ in 1..workers {
@@ -170,66 +164,6 @@ pub trait ParallelIterator: Sized {
 
     /// Consumes the iterator, applying `f` to every item in parallel.
     fn for_each<F: Fn(Self::Item) + Sync + Send>(self, f: F);
-}
-
-/// Parallel iterators with known length and stable indices.
-pub trait IndexedParallelIterator: ParallelIterator {
-    /// Pairs every item with its index.
-    fn enumerate(self) -> Enumerate<Self> {
-        Enumerate { inner: self }
-    }
-}
-
-/// `par_chunks_mut` over a mutable slice.
-pub struct ParChunksMut<'a, T> {
-    chunks: Vec<&'a mut [T]>,
-}
-
-impl<'a, T: Send> ParallelIterator for ParChunksMut<'a, T> {
-    type Item = &'a mut [T];
-
-    fn for_each<F: Fn(Self::Item) + Sync + Send>(self, f: F) {
-        drive(self.chunks, |_, chunk| f(chunk));
-    }
-}
-
-impl<T: Send> IndexedParallelIterator for ParChunksMut<'_, T> {}
-
-/// `par_chunks` over a shared slice.
-pub struct ParChunks<'a, T> {
-    chunks: Vec<&'a [T]>,
-}
-
-impl<'a, T: Sync> ParallelIterator for ParChunks<'a, T> {
-    type Item = &'a [T];
-
-    fn for_each<F: Fn(Self::Item) + Sync + Send>(self, f: F) {
-        drive(self.chunks, |_, chunk| f(chunk));
-    }
-}
-
-impl<T: Sync> IndexedParallelIterator for ParChunks<'_, T> {}
-
-/// An indexed parallel iterator produced by
-/// [`IndexedParallelIterator::enumerate`].
-pub struct Enumerate<I> {
-    inner: I,
-}
-
-impl<'a, T: Send> ParallelIterator for Enumerate<ParChunksMut<'a, T>> {
-    type Item = (usize, &'a mut [T]);
-
-    fn for_each<F: Fn(Self::Item) + Sync + Send>(self, f: F) {
-        drive(self.inner.chunks, |index, chunk| f((index, chunk)));
-    }
-}
-
-impl<'a, T: Sync> ParallelIterator for Enumerate<ParChunks<'a, T>> {
-    type Item = (usize, &'a [T]);
-
-    fn for_each<F: Fn(Self::Item) + Sync + Send>(self, f: F) {
-        drive(self.inner.chunks, |index, chunk| f((index, chunk)));
-    }
 }
 
 /// Conversion into a parallel iterator (the subset the workspace uses:
@@ -253,17 +187,7 @@ impl<T: Send> ParallelIterator for IntoParIter<T> {
     type Item = T;
 
     fn for_each<F: Fn(Self::Item) + Sync + Send>(self, f: F) {
-        drive(self.items, |_, item| f(item));
-    }
-}
-
-impl<T: Send> IndexedParallelIterator for IntoParIter<T> {}
-
-impl<T: Send> ParallelIterator for Enumerate<IntoParIter<T>> {
-    type Item = (usize, T);
-
-    fn for_each<F: Fn(Self::Item) + Sync + Send>(self, f: F) {
-        drive(self.inner.items, |index, item| f((index, item)));
+        drive(self.items, f);
     }
 }
 
@@ -276,68 +200,10 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
     }
 }
 
-/// Extension adding `par_chunks` to shared slices.
-pub trait ParallelSlice<T: Sync> {
-    /// Splits the slice into chunks of at most `chunk_size` elements that can
-    /// be processed in parallel.
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, chunk_size: usize) -> ParChunks<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be non-zero");
-        ParChunks {
-            chunks: self.chunks(chunk_size).collect(),
-        }
-    }
-}
-
-/// Extension adding `par_chunks_mut` to mutable slices.
-pub trait ParallelSliceMut<T: Send> {
-    /// Splits the slice into mutable chunks of at most `chunk_size` elements
-    /// that can be processed in parallel.
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-        assert!(chunk_size > 0, "chunk size must be non-zero");
-        ParChunksMut {
-            chunks: self.chunks_mut(chunk_size).collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
     use super::*;
-
-    #[test]
-    fn par_chunks_mut_touches_every_element_once() {
-        let mut data = vec![0u64; 1000];
-        data.par_chunks_mut(64).for_each(|chunk| {
-            for x in chunk {
-                *x += 1;
-            }
-        });
-        assert!(data.iter().all(|&x| x == 1));
-    }
-
-    #[test]
-    fn enumerate_reports_stable_chunk_indices() {
-        let mut data = vec![0usize; 300];
-        data.par_chunks_mut(100)
-            .enumerate()
-            .for_each(|(index, chunk)| {
-                for x in chunk {
-                    *x = index;
-                }
-            });
-        assert_eq!(data[0], 0);
-        assert_eq!(data[150], 1);
-        assert_eq!(data[299], 2);
-    }
 
     #[test]
     fn install_scopes_the_worker_count() {
@@ -369,13 +235,12 @@ mod tests {
                 .unwrap();
             pool.install(|| {
                 let mut data: Vec<u64> = (0..997).collect();
-                data.par_chunks_mut(10)
-                    .enumerate()
-                    .for_each(|(index, chunk)| {
-                        for x in chunk {
-                            *x = x.wrapping_mul(31).wrapping_add(index as u64);
-                        }
-                    });
+                let work: Vec<(usize, &mut [u64])> = data.chunks_mut(10).enumerate().collect();
+                work.into_par_iter().for_each(|(index, chunk)| {
+                    for x in chunk {
+                        *x = x.wrapping_mul(31).wrapping_add(index as u64);
+                    }
+                });
                 data
             })
         };

@@ -11,7 +11,7 @@
 //! share. For singleton congestion games with equal-share utilities this greedy
 //! insertion yields a pure Nash equilibrium allocation.
 
-use crate::policy::{Observation, Policy, PolicyStats, SelectionKind};
+use crate::policy::{Observation, Policy, PolicyStats};
 use crate::{ConfigError, NetworkId, SlotIndex};
 use rand::RngCore;
 use std::collections::BTreeMap;
@@ -161,10 +161,6 @@ impl Policy for CentralizedPolicy {
 
     fn probabilities(&self) -> Vec<(NetworkId, f64)> {
         vec![(self.assigned, 1.0)]
-    }
-
-    fn last_selection_kind(&self) -> SelectionKind {
-        SelectionKind::Fixed
     }
 
     fn stats(&self) -> PolicyStats {

@@ -8,7 +8,7 @@
 //! update to the chosen network only.
 
 use crate::error::check_networks;
-use crate::policy::{Observation, Policy, PolicyStats, SelectionKind};
+use crate::policy::{Observation, Policy, PolicyStats};
 use crate::{ConfigError, GammaSchedule, NetworkId, SamplerStrategy, SlotIndex, WeightTable};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -37,11 +37,13 @@ impl Exp3Config {
 }
 
 /// The EXP3 adversarial-bandit algorithm, one decision per slot.
+///
+/// Its decision counter is `stats.blocks` (one block per slot), and γ is
+/// the schedule evaluated there: neither is stored twice.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Exp3 {
     config: Exp3Config,
     weights: WeightTable,
-    decisions: usize,
     current: Option<NetworkId>,
     /// Table position `current` was drawn at, so `observe` can update it
     /// without the arm lookup. A cache of `current`, checked before use and
@@ -50,8 +52,6 @@ pub struct Exp3 {
     #[serde(skip)]
     current_position: usize,
     current_probability: f64,
-    current_gamma: f64,
-    last_kind: SelectionKind,
     stats: PolicyStats,
 }
 
@@ -68,20 +68,18 @@ impl Exp3 {
         Ok(Exp3 {
             config,
             weights: WeightTable::uniform_with_strategy(&networks, config.sampler),
-            decisions: 0,
             current: None,
             current_position: 0,
             current_probability: 1.0,
-            current_gamma: config.gamma.value(1),
-            last_kind: SelectionKind::Random,
             stats: PolicyStats::default(),
         })
     }
 
-    /// The γ used for the most recent decision.
+    /// The γ used for the most recent decision: the schedule at the
+    /// decision count.
     #[must_use]
     pub fn current_gamma(&self) -> f64 {
-        self.current_gamma
+        self.config.gamma.value(self.stats.blocks as usize)
     }
 
     /// The configuration this policy was built with.
@@ -106,20 +104,17 @@ impl Policy for Exp3 {
     }
 
     fn choose(&mut self, _slot: SlotIndex, rng: &mut dyn RngCore) -> NetworkId {
-        self.decisions += 1;
-        self.current_gamma = self.config.gamma.value(self.decisions);
-        let (position, probability) = self.weights.sample_position(self.current_gamma, rng);
+        self.stats.blocks += 1;
+        let (position, probability) = self.weights.sample_position(self.current_gamma(), rng);
         let network = self.weights.arms()[position];
         if let Some(previous) = self.current {
             if previous != network {
                 self.stats.switches += 1;
             }
         }
-        self.stats.blocks += 1;
         self.current = Some(network);
         self.current_position = position;
         self.current_probability = probability;
-        self.last_kind = SelectionKind::Random;
         network
     }
 
@@ -129,17 +124,15 @@ impl Policy for Exp3 {
             return;
         }
         let estimated = observation.scaled_gain / self.current_probability.max(f64::MIN_POSITIVE);
+        let gamma = self.current_gamma();
         // Arms are unique, so a position still holding the observed network
         // is its position.
         if self.weights.arms().get(self.current_position) == Some(&observation.network) {
-            self.weights.multiplicative_update_at(
-                self.current_position,
-                self.current_gamma,
-                estimated,
-            );
+            self.weights
+                .multiplicative_update_at(self.current_position, gamma, estimated);
         } else {
             self.weights
-                .multiplicative_update(observation.network, self.current_gamma, estimated);
+                .multiplicative_update(observation.network, gamma, estimated);
         }
     }
 
@@ -148,12 +141,10 @@ impl Policy for Exp3 {
         // confidence-scaled mean gain — *without* importance weighting (the
         // crowd's estimate is approximate full information, not a 1/p-boosted
         // bandit sample). The shared_update guard drops corrupt reports.
+        let gamma = self.current_gamma();
         for rate in shared.rates() {
-            self.weights.shared_update(
-                rate.network,
-                self.current_gamma,
-                rate.confidence() * rate.mean_gain(),
-            );
+            self.weights
+                .shared_update(rate.network, gamma, rate.confidence() * rate.mean_gain());
         }
         self.stats.shared_observations += shared.len() as u64;
     }
@@ -180,21 +171,13 @@ impl Policy for Exp3 {
     }
 
     fn probabilities(&self) -> Vec<(NetworkId, f64)> {
-        let probs = self.weights.probabilities(self.current_gamma);
+        let probs = self.weights.probabilities(self.current_gamma());
         self.weights.arms().iter().copied().zip(probs).collect()
-    }
-
-    fn probabilities_into(&self, out: &mut Vec<(NetworkId, f64)>) {
-        self.weights.probability_pairs_into(self.current_gamma, out);
     }
 
     fn top_probabilities_into(&self, k: usize, out: &mut Vec<(NetworkId, f64)>) {
         self.weights
-            .top_probabilities_into(self.current_gamma, k, out);
-    }
-
-    fn last_selection_kind(&self) -> SelectionKind {
-        self.last_kind
+            .top_probabilities_into(self.current_gamma(), k, out);
     }
 
     fn stats(&self) -> PolicyStats {
@@ -392,7 +375,7 @@ mod tests {
             let observation = Observation::bandit(30, chosen, 11.0, 0.5);
             let mut twin = policy.weights.clone();
             let estimated = 0.5 / policy.current_probability.max(f64::MIN_POSITIVE);
-            twin.multiplicative_update(chosen, policy.current_gamma, estimated);
+            twin.multiplicative_update(chosen, policy.current_gamma(), estimated);
             policy.observe(&observation, &mut StdRng::seed_from_u64(0));
             assert_eq!(policy.weights, twin);
         };

@@ -88,13 +88,6 @@ impl PolicyKind {
     pub fn needs_full_information(&self) -> bool {
         matches!(self, PolicyKind::FullInformation)
     }
-
-    /// `true` for algorithms that cannot be deployed without coordination
-    /// (included in the paper only as idealised baselines).
-    #[must_use]
-    pub fn is_oracle(&self) -> bool {
-        matches!(self, PolicyKind::Centralized | PolicyKind::FullInformation)
-    }
 }
 
 impl fmt::Display for PolicyKind {
@@ -170,21 +163,6 @@ impl PolicyFactory {
             full_information_config: FullInformationConfig::default(),
             coordinator: None,
         })
-    }
-
-    /// Overrides the Smart EXP3 configuration used for the whole EXP3 family
-    /// (the feature set is still chosen per [`PolicyKind`]).
-    #[must_use]
-    pub fn with_smart_config(mut self, config: SmartExp3Config) -> Self {
-        self.smart_config = config;
-        self
-    }
-
-    /// Overrides the slot-level EXP3 configuration.
-    #[must_use]
-    pub fn with_exp3_config(mut self, config: Exp3Config) -> Self {
-        self.exp3_config = config;
-        self
     }
 
     /// Selects the CDF-inversion strategy for every EXP3-family policy this

@@ -2,7 +2,7 @@
 //! once, then never move (unless the network disappears).
 
 use crate::error::check_networks;
-use crate::policy::{Observation, Policy, PolicyStats, SelectionKind};
+use crate::policy::{Observation, Policy, PolicyStats};
 use crate::{ConfigError, NetworkId, SlotIndex};
 use rand::seq::SliceRandom;
 use rand::RngCore;
@@ -81,10 +81,6 @@ impl Policy for FixedRandom {
                 self.available.iter().map(|&n| (n, p)).collect()
             }
         }
-    }
-
-    fn last_selection_kind(&self) -> SelectionKind {
-        SelectionKind::Fixed
     }
 
     fn stats(&self) -> PolicyStats {

@@ -10,7 +10,7 @@
 //! idealised reference point.
 
 use crate::error::{check_networks, check_positive};
-use crate::policy::{Observation, Policy, PolicyStats, SelectionKind};
+use crate::policy::{Observation, Policy, PolicyStats};
 use crate::{ConfigError, NetworkId, SlotIndex, WeightTable};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -143,16 +143,8 @@ impl Policy for FullInformation {
         self.weights.arms().iter().copied().zip(probs).collect()
     }
 
-    fn probabilities_into(&self, out: &mut Vec<(NetworkId, f64)>) {
-        self.weights.probability_pairs_into(0.0, out);
-    }
-
     fn top_probabilities_into(&self, k: usize, out: &mut Vec<(NetworkId, f64)>) {
         self.weights.top_probabilities_into(0.0, k, out);
-    }
-
-    fn last_selection_kind(&self) -> SelectionKind {
-        SelectionKind::Random
     }
 
     fn stats(&self) -> PolicyStats {

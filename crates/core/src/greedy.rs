@@ -7,7 +7,7 @@
 //! (Figures 8, 13, 14 of the paper).
 
 use crate::error::check_networks;
-use crate::policy::{Observation, Policy, PolicyStats, SelectionKind};
+use crate::policy::{Observation, Policy, PolicyStats};
 use crate::{ConfigError, NetworkId, NetworkStats, SlotIndex};
 use rand::seq::SliceRandom;
 use rand::RngCore;
@@ -21,7 +21,6 @@ pub struct Greedy {
     explore_shuffled: bool,
     stats_table: NetworkStats,
     current: Option<NetworkId>,
-    last_kind: SelectionKind,
     stats: PolicyStats,
 }
 
@@ -39,7 +38,6 @@ impl Greedy {
             explore_shuffled: false,
             stats_table: NetworkStats::new(),
             current: None,
-            last_kind: SelectionKind::Exploration,
             stats: PolicyStats::default(),
         })
     }
@@ -71,11 +69,9 @@ impl Policy for Greedy {
         }
         let next = if let Some(network) = self.to_explore.pop() {
             self.stats.explorations += 1;
-            self.last_kind = SelectionKind::Exploration;
             network
         } else {
             self.stats.greedy_selections += 1;
-            self.last_kind = SelectionKind::Greedy;
             self.stats_table
                 .best_average()
                 .filter(|n| self.available.contains(n))
@@ -131,10 +127,6 @@ impl Policy for Greedy {
                 (n, p)
             })
             .collect()
-    }
-
-    fn last_selection_kind(&self) -> SelectionKind {
-        self.last_kind
     }
 
     fn stats(&self) -> PolicyStats {

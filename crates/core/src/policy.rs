@@ -5,13 +5,14 @@ use crate::{NetworkId, SlotIndex};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-/// How a policy arrived at its most recent selection.
+/// How a Smart EXP3 block's network was chosen, as its
+/// [`BlockState`](crate::BlockState) records it.
 ///
 /// The Smart EXP3 weight-update rule divides the observed gain by the
 /// probability `p(b)` with which the block's network was chosen, and that
 /// probability depends on the *kind* of selection that was made (initial
-/// exploration, random draw, greedy pick or switch-back). The kind is also
-/// recorded by the simulator for diagnostics.
+/// exploration, random draw, greedy pick or switch-back). The switch-back
+/// rule reads the kind too: a switch-back block never switches back again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SelectionKind {
     /// Initial (or post-reset) exploration of a not-yet-visited network.
@@ -22,20 +23,6 @@ pub enum SelectionKind {
     Greedy,
     /// Return to the previously used network after a disappointing first slot.
     SwitchBack,
-    /// The policy continued an ongoing block (no fresh decision this slot).
-    Continuation,
-    /// A deterministic assignment (used by the centralized oracle and
-    /// fixed-random baselines).
-    Fixed,
-}
-
-impl SelectionKind {
-    /// Returns `true` if this slot started a new block (i.e. a fresh decision
-    /// was taken rather than continuing the previous one).
-    #[must_use]
-    pub fn is_fresh_decision(self) -> bool {
-        !matches!(self, SelectionKind::Continuation)
-    }
 }
 
 /// Everything a device learns at the end of one time slot.
@@ -112,6 +99,8 @@ pub struct PolicyStats {
     /// consecutive slots in which the device was active).
     pub switches: u64,
     /// Number of blocks started (1 for slot-level policies' every decision).
+    /// EXP3 and Smart EXP3 evaluate their γ schedule at this count, so a
+    /// restored state's γ follows from it.
     pub blocks: u64,
     /// Number of times the minimal-reset mechanism fired.
     pub resets: u64,
@@ -145,7 +134,16 @@ pub struct PolicyStats {
 /// 3. [`observe`](Policy::observe) — the policy ingests the feedback.
 ///
 /// [`on_networks_changed`](Policy::on_networks_changed) may be called between
-/// slots when the set of visible networks changes (mobility, AP churn).
+/// slots when the set of visible networks changes (mobility, AP churn), and
+/// [`observe_shared`](Policy::observe_shared) after `observe` in cooperative
+/// worlds.
+///
+/// The trait has nine methods, and each has a caller: those four, the reads
+/// [`probabilities`](Policy::probabilities) (reports, tests) and
+/// [`top_probabilities_into`](Policy::top_probabilities_into) (the engine's
+/// top-choices hook; its default sorts `probabilities()`), and
+/// [`name`](Policy::name), [`stats`](Policy::stats) and
+/// [`state`](Policy::state) (reports, metrics and checkpoints).
 ///
 /// Implementations are deterministic given the `rng` passed in, which keeps
 /// whole-simulation runs reproducible from a single seed.
@@ -193,44 +191,28 @@ pub trait Policy: Send {
     /// their committed choice.
     fn probabilities(&self) -> Vec<(NetworkId, f64)>;
 
-    /// Zero-alloc variant of [`probabilities`](Policy::probabilities): fills
-    /// `out` (cleared first), reusing its capacity. Drivers that poll the
-    /// distribution every slot (the simulator's recorder, dashboards) should
-    /// prefer this entry point with a long-lived buffer.
-    ///
-    /// The default delegates to `probabilities()`; policies on the hot path
-    /// (the EXP3 family) override it to read their cached distribution
-    /// without allocating.
-    fn probabilities_into(&self, out: &mut Vec<(NetworkId, f64)>) {
-        out.clear();
-        out.extend(self.probabilities());
-    }
-
-    /// Bounded top-`k` variant of
-    /// [`probabilities_into`](Policy::probabilities_into): fills `out`
-    /// (cleared first, capacity reused) with at most `k` `(network,
-    /// probability)` pairs, highest probability first. Readers that only
-    /// consume the most probable choice(s) — the engine's end-of-slot
-    /// top-choices hook, dashboards — should prefer this entry point so
-    /// dense worlds (hundreds of networks per session) don't pay for a full
-    /// O(K) listing per session per slot.
+    /// Bounded top-`k` variant of [`probabilities`](Policy::probabilities):
+    /// fills `out` (cleared first, capacity reused) with at most `k`
+    /// `(network, probability)` pairs, highest probability first. Readers
+    /// that only consume the most probable choice(s) — the engine's
+    /// end-of-slot top-choices hook, dashboards — should prefer this entry
+    /// point so dense worlds (hundreds of networks per session) don't pay
+    /// for a full O(K) listing per session per slot.
     ///
     /// Ties break towards the **later-listed** network, exactly as scanning
     /// the full listing with `Iterator::max_by(f64::total_cmp)` would — so
     /// `top_probabilities_into(1, ..)` is a drop-in for that idiom. The
-    /// default selects over `probabilities_into`; the EXP3 family overrides
-    /// it to heap-select directly over the cached exponentials.
+    /// default sorts the listing `probabilities()` returns; the EXP3 family
+    /// overrides it to heap-select directly over the cached exponentials.
     fn top_probabilities_into(&self, k: usize, out: &mut Vec<(NetworkId, f64)>) {
-        self.probabilities_into(out);
+        out.clear();
+        out.extend(self.probabilities());
         // Reverse, then stable-sort descending: later-listed entries stay
         // ahead of earlier ones with equal probability.
         out.reverse();
         out.sort_by(|a, b| b.1.total_cmp(&a.1));
         out.truncate(k);
     }
-
-    /// The kind of the most recent selection (see [`SelectionKind`]).
-    fn last_selection_kind(&self) -> SelectionKind;
 
     /// Behavioural counters (switches, resets, …) accumulated so far.
     fn stats(&self) -> PolicyStats;
@@ -279,16 +261,8 @@ impl Policy for Box<dyn Policy> {
         (**self).probabilities()
     }
 
-    fn probabilities_into(&self, out: &mut Vec<(NetworkId, f64)>) {
-        (**self).probabilities_into(out);
-    }
-
     fn top_probabilities_into(&self, k: usize, out: &mut Vec<(NetworkId, f64)>) {
         (**self).top_probabilities_into(k, out);
-    }
-
-    fn last_selection_kind(&self) -> SelectionKind {
-        (**self).last_selection_kind()
     }
 
     fn stats(&self) -> PolicyStats {
@@ -323,13 +297,6 @@ mod tests {
         assert!(obs.switched);
         assert_eq!(obs.switching_delay_s, 1.5);
         assert_eq!(obs.full_gains.as_ref().map(Vec::len), Some(2));
-    }
-
-    #[test]
-    fn selection_kind_freshness() {
-        assert!(SelectionKind::Exploration.is_fresh_decision());
-        assert!(SelectionKind::SwitchBack.is_fresh_decision());
-        assert!(!SelectionKind::Continuation.is_fresh_decision());
     }
 
     #[test]

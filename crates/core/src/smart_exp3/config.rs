@@ -116,10 +116,6 @@ pub struct SmartExp3Config {
     /// Drop-triggered reset: number of consecutive declining slots that must
     /// be exceeded (paper: 4).
     pub reset_drop_slots: u32,
-    /// Optional hard cap on block length, mostly useful for very long
-    /// horizons with the reset mechanism disabled. `None` reproduces the
-    /// paper exactly.
-    pub max_block_length: Option<u64>,
     /// How the fresh-decision random draw inverts the CDF (see
     /// [`SamplerStrategy`]). Golden decision pins are scoped to this choice;
     /// the default `Linear` reproduces the historical trajectories
@@ -139,7 +135,6 @@ impl Default for SmartExp3Config {
             reset_block_length_threshold: 40,
             reset_drop_fraction: 0.15,
             reset_drop_slots: 4,
-            max_block_length: None,
             sampler: SamplerStrategy::default(),
         }
     }
@@ -180,9 +175,6 @@ impl SmartExp3Config {
                 value: 0.0,
                 expected: "at least 1 slot",
             });
-        }
-        if let Some(cap) = self.max_block_length {
-            check_positive("max_block_length", cap as f64)?;
         }
         Ok(())
     }

@@ -35,16 +35,15 @@ use serde::{Deserialize, Serialize};
 
 /// The Smart EXP3 policy (and, depending on [`SmartExp3Features`], its
 /// ablation variants).
+///
+/// Its global block counter `b` is `stats.blocks` (never reset), and γ is
+/// the schedule evaluated there: neither is stored twice.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SmartExp3 {
     config: SmartExp3Config,
     available: Vec<NetworkId>,
     weights: WeightTable,
     stats_table: NetworkStats,
-
-    /// Global block counter `b` (never reset; drives the γ schedule).
-    block_index: usize,
-    current_gamma: f64,
 
     /// Networks still to be visited by the (initial or post-reset) exploration
     /// phase.
@@ -83,7 +82,6 @@ pub struct SmartExp3 {
     #[serde(skip)]
     gain_log_pool: Vec<f64>,
 
-    last_kind: SelectionKind,
     stats: PolicyStats,
 }
 
@@ -105,8 +103,6 @@ impl SmartExp3 {
         Ok(SmartExp3 {
             weights: WeightTable::uniform_with_strategy(&networks, config.sampler),
             stats_table: NetworkStats::new(),
-            block_index: 0,
-            current_gamma: config.gamma.value(1),
             explore_queue,
             explore_shuffled: false,
             current_block: None,
@@ -118,7 +114,6 @@ impl SmartExp3 {
             drop_streak: 0,
             block_length_memo: Vec::new(),
             gain_log_pool: Vec::new(),
-            last_kind: SelectionKind::Exploration,
             stats: PolicyStats::default(),
             available: networks,
             config,
@@ -140,16 +135,10 @@ impl SmartExp3 {
         &self.config
     }
 
-    /// The γ used for the current block.
+    /// The γ used for the current block: the schedule at the block count.
     #[must_use]
     pub fn current_gamma(&self) -> f64 {
-        self.current_gamma
-    }
-
-    /// Number of blocks started so far.
-    #[must_use]
-    pub fn block_index(&self) -> usize {
-        self.block_index
+        self.config.gamma.value(self.stats.blocks as usize)
     }
 
     /// Length (in slots) of the block currently being executed, if any.
@@ -164,11 +153,7 @@ impl SmartExp3 {
 
     fn block_length_for(&mut self, network: NetworkId) -> u64 {
         let x = self.stats_table.blocks(network);
-        let len = self.memoized_block_length(x);
-        match self.config.max_block_length {
-            Some(cap) => len.min(cap.max(1)),
-            None => len,
-        }
+        self.memoized_block_length(x)
     }
 
     /// `⌈(1+β)^x⌉` through the memo (exact: the memo stores the very value
@@ -240,12 +225,12 @@ impl SmartExp3 {
     }
 
     fn start_new_block(&mut self, rng: &mut dyn RngCore) -> NetworkId {
-        self.block_index += 1;
-        self.current_gamma = self.config.gamma.value(self.block_index);
+        self.stats.blocks += 1;
+        let gamma = self.current_gamma();
         // One pass over the cached distribution serves the reset check, the
         // greedy conditions and the greedy fallback below. A minimal reset
         // keeps the weights and γ, so the digest stays valid across it.
-        let summary = self.weights.summary(self.current_gamma);
+        let summary = self.weights.summary(gamma);
 
         if self.explore_queue.is_empty() {
             if let Some(summary) = &summary {
@@ -290,7 +275,7 @@ impl SmartExp3 {
                 self.stats.greedy_selections += 1;
                 (network, 0.5, SelectionKind::Greedy)
             } else {
-                let (network, p) = self.weights.sample(self.current_gamma, rng);
+                let (network, p) = self.weights.sample(gamma, rng);
                 let probability = if greedy_allowed { p / 2.0 } else { p };
                 (network, probability, SelectionKind::Random)
             }
@@ -298,13 +283,11 @@ impl SmartExp3 {
 
         let length = self.block_length_for(network);
         self.stats_table.record_block(network);
-        self.stats.blocks += 1;
         if let Some(last) = self.last_network {
             if last != network {
                 self.stats.switches += 1;
             }
         }
-        self.last_kind = kind;
         let gain_log = std::mem::take(&mut self.gain_log_pool);
         self.current_block = Some(BlockState::with_gain_log(
             network,
@@ -327,8 +310,9 @@ impl SmartExp3 {
     fn finish_current_block(&mut self) {
         if let Some(block) = self.current_block.take() {
             let estimated = block.accumulated_gain / block.probability.max(f64::MIN_POSITIVE);
+            let gamma = self.current_gamma();
             self.weights
-                .multiplicative_update(block.network, self.current_gamma, estimated);
+                .multiplicative_update(block.network, gamma, estimated);
             // The outgoing previous block's gain log becomes the pool buffer
             // for the next block — block turnover allocates nothing.
             if let Some(retired) = self.previous_block.replace(block) {
@@ -433,11 +417,7 @@ impl Policy for SmartExp3 {
 
     fn choose(&mut self, _slot: SlotIndex, rng: &mut dyn RngCore) -> NetworkId {
         match &self.current_block {
-            Some(block) if !self.needs_decision => {
-                let network = block.network;
-                self.last_kind = SelectionKind::Continuation;
-                network
-            }
+            Some(block) if !self.needs_decision => block.network,
             _ => self.start_new_block(rng),
         }
     }
@@ -491,12 +471,10 @@ impl Policy for SmartExp3 {
         // by the device's own observations, so every blocking guarantee of
         // the paper is untouched. The shared_update guard drops corrupt
         // reports (non-finite or negative rates).
+        let gamma = self.current_gamma();
         for rate in shared.rates() {
-            self.weights.shared_update(
-                rate.network,
-                self.current_gamma,
-                rate.confidence() * rate.mean_gain(),
-            );
+            self.weights
+                .shared_update(rate.network, gamma, rate.confidence() * rate.mean_gain());
         }
         self.stats.shared_observations += shared.len() as u64;
     }
@@ -516,9 +494,9 @@ impl Policy for SmartExp3 {
 
         // A vanished network that was very likely to be selected warrants a
         // reset (§III "Change in set of networks").
+        let gamma = self.current_gamma();
         let removed_high_probability = removed.iter().any(|&n| {
-            self.weights.probability_of(n, self.current_gamma)
-                >= self.config.reset_probability_threshold
+            self.weights.probability_of(n, gamma) >= self.config.reset_probability_threshold
         });
 
         for &n in &newly_discovered {
@@ -566,21 +544,13 @@ impl Policy for SmartExp3 {
     }
 
     fn probabilities(&self) -> Vec<(NetworkId, f64)> {
-        let probs = self.weights.probabilities(self.current_gamma);
+        let probs = self.weights.probabilities(self.current_gamma());
         self.weights.arms().iter().copied().zip(probs).collect()
-    }
-
-    fn probabilities_into(&self, out: &mut Vec<(NetworkId, f64)>) {
-        self.weights.probability_pairs_into(self.current_gamma, out);
     }
 
     fn top_probabilities_into(&self, k: usize, out: &mut Vec<(NetworkId, f64)>) {
         self.weights
-            .top_probabilities_into(self.current_gamma, k, out);
-    }
-
-    fn last_selection_kind(&self) -> SelectionKind {
-        self.last_kind
+            .top_probabilities_into(self.current_gamma(), k, out);
     }
 
     fn stats(&self) -> PolicyStats {
@@ -750,8 +720,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let mut saw_switch_back = false;
         for t in 0..400 {
+            let before = policy.stats().switch_backs;
             let chosen = policy.choose(t, &mut rng);
-            if policy.last_selection_kind() == SelectionKind::SwitchBack {
+            if policy.stats().switch_backs > before {
                 saw_switch_back = true;
                 assert_eq!(
                     chosen,
@@ -772,16 +743,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let mut previous_was_switch_back = false;
         for t in 0..2000 {
+            let before = policy.stats();
             let chosen = policy.choose(t, &mut rng);
-            let fresh = policy.last_selection_kind();
-            if fresh == SelectionKind::SwitchBack {
+            let after = policy.stats();
+            let switch_back = after.switch_backs > before.switch_backs;
+            if switch_back {
                 assert!(
                     !previous_was_switch_back,
                     "two switch-back blocks in a row at slot {t}"
                 );
             }
-            if fresh.is_fresh_decision() {
-                previous_was_switch_back = fresh == SelectionKind::SwitchBack;
+            if after.blocks > before.blocks {
+                previous_was_switch_back = switch_back;
             }
             // Noisy environment to provoke frequent switch-backs.
             let base = match chosen {

@@ -559,31 +559,9 @@ impl WeightTable {
     /// returned in the same order as [`arms`](Self::arms).
     #[must_use]
     pub fn probabilities(&self, gamma: f64) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.probabilities_into(gamma, &mut out);
-        out
-    }
-
-    /// Zero-alloc variant of [`probabilities`](Self::probabilities): fills
-    /// `out` (cleared first), reusing its capacity.
-    pub fn probabilities_into(&self, gamma: f64, out: &mut Vec<f64>) {
-        out.clear();
-        if self.arms.is_empty() {
-            return;
-        }
-        out.extend((0..self.arms.len()).map(|i| self.probability_at(i, gamma)));
-    }
-
-    /// Zero-alloc `(arm, probability)` listing in insertion order: fills
-    /// `out` (cleared first), reusing its capacity.
-    pub fn probability_pairs_into(&self, gamma: f64, out: &mut Vec<(NetworkId, f64)>) {
-        out.clear();
-        out.extend(
-            self.arms
-                .iter()
-                .enumerate()
-                .map(|(i, &arm)| (arm, self.probability_at(i, gamma))),
-        );
+        (0..self.arms.len())
+            .map(|i| self.probability_at(i, gamma))
+            .collect()
     }
 
     /// Bounded top-`k` `(arm, probability)` selection over the cached
@@ -595,9 +573,9 @@ impl WeightTable {
     ///
     /// Ties break towards the **later-inserted** arm (the opposite of
     /// [`summary`](Self::summary)), matching what a reader gets from scanning
-    /// the full [`probability_pairs_into`](Self::probability_pairs_into)
-    /// listing with `Iterator::max_by` — the historical engine idiom this
-    /// method replaces. Comparisons use `f64::total_cmp`.
+    /// the full [`probabilities`](Self::probabilities) listing, paired with
+    /// [`arms`](Self::arms), with `Iterator::max_by` — the historical engine
+    /// idiom this method replaces. Comparisons use `f64::total_cmp`.
     pub fn top_probabilities_into(&self, gamma: f64, k: usize, out: &mut Vec<(NetworkId, f64)>) {
         out.clear();
         if k == 0 {
@@ -1073,8 +1051,12 @@ mod tests {
             for round in 0..200 {
                 let arm = NetworkId(round % 17);
                 table.multiplicative_update(arm, gamma, ((round % 13) as f64).mul_add(0.17, 0.4));
-                let mut pairs = Vec::new();
-                table.probability_pairs_into(gamma, &mut pairs);
+                let pairs: Vec<(NetworkId, f64)> = table
+                    .arms()
+                    .iter()
+                    .copied()
+                    .zip(table.probabilities(gamma))
+                    .collect();
                 // The engine's historical idiom: scan the full listing, last
                 // maximal element wins ties.
                 let expected_top = pairs.iter().copied().max_by(|a, b| a.1.total_cmp(&b.1));
@@ -1278,19 +1260,6 @@ mod tests {
                 probs.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
             );
         }
-    }
-
-    #[test]
-    fn probabilities_into_reuses_the_buffer() {
-        let mut table = WeightTable::uniform(&arms(3));
-        table.multiplicative_update(NetworkId(0), 0.2, 3.0);
-        let mut buffer = Vec::new();
-        table.probabilities_into(0.1, &mut buffer);
-        assert_eq!(buffer, table.probabilities(0.1));
-        let capacity = buffer.capacity();
-        table.probabilities_into(0.4, &mut buffer);
-        assert_eq!(buffer.capacity(), capacity, "buffer must be reused");
-        assert_eq!(buffer, table.probabilities(0.4));
     }
 
     #[test]

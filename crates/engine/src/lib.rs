@@ -505,7 +505,14 @@ impl std::error::Error for SnapshotError {}
 /// running sums, and for [`SamplerStrategy::Alias`](smartexp3_core::SamplerStrategy)
 /// configs the dirty arms' frozen masses and the sampler counters), and
 /// reading one rebuilds its distribution cache and Vose table; a session's
-/// id is its index. A snapshot of any other version is rejected with
+/// id is its index; EXP3 and Smart EXP3 count their decisions or blocks
+/// once, in `stats.blocks`, and write no γ, which is their schedule at that
+/// count. Version-11 texts written with members since dropped (the
+/// policies' `decisions` or `block_index`, `current_gamma` and
+/// `last_kind`, Smart EXP3's `max_block_length`, a congestion-world
+/// device's `active_now`) still restore to the same fleet, because the
+/// reader skips members it does not know and those values are re-derived.
+/// A snapshot of any other version is rejected with
 /// [`SnapshotError::UnsupportedVersion`]; [`FleetEngine::from_json`] reads
 /// the version before the rest of the text, so an older text gets that
 /// error rather than a missing-field one.
@@ -730,11 +737,6 @@ pub struct FleetEngine {
     env_choices: Vec<Option<NetworkId>>,
     env_feedback: Vec<Option<Observation>>,
     env_tops: Vec<Option<(NetworkId, f64)>>,
-    /// Wall-clock phase breakdown of the most recent
-    /// [`step_env`](Self::step_env) slot or [`step_events`](Self::step_events)
-    /// cohort (both set it in `run_cohort`). Host timing, *not* covered by
-    /// any determinism contract, and deliberately excluded from snapshots.
-    last_timing: Option<SlotTiming>,
     /// Pending wakes of the event-driven path: a calendar from wake slot to
     /// the sessions due then (in reschedule order; each cohort is sorted
     /// when drained, so it always runs in ascending session order).
@@ -791,7 +793,6 @@ impl FleetEngine {
             env_choices: Vec::new(),
             env_feedback: Vec::new(),
             env_tops: Vec::new(),
-            last_timing: None,
             wakes: BTreeMap::new(),
             wakes_primed: false,
             spare_cohorts: Vec::new(),
@@ -1240,19 +1241,17 @@ impl FleetEngine {
         env.end_slot(t, &self.env_choices, tops);
         let observe_s = phase_start.elapsed().as_secs_f64();
 
-        let timing = SlotTiming {
-            begin_slot_s,
-            choose_s,
-            feedback_s,
-            observe_s,
-        };
-        self.last_timing = Some(timing);
         if let Some(sink) = sink {
             sink.record(&TelemetryRecord {
                 slot: t,
                 active,
                 metrics: env.telemetry().cloned().unwrap_or_default(),
-                timing,
+                timing: SlotTiming {
+                    begin_slot_s,
+                    choose_s,
+                    feedback_s,
+                    observe_s,
+                },
                 latency,
                 sampler: Some(self.sampler_counters()),
             });
@@ -1461,15 +1460,6 @@ impl FleetEngine {
     #[must_use]
     pub fn last_wake_latency(&self) -> Option<LatencyStats> {
         self.last_latency
-    }
-
-    /// Wall-clock phase breakdown of the most recent
-    /// [`step_env`](Self::step_env) slot or [`step_events`](Self::step_events)
-    /// cohort, or `None` before the first one. Host timing only — excluded
-    /// from the determinism contract and from snapshots.
-    #[must_use]
-    pub fn last_slot_timing(&self) -> Option<SlotTiming> {
-        self.last_timing
     }
 
     /// The most recent choice of every session, in session order (`None`
@@ -2225,6 +2215,79 @@ mod tests {
             FleetEngine::from_json(&legacy).unwrap().to_json().unwrap(),
             text
         );
+        // Texts written while policies still stored γ, a second block or
+        // decision counter and their last selection kind, and Smart EXP3's
+        // config a block-length cap, carry those members; restore
+        // re-derives γ and the counter from `stats.blocks`, and the fleet
+        // steps on bit-identically.
+        let snapshot: FleetSnapshot = serde_json::from_str(&text).unwrap();
+        let mut pieces = text.split("{\"kind\":");
+        let mut legacy = pieces.next().unwrap().to_string();
+        for (session, piece) in snapshot.sessions.iter().zip(pieces) {
+            let piece = match &session.policy {
+                PolicyState::SmartExp3(policy) => piece
+                    .replacen(
+                        ",\"sampler\":",
+                        ",\"max_block_length\":null,\"sampler\":",
+                        1,
+                    )
+                    .replacen(
+                        "\"explore_queue\":",
+                        &format!(
+                            "\"block_index\":{},\"current_gamma\":{},\"explore_queue\":",
+                            policy.stats().blocks,
+                            serde_json::to_string(&policy.current_gamma()).unwrap()
+                        ),
+                        1,
+                    )
+                    .replacen(
+                        "\"stats\":{",
+                        "\"last_kind\":\"Continuation\",\"stats\":{",
+                        1,
+                    ),
+                PolicyState::Exp3(policy) => piece
+                    .replacen(
+                        "\"current\":",
+                        &format!("\"decisions\":{},\"current\":", policy.stats().blocks),
+                        1,
+                    )
+                    .replacen(
+                        "\"stats\":{",
+                        &format!(
+                            "\"current_gamma\":{},\"last_kind\":\"Random\",\"stats\":{{",
+                            serde_json::to_string(&policy.current_gamma()).unwrap()
+                        ),
+                        1,
+                    ),
+                PolicyState::Greedy(_) => {
+                    piece.replacen("\"stats\":{", "\"last_kind\":\"Greedy\",\"stats\":{", 1)
+                }
+                other => panic!("no {} session in this fleet", other.kind()),
+            };
+            legacy.push_str("{\"kind\":");
+            legacy.push_str(&piece);
+        }
+        // 20 Smart EXP3, 10 EXP3 and 10 Greedy sessions; the fleet writes
+        // its own `decisions`.
+        for (member, count) in [
+            ("max_block_length", 20),
+            ("block_index", 20),
+            ("decisions", 1 + 10),
+            ("current_gamma", 30),
+            ("last_kind", 40),
+        ] {
+            let found = legacy.matches(&format!("\"{member}\":")).count();
+            assert_eq!(found, count, "{member}");
+        }
+        let mut from_legacy = FleetEngine::from_json(&legacy).unwrap();
+        assert_eq!(from_legacy.to_json().unwrap(), text);
+        let mut legacy_env = CadenceEnv::new(40, vec![1, 3, 5], Vec::new());
+        for _ in 0..9 {
+            let expected = original.step_events(&mut env);
+            assert_eq!(from_legacy.step_events(&mut legacy_env), expected);
+            assert_eq!(from_legacy.last_choices(), original.last_choices());
+        }
+        assert_eq!(from_legacy.to_json().unwrap(), original.to_json().unwrap());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use netsim::{
 use rand::RngCore;
 use smartexp3_core::{
     Environment, NetworkId, Observation, PartitionExecutor, Policy, PolicyKind, PolicyStats,
-    SamplerStrategy, SelectionKind, SessionRange, SessionView, SlotIndex,
+    SamplerStrategy, SessionRange, SessionView, SlotIndex,
 };
 use smartexp3_engine::{FleetConfig, FleetEngine, SnapshotError, WakeEntry};
 use smartexp3_env::{
@@ -966,10 +966,6 @@ impl Policy for DeterministicBest {
             .iter()
             .map(|&n| (n, if n == target { 1.0 } else { 0.0 }))
             .collect()
-    }
-
-    fn last_selection_kind(&self) -> SelectionKind {
-        SelectionKind::Greedy
     }
 
     fn stats(&self) -> PolicyStats {

@@ -72,9 +72,6 @@ pub struct SimulationConfig {
     /// Length of one slot in seconds (paper: 15 s, longer than the largest
     /// observed switching delay).
     pub slot_duration_s: f64,
-    /// Bit rate that maps to a scaled gain of 1.0. `None` uses the largest
-    /// network bandwidth of the scenario.
-    pub gain_scale_mbps: Option<f64>,
     /// How network bandwidth is split among devices.
     pub sharing: SharingModel,
     /// Definition 2 probability threshold (paper: 0.75).
@@ -90,7 +87,6 @@ impl Default for SimulationConfig {
     fn default() -> Self {
         SimulationConfig {
             slot_duration_s: 15.0,
-            gain_scale_mbps: None,
             sharing: SharingModel::EqualShare,
             stable_probability_threshold: 0.75,
             epsilon_percent: 7.5,
@@ -193,8 +189,9 @@ struct DeviceDyn {
     #[serde(skip)]
     list: Option<usize>,
     current: Option<NetworkId>,
+    /// Whether the device was active at its last refresh: in the slot being
+    /// stepped once `begin_slot` has run.
     was_active: bool,
-    active_now: bool,
     pending_change: bool,
     download_megabits: f64,
     active_slots: usize,
@@ -447,10 +444,8 @@ fn refresh_device(
 ) -> bool {
     if !profile.is_active_at(slot) {
         device.was_active = false;
-        device.active_now = false;
         return false;
     }
-    device.active_now = true;
     let area = profile.area_at(slot);
     let was_active = std::mem::replace(&mut device.was_active, true);
     if was_active && device.area == Some(area) {
@@ -878,6 +873,9 @@ impl CongestionEnvironment {
     /// Builds the environment.
     ///
     /// `env_seed` seeds the environment's own per-partition RNG streams.
+    /// A negative or NaN capacity, of a spec or an event, enters the world
+    /// as 0 (as [`BandwidthEvent::new`] clamps it), so every capacity the
+    /// world writes is one [`restore`](Environment::restore) accepts.
     ///
     /// # Panics
     ///
@@ -896,14 +894,18 @@ impl CongestionEnvironment {
             !networks.is_empty(),
             "a congestion environment needs at least one network"
         );
-        let bandwidths: BTreeMap<NetworkId, f64> =
-            networks.iter().map(|n| (n.id, n.bandwidth_mbps)).collect();
-        let gain_scale = config.gain_scale_mbps.unwrap_or_else(|| {
-            networks
-                .iter()
-                .map(|n| n.bandwidth_mbps)
-                .fold(1e-9, f64::max)
-        });
+        let bandwidths: BTreeMap<NetworkId, f64> = networks
+            .iter()
+            .map(|n| (n.id, n.bandwidth_mbps.max(0.0)))
+            .collect();
+        let events: Vec<BandwidthEvent> = events
+            .into_iter()
+            .map(|e| BandwidthEvent::new(e.at_slot, e.network, e.new_bandwidth_mbps))
+            .collect();
+        let gain_scale = networks
+            .iter()
+            .map(|n| n.bandwidth_mbps)
+            .fold(1e-9, f64::max);
 
         let mut universe: Vec<NetworkId> = networks.iter().map(|n| n.id).collect();
         universe.extend(events.iter().map(|e| e.network));
@@ -1066,7 +1068,8 @@ impl CongestionEnvironment {
         &self.game
     }
 
-    /// The gain scale (bit rate mapping to a scaled gain of 1.0).
+    /// The gain scale: the bit rate mapping to a scaled gain of 1.0, the
+    /// largest bandwidth among the world's network specs.
     #[must_use]
     pub fn gain_scale(&self) -> f64 {
         self.gain_scale
@@ -1181,7 +1184,7 @@ impl Environment for CongestionEnvironment {
             // A device in an area without networks has nothing to choose
             // from: it sits the slot out, but still hears that its set
             // changed (to empty, or back from empty).
-            active: device.active_now && !visible.is_empty(),
+            active: device.was_active && !visible.is_empty(),
             networks_changed: device.pending_change.then_some(visible),
         }
     }
@@ -1389,7 +1392,31 @@ impl Environment for CongestionEnvironment {
                 }
             }
         }
-        self.bandwidths = state.bandwidths.into_iter().collect();
+        // Grading divides every capacity among the devices on it: a capacity
+        // that is not a finite rate ≥ 0 would grade at an infinite or NaN
+        // rate, and an id outside the universe has no capacity slot.
+        let mut bandwidths = BTreeMap::new();
+        for (network, capacity) in state.bandwidths {
+            if self.universe.binary_search(&network).is_err() {
+                return Err(EnvStateError(format!(
+                    "network {} has a capacity but is not in this world",
+                    network.0
+                )));
+            }
+            if !(capacity.is_finite() && capacity >= 0.0) {
+                return Err(EnvStateError(format!(
+                    "network {} has capacity {capacity}, not a finite rate of at least 0",
+                    network.0
+                )));
+            }
+            if bandwidths.insert(network, capacity).is_some() {
+                return Err(EnvStateError(format!(
+                    "network {} has more than one capacity",
+                    network.0
+                )));
+            }
+        }
+        self.bandwidths = bandwidths;
         self.schedule.set_cursor(state.cursor);
         for (partition, rng) in self.partitions.iter_mut().zip(state.rngs) {
             partition.rng = StdRng::from_state(rng);
@@ -1547,11 +1574,53 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&env.devices[0]).unwrap(),
             concat!(
-                r#"{"area":0,"current":2,"was_active":true,"active_now":true,"#,
+                r#"{"area":0,"current":2,"was_active":true,"#,
                 r#""pending_change":false,"download_megabits":330.0,"active_slots":1,"#,
                 r#""switches":0,"total_delay_seconds":0.0}"#,
             )
         );
+        // Texts written while devices also kept `active_now`, always equal
+        // to `was_active`, restore to the same state.
+        let state = env.state().unwrap();
+        let legacy = state.replace(
+            r#""was_active":true,"#,
+            r#""was_active":true,"active_now":true,"#,
+        );
+        assert_ne!(legacy, state);
+        let mut restored = environment(1, Vec::new());
+        restored.restore(&legacy).unwrap();
+        assert_eq!(restored.state(), Some(state));
+    }
+
+    #[test]
+    fn restore_refuses_a_capacity_that_is_not_a_finite_rate_of_the_world() {
+        let mut env = environment(2, Vec::new());
+        env.begin_slot(0);
+        let state = env.state().unwrap();
+        let entry = "[2,22.0]";
+        assert!(state.contains(entry), "{state}");
+        // `1e999` parses as infinity.
+        for (edit, network) in [
+            ("[2,inf]", 2),
+            ("[2,1e999]", 2),
+            ("[2,NaN]", 2),
+            ("[2,-1.0]", 2),
+            ("[9,22.0]", 9),
+            ("[2,22.0],[2,22.0]", 2),
+        ] {
+            let edited = state.replacen(entry, edit, 1);
+            let mut restored = environment(2, Vec::new());
+            let untouched = restored.state();
+            let error = restored.restore(&edited).unwrap_err();
+            assert!(
+                error.0.starts_with(&format!("network {network} ")),
+                "{edit}: {error}"
+            );
+            assert_eq!(restored.state(), untouched, "{edit} touched the world");
+        }
+        let mut restored = environment(2, Vec::new());
+        restored.restore(&state).unwrap();
+        assert_eq!(restored.state(), Some(state));
     }
 
     #[test]

@@ -52,10 +52,7 @@ fn bench(c: &mut Criterion) {
         for strategy in STRATEGIES {
             let id = BenchmarkId::new(format!("{strategy:?}"), k);
             group.bench_function(id, |b| {
-                let config = Exp3Config {
-                    sampler: strategy,
-                    ..Exp3Config::default()
-                };
+                let config = Exp3Config { sampler: strategy };
                 let mut policy = Exp3::new(networks(k), config).expect("valid config");
                 let mut rng = StdRng::seed_from_u64(11);
                 let mut slot = 0usize;

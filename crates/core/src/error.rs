@@ -5,9 +5,9 @@ use std::fmt;
 
 /// Error returned when a policy is constructed with an invalid configuration.
 ///
-/// All policy constructors validate their arguments (`C-VALIDATE`): parameters
-/// such as γ and β must lie in `(0, 1]`, and at least one network must be
-/// available.
+/// All policy constructors validate their arguments (`C-VALIDATE`): at least
+/// one network must be available, each listed once, and the centralized
+/// oracle's rates must be finite and positive.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// A numeric parameter was outside its documented range.
@@ -49,32 +49,6 @@ impl fmt::Display for ConfigError {
 
 impl Error for ConfigError {}
 
-/// Validates that `value` lies in the half-open unit interval `(0, 1]`.
-pub(crate) fn check_unit_interval(parameter: &'static str, value: f64) -> Result<(), ConfigError> {
-    if value.is_finite() && value > 0.0 && value <= 1.0 {
-        Ok(())
-    } else {
-        Err(ConfigError::ParameterOutOfRange {
-            parameter,
-            value,
-            expected: "a finite value in (0, 1]",
-        })
-    }
-}
-
-/// Validates that `value` is finite and strictly positive.
-pub(crate) fn check_positive(parameter: &'static str, value: f64) -> Result<(), ConfigError> {
-    if value.is_finite() && value > 0.0 {
-        Ok(())
-    } else {
-        Err(ConfigError::ParameterOutOfRange {
-            parameter,
-            value,
-            expected: "a finite value > 0",
-        })
-    }
-}
-
 /// Validates an arm list: non-empty and free of duplicates. A duplicate is
 /// reported as the first network, in list order, that repeats an earlier
 /// one.
@@ -106,19 +80,6 @@ pub(crate) fn check_networks(networks: &[crate::NetworkId]) -> Result<(), Config
 mod tests {
     use super::*;
     use crate::NetworkId;
-
-    #[test]
-    fn unit_interval_accepts_boundary_one() {
-        assert!(check_unit_interval("gamma", 1.0).is_ok());
-        assert!(check_unit_interval("gamma", 0.5).is_ok());
-    }
-
-    #[test]
-    fn unit_interval_rejects_zero_and_above_one() {
-        assert!(check_unit_interval("gamma", 0.0).is_err());
-        assert!(check_unit_interval("gamma", 1.5).is_err());
-        assert!(check_unit_interval("gamma", f64::NAN).is_err());
-    }
 
     #[test]
     fn networks_must_be_unique_and_nonempty() {

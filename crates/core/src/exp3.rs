@@ -8,38 +8,27 @@
 //! update to the chosen network only.
 
 use crate::error::check_networks;
+use crate::gamma::gamma;
 use crate::policy::{Observation, Policy, PolicyStats};
-use crate::{ConfigError, GammaSchedule, NetworkId, SamplerStrategy, SlotIndex, WeightTable};
+use crate::{ConfigError, NetworkId, SamplerStrategy, SlotIndex, WeightTable};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the [`Exp3`] baseline.
+/// What a caller chooses about an [`Exp3`] policy: how the per-slot draw
+/// inverts the CDF. γ is not configurable: it is the paper's `b^{-1/3}` at
+/// the decision count `b`, clamped to `[10⁻³, 1]`, as in Smart EXP3.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Exp3Config {
-    /// Exploration-rate schedule, evaluated at the slot index (1-based).
-    pub gamma: GammaSchedule,
     /// How the per-slot draw inverts the CDF (see [`SamplerStrategy`]).
     /// Golden decision pins are scoped to this choice; the default `Linear`
     /// reproduces the historical trajectories bit-exactly.
     pub sampler: SamplerStrategy,
 }
 
-impl Exp3Config {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::ParameterOutOfRange`] if a fixed γ lies outside
-    /// `(0, 1]` or a γ floor outside `[0, 1]`.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        self.gamma.validate()
-    }
-}
-
 /// The EXP3 adversarial-bandit algorithm, one decision per slot.
 ///
 /// Its decision counter is `stats.blocks` (one block per slot), and γ is
-/// the schedule evaluated there: neither is stored twice.
+/// `b^{-1/3}` evaluated there: neither is stored twice.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Exp3 {
     config: Exp3Config,
@@ -60,11 +49,9 @@ impl Exp3 {
     ///
     /// # Errors
     ///
-    /// Returns an error if `networks` is empty or contains duplicates, or if
-    /// the configuration is invalid.
+    /// Returns an error if `networks` is empty or contains duplicates.
     pub fn new(networks: Vec<NetworkId>, config: Exp3Config) -> Result<Self, ConfigError> {
         check_networks(&networks)?;
-        config.validate()?;
         Ok(Exp3 {
             config,
             weights: WeightTable::uniform_with_strategy(&networks, config.sampler),
@@ -75,16 +62,11 @@ impl Exp3 {
         })
     }
 
-    /// The γ used for the most recent decision: the schedule at the
-    /// decision count.
+    /// The γ used for the most recent decision: `b^{-1/3}` at the decision
+    /// count `b`.
     #[must_use]
     pub fn current_gamma(&self) -> f64 {
-        self.config.gamma.value(self.stats.blocks as usize)
-    }
-
-    /// The configuration this policy was built with.
-    pub(crate) fn config(&self) -> &Exp3Config {
-        &self.config
+        gamma(self.stats.blocks as usize)
     }
 
     /// Read access to the weight table (useful for inspection in tests).
@@ -221,7 +203,6 @@ mod tests {
     fn alias_sampler_decisions_are_pinned() {
         let config = Exp3Config {
             sampler: SamplerStrategy::Alias,
-            ..Exp3Config::default()
         };
         let mut policy = Exp3::new(nets(8), config).unwrap();
         let mut rng = StdRng::seed_from_u64(2026);
@@ -247,11 +228,6 @@ mod tests {
     #[test]
     fn construction_rejects_bad_inputs() {
         assert!(Exp3::new(vec![], Exp3Config::default()).is_err());
-        let bad = Exp3Config {
-            gamma: GammaSchedule::Fixed(0.0),
-            ..Exp3Config::default()
-        };
-        assert!(Exp3::new(nets(2), bad).is_err());
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! coordinator that knows every network's bandwidth).
 
 use crate::{
-    CentralizedCoordinator, ConfigError, Exp3, Exp3Config, FixedRandom, FullInformation,
-    FullInformationConfig, Greedy, NetworkId, Policy, SamplerStrategy, SmartExp3, SmartExp3Config,
-    SmartExp3Features,
+    CentralizedCoordinator, ConfigError, Exp3, Exp3Config, FixedRandom, FullInformation, Greedy,
+    NetworkId, Policy, SamplerStrategy, SmartExp3, SmartExp3Config, SmartExp3Features,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -138,9 +137,7 @@ impl FleetPolicies {
 pub struct PolicyFactory {
     networks: Vec<NetworkId>,
     network_rates: Vec<(NetworkId, f64)>,
-    smart_config: SmartExp3Config,
-    exp3_config: Exp3Config,
-    full_information_config: FullInformationConfig,
+    sampler: SamplerStrategy,
     coordinator: Option<CentralizedCoordinator>,
 }
 
@@ -158,21 +155,20 @@ impl PolicyFactory {
         Ok(PolicyFactory {
             networks,
             network_rates,
-            smart_config: SmartExp3Config::default(),
-            exp3_config: Exp3Config::default(),
-            full_information_config: FullInformationConfig::default(),
+            sampler: SamplerStrategy::default(),
             coordinator: None,
         })
     }
 
     /// Selects the CDF-inversion strategy for every EXP3-family policy this
     /// factory builds (both the slot-level baseline and the Smart EXP3
-    /// variants). Dense-spectrum worlds pass [`SamplerStrategy::Alias`] here
-    /// to make each draw amortised O(1) instead of O(k).
+    /// variants), the one setting a factory holds besides its networks: the
+    /// Smart EXP3 kind picks the feature set, and every other parameter is
+    /// the paper's. Dense-spectrum worlds pass [`SamplerStrategy::Alias`]
+    /// here to make each draw amortised O(1) instead of O(k).
     #[must_use]
     pub fn with_sampler(mut self, sampler: SamplerStrategy) -> Self {
-        self.exp3_config.sampler = sampler;
-        self.smart_config.sampler = sampler;
+        self.sampler = sampler;
         self
     }
 
@@ -218,7 +214,7 @@ impl PolicyFactory {
         Ok(match kind {
             PolicyKind::Exp3 => FleetPolicies::Exp3(
                 (0..count)
-                    .map(|_| Exp3::new(self.networks.clone(), self.exp3_config))
+                    .map(|_| Exp3::new(self.networks.clone(), self.exp3_config()))
                     .collect::<Result<_, _>>()?,
             ),
             PolicyKind::BlockExp3
@@ -236,9 +232,16 @@ impl PolicyFactory {
         })
     }
 
+    /// The EXP3 configuration: the factory's sampler.
+    fn exp3_config(&self) -> Exp3Config {
+        Exp3Config {
+            sampler: self.sampler,
+        }
+    }
+
     /// The Smart EXP3 configuration for one of the family's feature
-    /// ablations: the factory-wide [`SmartExp3Config`] with the feature set
-    /// selected by `kind`.
+    /// ablations: the feature set selected by `kind` on the factory's
+    /// sampler.
     fn smart_variant_config(&self, kind: PolicyKind) -> SmartExp3Config {
         let features = match kind {
             PolicyKind::BlockExp3 => SmartExp3Features::block_exp3(),
@@ -248,7 +251,7 @@ impl PolicyFactory {
         };
         SmartExp3Config {
             features,
-            ..self.smart_config
+            sampler: self.sampler,
         }
     }
 
@@ -264,7 +267,7 @@ impl PolicyFactory {
     pub fn build(&mut self, kind: PolicyKind) -> Result<Box<dyn Policy>, ConfigError> {
         let networks = self.networks.clone();
         let policy: Box<dyn Policy> = match kind {
-            PolicyKind::Exp3 => Box::new(Exp3::new(networks, self.exp3_config)?),
+            PolicyKind::Exp3 => Box::new(Exp3::new(networks, self.exp3_config())?),
             PolicyKind::BlockExp3
             | PolicyKind::HybridBlockExp3
             | PolicyKind::SmartExp3WithoutReset
@@ -273,10 +276,7 @@ impl PolicyFactory {
             }
             PolicyKind::Greedy => Box::new(Greedy::new(networks)?),
             PolicyKind::FixedRandom => Box::new(FixedRandom::new(networks)?),
-            PolicyKind::FullInformation => Box::new(FullInformation::new(
-                networks,
-                self.full_information_config,
-            )?),
+            PolicyKind::FullInformation => Box::new(FullInformation::new(networks)?),
             PolicyKind::Centralized => {
                 if self.coordinator.is_none() {
                     self.coordinator =

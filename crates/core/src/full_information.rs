@@ -9,67 +9,35 @@
 //! in a real deployment — the paper includes it (like Centralized) as an
 //! idealised reference point.
 
-use crate::error::{check_networks, check_positive};
+use crate::error::check_networks;
 use crate::policy::{Observation, Policy, PolicyStats};
 use crate::{ConfigError, NetworkId, SlotIndex, WeightTable};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the [`FullInformation`] forecaster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FullInformationConfig {
-    /// Learning rate η of the multiplicative update `w ← w · exp(−η · loss)`.
-    pub learning_rate: f64,
-}
+/// Learning rate η of the multiplicative update `w ← w · exp(−η · loss)`: a
+/// mild rate; the paper does not report the value it used, and results are
+/// insensitive to it in the settings considered.
+const LEARNING_RATE: f64 = 0.2;
 
-impl Default for FullInformationConfig {
-    fn default() -> Self {
-        // A mild learning rate; the paper does not report the exact value it
-        // used, and results are insensitive to it in the settings considered.
-        FullInformationConfig { learning_rate: 0.2 }
-    }
-}
-
-impl FullInformationConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the learning rate is not finite and positive.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        check_positive("learning_rate", self.learning_rate)
-    }
-}
-
-/// Full-feedback exponentially weighted forecaster.
+/// Full-feedback exponentially weighted forecaster, with learning rate
+/// η = 0.2.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FullInformation {
-    config: FullInformationConfig,
     weights: WeightTable,
     current: Option<NetworkId>,
     stats: PolicyStats,
 }
 
 impl FullInformation {
-    /// The configuration this forecaster was built with.
-    pub(crate) fn config(&self) -> &FullInformationConfig {
-        &self.config
-    }
-
     /// Creates the forecaster over `networks`.
     ///
     /// # Errors
     ///
-    /// Returns an error if `networks` is empty/duplicated or the configuration
-    /// is invalid.
-    pub fn new(
-        networks: Vec<NetworkId>,
-        config: FullInformationConfig,
-    ) -> Result<Self, ConfigError> {
+    /// Returns an error if `networks` is empty or contains duplicates.
+    pub fn new(networks: Vec<NetworkId>) -> Result<Self, ConfigError> {
         check_networks(&networks)?;
-        config.validate()?;
         Ok(FullInformation {
-            config,
             weights: WeightTable::uniform(&networks),
             current: None,
             stats: PolicyStats::default(),
@@ -159,7 +127,7 @@ impl FullInformation {
     /// always invoked with γ = 1 here).
     fn loss_update(&self, scaled_gain: f64) -> f64 {
         let loss = (1.0 - scaled_gain).clamp(0.0, 1.0);
-        -self.config.learning_rate * loss * self.weights.len() as f64
+        -LEARNING_RATE * loss * self.weights.len() as f64
     }
 }
 
@@ -185,7 +153,7 @@ mod tests {
 
     #[test]
     fn converges_faster_than_bandit_feedback_would() {
-        let mut policy = FullInformation::new(nets(3), FullInformationConfig::default()).unwrap();
+        let mut policy = FullInformation::new(nets(3)).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let gains = vec![
             (NetworkId(0), 0.2),
@@ -205,7 +173,7 @@ mod tests {
 
     #[test]
     fn without_full_feedback_it_still_functions() {
-        let mut policy = FullInformation::new(nets(2), FullInformationConfig::default()).unwrap();
+        let mut policy = FullInformation::new(nets(2)).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         for t in 0..20 {
             let chosen = policy.choose(t, &mut rng);
@@ -216,15 +184,47 @@ mod tests {
         assert!((sum - 1.0).abs() < 1e-9);
     }
 
+    /// A state written while the forecaster still carried a config
+    /// (`{"learning_rate":0.2}`, the rate it now always uses) restores to
+    /// the same policy: the reader skips the member.
     #[test]
-    fn rejects_invalid_learning_rate() {
-        let config = FullInformationConfig { learning_rate: 0.0 };
-        assert!(FullInformation::new(nets(2), config).is_err());
+    fn a_state_with_the_dropped_learning_rate_restores_to_the_same_policy() {
+        let mut policy = FullInformation::new(nets(3)).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let gains = vec![
+            (NetworkId(0), 0.2),
+            (NetworkId(1), 0.4),
+            (NetworkId(2), 0.9),
+        ];
+        for t in 0..10 {
+            let chosen = policy.choose(t, &mut rng);
+            policy.observe(&full_obs(t, chosen, &gains), &mut rng);
+        }
+        let state = crate::PolicyState::FullInformation(Box::new(policy.clone()));
+        let text = serde_json::to_string(&state).unwrap();
+        let legacy = text.replacen(
+            "{\"weights\":",
+            "{\"config\":{\"learning_rate\":0.2},\"weights\":",
+            1,
+        );
+        assert_eq!(legacy.matches("\"learning_rate\":0.2").count(), 1);
+        let restored: crate::PolicyState = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(serde_json::to_string(&restored).unwrap(), text);
+        let mut restored = restored.into_policy();
+        let mut rng_a = StdRng::seed_from_u64(6);
+        let mut rng_b = StdRng::seed_from_u64(6);
+        for t in 10..40 {
+            let a = policy.choose(t, &mut rng_a);
+            assert_eq!(restored.choose(t, &mut rng_b), a, "slot {t}");
+            policy.observe(&full_obs(t, a, &gains), &mut rng_a);
+            restored.observe(&full_obs(t, a, &gains), &mut rng_b);
+        }
+        assert_eq!(restored.probabilities(), policy.probabilities());
     }
 
     #[test]
     fn network_set_changes_are_supported() {
-        let mut policy = FullInformation::new(nets(2), FullInformationConfig::default()).unwrap();
+        let mut policy = FullInformation::new(nets(2)).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         policy.on_networks_changed(&[NetworkId(1), NetworkId(2), NetworkId(3)], &mut rng);
         assert_eq!(policy.probabilities().len(), 3);

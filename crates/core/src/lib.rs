@@ -77,8 +77,7 @@ pub use error::ConfigError;
 pub use exp3::{Exp3, Exp3Config};
 pub use factory::{FleetPolicies, PolicyFactory, PolicyKind};
 pub use fixed_random::FixedRandom;
-pub use full_information::{FullInformation, FullInformationConfig};
-pub use gamma::GammaSchedule;
+pub use full_information::FullInformation;
 pub use greedy::Greedy;
 pub use hybrid_block_exp3::HybridBlockExp3;
 pub use policy::{probability_of, Observation, Policy, PolicyStats, SelectionKind};

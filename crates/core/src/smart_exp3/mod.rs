@@ -19,6 +19,26 @@
 //! The same implementation also serves the paper's ablation variants
 //! ([`BlockExp3`](crate::BlockExp3), [`HybridBlockExp3`](crate::HybridBlockExp3),
 //! Smart EXP3 w/o Reset) through [`SmartExp3Features`].
+//!
+//! # The paper's constants
+//!
+//! A caller chooses the mechanisms and the sampler ([`SmartExp3Config`]);
+//! every number is fixed at its §V value:
+//!
+//! * `BETA` = 0.1: the next block on a network chosen `x` times before
+//!   lasts `⌈(1+β)^x⌉` slots;
+//! * γ = `b^{-1/3}` at the block count `b`, clamped to `[10⁻³, 1]` (shared
+//!   with [`Exp3`](crate::Exp3));
+//! * switch-back consults the last `SWITCH_BACK_WINDOW` = 8 slots of the
+//!   previous block, and fires when, among other triggers, more than
+//!   `SWITCH_BACK_MAJORITY` = 50 % of them beat the current gain;
+//! * periodic reset fires once the most probable network reaches
+//!   probability `RESET_PROBABILITY` = 0.75 and a next block of
+//!   `RESET_BLOCK_LENGTH` = 40 slots (a vanished network that probable
+//!   also resets);
+//! * drop reset fires once the most-used network's gain stays more than
+//!   `RESET_DROP_FRACTION` = 15 % below its average for more than
+//!   `RESET_DROP_SLOTS` = 4 consecutive slots.
 
 mod config;
 
@@ -26,18 +46,45 @@ pub use config::{SmartExp3Config, SmartExp3Features};
 
 use crate::block::{block_length, BlockState};
 use crate::error::check_networks;
+use crate::gamma::gamma;
 use crate::policy::{Observation, Policy, PolicyStats, SelectionKind};
 use crate::{ConfigError, NetworkId, NetworkStats, SlotIndex, WeightTable};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
+
+// The paper's constants; the module docs say what each one sets.
+const BETA: f64 = 0.1;
+const SWITCH_BACK_WINDOW: usize = 8;
+const SWITCH_BACK_MAJORITY: f64 = 0.5;
+const RESET_PROBABILITY: f64 = 0.75;
+const RESET_BLOCK_LENGTH: u64 = 40;
+const RESET_DROP_FRACTION: f64 = 0.15;
+const RESET_DROP_SLOTS: u32 = 4;
+
+/// `⌈(1+β)^x⌉` at the paper's β. Every fresh decision consults it up to
+/// three times (reset condition, greedy condition, final block length), so
+/// `x` below the table size reads a process-wide table holding exactly the
+/// values [`block_length`] computes; a larger `x`, unreachable through real
+/// block counts, is computed directly.
+fn paper_block_length(x: u64) -> u64 {
+    const TABLE_SIZE: u64 = 4_096;
+    static TABLE: OnceLock<Vec<u64>> = OnceLock::new();
+    if x < TABLE_SIZE {
+        let table = TABLE.get_or_init(|| (0..TABLE_SIZE).map(|n| block_length(BETA, n)).collect());
+        table[x as usize]
+    } else {
+        block_length(BETA, x)
+    }
+}
 
 /// The Smart EXP3 policy (and, depending on [`SmartExp3Features`], its
 /// ablation variants).
 ///
 /// Its global block counter `b` is `stats.blocks` (never reset), and γ is
-/// the schedule evaluated there: neither is stored twice.
+/// `b^{-1/3}` evaluated there: neither is stored twice.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SmartExp3 {
     config: SmartExp3Config,
@@ -62,19 +109,9 @@ pub struct SmartExp3 {
     /// Block length of the most probable network when the greedy condition
     /// `max(p) − min(p) ≤ 1/(k−1)` first became false (the `y` of §V).
     greedy_cutoff: Option<u64>,
-    /// Consecutive slots with a ≥ `reset_drop_fraction` decline on the
-    /// most-used network.
+    /// Consecutive slots with a ≥ 15 % decline on the most-used network.
     drop_streak: u32,
 
-    /// Memoised `⌈(1+β)^x⌉` block lengths indexed by `x` (0 = not yet
-    /// computed): β is fixed per policy and every fresh decision consults the
-    /// formula up to three times (reset condition, greedy condition, final
-    /// block length), so the `powf` is paid once per distinct `x` instead of
-    /// per decision. Not serialized: a restored policy refills it with the
-    /// very values [`block_length`] computes, so its decisions and its
-    /// checkpoints stay byte-identical.
-    #[serde(skip)]
-    block_length_memo: Vec<u64>,
     /// Recycled backing storage for [`BlockState::slot_gains`]: the gain log
     /// of a finished block's predecessor is cleared and reused by the next
     /// block, so steady-state block turnover performs no allocation. Always
@@ -90,11 +127,9 @@ impl SmartExp3 {
     ///
     /// # Errors
     ///
-    /// Returns an error if `networks` is empty or contains duplicates, or if
-    /// `config` fails validation.
+    /// Returns an error if `networks` is empty or contains duplicates.
     pub fn new(networks: Vec<NetworkId>, config: SmartExp3Config) -> Result<Self, ConfigError> {
         check_networks(&networks)?;
-        config.validate()?;
         let explore_queue = if config.features.initial_exploration {
             networks.clone()
         } else {
@@ -112,7 +147,6 @@ impl SmartExp3 {
             last_network: None,
             greedy_cutoff: None,
             drop_streak: 0,
-            block_length_memo: Vec::new(),
             gain_log_pool: Vec::new(),
             stats: PolicyStats::default(),
             available: networks,
@@ -135,10 +169,10 @@ impl SmartExp3 {
         &self.config
     }
 
-    /// The γ used for the current block: the schedule at the block count.
+    /// The γ used for the current block: `b^{-1/3}` at the block count `b`.
     #[must_use]
     pub fn current_gamma(&self) -> f64 {
-        self.config.gamma.value(self.stats.blocks as usize)
+        gamma(self.stats.blocks as usize)
     }
 
     /// Length (in slots) of the block currently being executed, if any.
@@ -151,28 +185,8 @@ impl SmartExp3 {
     // Decision making
     // ------------------------------------------------------------------
 
-    fn block_length_for(&mut self, network: NetworkId) -> u64 {
-        let x = self.stats_table.blocks(network);
-        self.memoized_block_length(x)
-    }
-
-    /// `⌈(1+β)^x⌉` through the memo (exact: the memo stores the very value
-    /// [`block_length`] computes). Degenerate `x` beyond the memo range —
-    /// unreachable through real block counts — falls back to the direct
-    /// computation.
-    fn memoized_block_length(&mut self, x: u64) -> u64 {
-        const MEMO_LIMIT: u64 = 4_096;
-        if x >= MEMO_LIMIT {
-            return block_length(self.config.beta, x);
-        }
-        let index = x as usize;
-        if index >= self.block_length_memo.len() {
-            self.block_length_memo.resize(index + 1, 0);
-        }
-        if self.block_length_memo[index] == 0 {
-            self.block_length_memo[index] = block_length(self.config.beta, x);
-        }
-        self.block_length_memo[index]
+    fn block_length_for(&self, network: NetworkId) -> u64 {
+        paper_block_length(self.stats_table.blocks(network))
     }
 
     /// §V "Greedy choices": whether the greedy coin flip may be used for the
@@ -202,13 +216,12 @@ impl SmartExp3 {
 
     /// Periodic-reset condition of §V: the most probable network has both a
     /// sufficiently high probability and a long next block.
-    fn periodic_reset_due(&mut self, summary: &crate::DistributionSummary) -> bool {
+    fn periodic_reset_due(&self, summary: &crate::DistributionSummary) -> bool {
         if !self.config.features.reset {
             return false;
         }
-        summary.max >= self.config.reset_probability_threshold
-            && self.block_length_for(summary.most_probable)
-                >= self.config.reset_block_length_threshold
+        summary.max >= RESET_PROBABILITY
+            && self.block_length_for(summary.most_probable) >= RESET_BLOCK_LENGTH
     }
 
     fn do_reset(&mut self) {
@@ -348,7 +361,7 @@ impl SmartExp3 {
         if !self.available.contains(&previous.network) {
             return None;
         }
-        let window = previous.recent_gains(self.config.switch_back_window);
+        let window = previous.recent_gains(SWITCH_BACK_WINDOW);
         if window.is_empty() {
             return None;
         }
@@ -358,7 +371,7 @@ impl SmartExp3 {
             window.iter().filter(|&&g| g > current_gain).count() as f64 / window.len() as f64;
         let worse_than_average = current_gain < window_average;
         let worse_than_last = current_gain < last_slot;
-        let majority_higher = higher_fraction > self.config.switch_back_majority;
+        let majority_higher = higher_fraction > SWITCH_BACK_MAJORITY;
         if worse_than_average || worse_than_last || majority_higher {
             Some(previous.network)
         } else {
@@ -385,13 +398,13 @@ impl SmartExp3 {
         if average <= 0.0 {
             return false;
         }
-        let threshold = average * (1.0 - self.config.reset_drop_fraction);
+        let threshold = average * (1.0 - RESET_DROP_FRACTION);
         if observation.scaled_gain < threshold {
             self.drop_streak += 1;
         } else {
             self.drop_streak = 0;
         }
-        self.drop_streak > self.config.reset_drop_slots
+        self.drop_streak > RESET_DROP_SLOTS
     }
 }
 
@@ -434,7 +447,7 @@ impl Policy for SmartExp3 {
         // Only the trailing switch-back window of a block's gain log is ever
         // consulted, so recording is bounded: block memory stays constant even
         // as block lengths grow geometrically.
-        block.record_slot_bounded(observation.scaled_gain, self.config.switch_back_window);
+        block.record_slot_bounded(observation.scaled_gain, SWITCH_BACK_WINDOW);
         self.stats_table
             .record_slot(observation.network, observation.scaled_gain);
         self.last_network = Some(observation.network);
@@ -495,9 +508,9 @@ impl Policy for SmartExp3 {
         // A vanished network that was very likely to be selected warrants a
         // reset (§III "Change in set of networks").
         let gamma = self.current_gamma();
-        let removed_high_probability = removed.iter().any(|&n| {
-            self.weights.probability_of(n, gamma) >= self.config.reset_probability_threshold
-        });
+        let removed_high_probability = removed
+            .iter()
+            .any(|&n| self.weights.probability_of(n, gamma) >= RESET_PROBABILITY);
 
         for &n in &newly_discovered {
             self.weights.add_arm(n);
@@ -677,7 +690,6 @@ mod tests {
     #[test]
     fn switch_count_respects_theorem_2_bound() {
         let slots = 1200usize;
-        let config = SmartExp3Config::default();
         for seed in 0..5 {
             let mut policy = SmartExp3::with_defaults(nets(3)).unwrap();
             run_static(&mut policy, NetworkId(1), 0.8, 0.3, slots, seed);
@@ -685,7 +697,7 @@ mod tests {
             // run is split into ~r+1 periods of length τ = T/(r+1).
             let periods = policy.stats().resets as f64 + 1.0;
             let tau = slots as f64 / periods;
-            let bound = crate::theory::switch_bound(3, config.beta, 1.0, tau, slots as f64);
+            let bound = crate::theory::switch_bound(3, BETA, 1.0, tau, slots as f64);
             assert!(
                 (policy.stats().switches as f64) < bound,
                 "switches {} exceed Theorem 2 bound {}",

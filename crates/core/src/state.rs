@@ -53,25 +53,6 @@ impl PolicyState {
         }
     }
 
-    /// Checks what a restored EXP3-family state (EXP3, Smart EXP3, the
-    /// full-information forecaster) must satisfy before it steps: its config
-    /// passes the `validate` its constructor runs. States without a config
-    /// always pass. (A weight table is checked where it is read: see
-    /// [`WeightTable`](crate::WeightTable)'s `Deserialize`.)
-    ///
-    /// # Errors
-    ///
-    /// Describes the violated condition.
-    pub fn validate(&self) -> Result<(), String> {
-        let config = match self {
-            PolicyState::Exp3(p) => p.config().validate(),
-            PolicyState::SmartExp3(p) => p.config().validate(),
-            PolicyState::FullInformation(p) => p.config().validate(),
-            PolicyState::Greedy(_) | PolicyState::FixedRandom(_) => return Ok(()),
-        };
-        config.map_err(|error| error.to_string())
-    }
-
     /// The [`PolicyKind`] family this state belongs to.
     ///
     /// Smart EXP3 feature ablations cannot be distinguished from the state

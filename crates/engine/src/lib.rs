@@ -57,9 +57,10 @@
 //! reading it rebuilds the distribution cache and the Vose table with the
 //! code that builds them everywhere else. What the text cannot be trusted
 //! for is checked where it is read (each weight table's weights against its
-//! normalisers and overlay) and on restore (policy configs, the wake queue,
-//! and against an environment its session count); either way a refused
-//! text is a typed [`SnapshotError`].
+//! normalisers and overlay) and on restore (the wake queue, and against an
+//! environment its session count); either way a refused text is a typed
+//! [`SnapshotError`]. A policy config holds only what a caller sets (Smart
+//! EXP3's features and the sampler), so it has no range to check.
 //! [`FleetEngine::to_json`] / [`FleetEngine::from_json`] wrap that in a
 //! stable text format, written and read without an intermediate document
 //! tree.
@@ -506,12 +507,18 @@ impl std::error::Error for SnapshotError {}
 /// configs the dirty arms' frozen masses and the sampler counters), and
 /// reading one rebuilds its distribution cache and Vose table; a session's
 /// id is its index; EXP3 and Smart EXP3 count their decisions or blocks
-/// once, in `stats.blocks`, and write no γ, which is their schedule at that
-/// count. Version-11 texts written with members since dropped (the
-/// policies' `decisions` or `block_index`, `current_gamma` and
-/// `last_kind`, Smart EXP3's `max_block_length`, a congestion-world
-/// device's `active_now`) still restore to the same fleet, because the
-/// reader skips members it does not know and those values are re-derived.
+/// once, in `stats.blocks`, and write no γ, which is `b^{-1/3}` at that
+/// count; a policy config holds only what a caller sets (Smart EXP3's
+/// features and sampler, EXP3's sampler). Version-11 texts written with
+/// members since dropped (the policies' `decisions` or `block_index`,
+/// `current_gamma` and `last_kind`; Smart EXP3's config's
+/// `max_block_length`, `beta`, `gamma`, `switch_back_window`,
+/// `switch_back_majority`, `reset_probability_threshold`,
+/// `reset_block_length_threshold`, `reset_drop_fraction` and
+/// `reset_drop_slots`; EXP3's config's `gamma`; the full-information
+/// forecaster's `config`; a congestion-world device's `active_now`) still
+/// restore to the same fleet, because the reader skips members it does not
+/// know and those values are re-derived or are the paper's constants.
 /// A snapshot of any other version is rejected with
 /// [`SnapshotError::UnsupportedVersion`]; [`FleetEngine::from_json`] reads
 /// the version before the rest of the text, so an older text gets that
@@ -1697,23 +1704,15 @@ impl FleetEngine {
     ///
     /// Returns [`SnapshotError::UnsupportedVersion`] for snapshots from an
     /// incompatible engine version, and [`SnapshotError::Malformed`] for a
-    /// policy config its constructor would reject (see
-    /// [`PolicyState::validate`]) or a wake queue the engine cannot have
-    /// written (see [`WakeEntry`]). A weight table whose fields disagree is
-    /// refused earlier, as its text is read ([`from_json`](Self::from_json)).
+    /// wake queue the engine cannot have written (see [`WakeEntry`]). A
+    /// weight table whose fields disagree is refused earlier, as its text is
+    /// read ([`from_json`](Self::from_json)); a policy config holds nothing
+    /// that could be out of range.
     pub fn from_snapshot(snapshot: FleetSnapshot) -> Result<Self, SnapshotError> {
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(snapshot.version));
         }
         let sessions = snapshot.sessions.len();
-        // An out-of-range config would panic on the session's first draw or
-        // update. (Weight tables are checked as they are read.)
-        for (index, session) in snapshot.sessions.iter().enumerate() {
-            session
-                .policy
-                .validate()
-                .map_err(|error| SnapshotError::Malformed(format!("session {index}: {error}")))?;
-        }
         let wakes = snapshot
             .wake_queue
             .map(|pending| wake_calendar(pending, sessions, snapshot.slot))
@@ -2216,10 +2215,13 @@ mod tests {
             text
         );
         // Texts written while policies still stored γ, a second block or
-        // decision counter and their last selection kind, and Smart EXP3's
-        // config a block-length cap, carry those members; restore
-        // re-derives γ and the counter from `stats.blocks`, and the fleet
-        // steps on bit-identically.
+        // decision counter and their last selection kind, and while their
+        // configs carried a γ schedule and Smart EXP3's also β, a
+        // block-length cap and the switch-back and reset thresholds (each
+        // at the paper's value, which is now a constant), carry those
+        // members; restore re-derives γ and the counter from
+        // `stats.blocks`, and the fleet steps on bit-identically.
+        let floor = "\"gamma\":{\"InverseCubeRoot\":{\"floor\":0.001}}";
         let snapshot: FleetSnapshot = serde_json::from_str(&text).unwrap();
         let mut pieces = text.split("{\"kind\":");
         let mut legacy = pieces.next().unwrap().to_string();
@@ -2227,8 +2229,16 @@ mod tests {
             let piece = match &session.policy {
                 PolicyState::SmartExp3(policy) => piece
                     .replacen(
+                        "\"config\":{\"features\":",
+                        &format!("\"config\":{{\"beta\":0.1,{floor},\"features\":"),
+                        1,
+                    )
+                    .replacen(
                         ",\"sampler\":",
-                        ",\"max_block_length\":null,\"sampler\":",
+                        ",\"switch_back_window\":8,\"switch_back_majority\":0.5,\
+                         \"reset_probability_threshold\":0.75,\
+                         \"reset_block_length_threshold\":40,\"reset_drop_fraction\":0.15,\
+                         \"reset_drop_slots\":4,\"max_block_length\":null,\"sampler\":",
                         1,
                     )
                     .replacen(
@@ -2246,6 +2256,11 @@ mod tests {
                         1,
                     ),
                 PolicyState::Exp3(policy) => piece
+                    .replacen(
+                        "\"config\":{\"sampler\":",
+                        &format!("\"config\":{{{floor},\"sampler\":"),
+                        1,
+                    )
                     .replacen(
                         "\"current\":",
                         &format!("\"decisions\":{},\"current\":", policy.stats().blocks),
@@ -2270,6 +2285,14 @@ mod tests {
         // 20 Smart EXP3, 10 EXP3 and 10 Greedy sessions; the fleet writes
         // its own `decisions`.
         for (member, count) in [
+            ("beta", 20),
+            ("floor", 20 + 10),
+            ("switch_back_window", 20),
+            ("switch_back_majority", 20),
+            ("reset_probability_threshold", 20),
+            ("reset_block_length_threshold", 20),
+            ("reset_drop_fraction", 20),
+            ("reset_drop_slots", 20),
             ("max_block_length", 20),
             ("block_index", 20),
             ("decisions", 1 + 10),

@@ -140,10 +140,7 @@ fn edit_first_list(text: &str, field: &str, edit: impl Fn(&str) -> String) -> St
 fn restore_rejects_weight_tables_that_disagree_with_their_arms() {
     let networks: Vec<NetworkId> = rates().iter().map(|&(n, _)| n).collect();
     for sampler in [SamplerStrategy::Linear, SamplerStrategy::Alias] {
-        let config = Exp3Config {
-            sampler,
-            ..Exp3Config::default()
-        };
+        let config = Exp3Config { sampler };
         let mut fleet = FleetEngine::new(FleetConfig::with_root_seed(17));
         for _ in 0..2 {
             let policy = Exp3::new(networks.clone(), config).unwrap();
@@ -202,7 +199,6 @@ fn restore_rejects_weight_tables_that_disagree_with_their_arms() {
 fn restore_rejects_an_overlay_mass_that_disagrees_with_the_dirty_arms() {
     let config = Exp3Config {
         sampler: SamplerStrategy::Alias,
-        ..Exp3Config::default()
     };
     let mut fleet = FleetEngine::new(FleetConfig::with_root_seed(23));
     let policy = Exp3::new((0..16).map(NetworkId).collect(), config).unwrap();
@@ -231,59 +227,6 @@ fn restore_rejects_an_overlay_mass_that_disagrees_with_the_dirty_arms() {
             assert!(message.contains("dirty_mass"), "{message}");
         }
         other => panic!("expected a malformed snapshot, got {other:?}"),
-    }
-}
-
-#[test]
-fn restore_rejects_policy_configs_their_constructors_reject() {
-    let mut factory = PolicyFactory::new(rates()).unwrap();
-    let mut fleet = FleetEngine::new(FleetConfig::with_root_seed(19));
-    for kind in [
-        PolicyKind::Exp3,
-        PolicyKind::SmartExp3,
-        PolicyKind::FullInformation,
-    ] {
-        fleet.add_fleet(&mut factory, kind, 1).unwrap();
-    }
-    run_independent(&mut fleet, 5);
-    let text = fleet.to_json().unwrap();
-    assert!(FleetEngine::from_json(&text).is_ok());
-    // Restore used to check weight tables only: a γ floor above 1 restored
-    // and the next step panicked in `clamp` (min > max), and a negative
-    // learning rate stepped on.
-    let in_session = |session: usize, from: &str, to: &str| {
-        let (start, _) = text.match_indices("{\"kind\":").nth(session).unwrap();
-        let (head, tail) = text.split_at(start);
-        format!("{head}{}", tail.replacen(from, to, 1))
-    };
-    let broken = [
-        (
-            "an Exp3 floor of 6.001",
-            0,
-            in_session(0, "\"floor\":0.001", "\"floor\":6.001"),
-        ),
-        (
-            "a Smart EXP3 floor of 6.001",
-            1,
-            in_session(1, "\"floor\":0.001", "\"floor\":6.001"),
-        ),
-        (
-            "a negative learning rate",
-            2,
-            in_session(2, "\"learning_rate\":0.2", "\"learning_rate\":-0.2"),
-        ),
-    ];
-    for (what, session, broken) in broken {
-        assert_ne!(broken, text, "{what}");
-        match FleetEngine::from_json(&broken) {
-            Err(SnapshotError::Malformed(message)) => {
-                assert!(
-                    message.starts_with(&format!("session {session}: parameter")),
-                    "{what}: {message}"
-                );
-            }
-            other => panic!("{what}: expected a malformed snapshot, got {other:?}"),
-        }
     }
 }
 

@@ -50,7 +50,7 @@
 
 use crate::delay::DelayModel;
 use crate::device::{DeviceId, DeviceOutcome};
-use crate::event::{BandwidthEvent, EventSchedule};
+use crate::event::{usable_capacity, BandwidthEvent, EventSchedule};
 use crate::network::NetworkSpec;
 use crate::recorder::{RunRecorder, RunResult, SelectionRecord};
 use crate::sharing::SharingModel;
@@ -65,34 +65,22 @@ use smartexp3_core::{
 };
 use std::collections::BTreeMap;
 
-/// Parameters of the congestion world. The run length is not one of them:
-/// the driver decides how many slots to step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Length of one slot in seconds (paper: 15 s, longer than the largest
+/// observed switching delay).
+pub(crate) const SLOT_DURATION_S: f64 = 15.0;
+
+/// What a caller chooses about the congestion world. The run length is not
+/// one of them (whoever steps the world decides how many slots to run),
+/// nor are the paper's fixed values: a 15 s slot, and for the recorder the
+/// Definition 2 probability threshold 0.75 and the ε = 7.5 % of the
+/// ε-equilibrium accounting.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimulationConfig {
-    /// Length of one slot in seconds (paper: 15 s, longer than the largest
-    /// observed switching delay).
-    pub slot_duration_s: f64,
     /// How network bandwidth is split among devices.
     pub sharing: SharingModel,
-    /// Definition 2 probability threshold (paper: 0.75).
-    pub stable_probability_threshold: f64,
-    /// ε (in percent) of the ε-equilibrium accounting (paper: 7.5).
-    pub epsilon_percent: f64,
     /// Keep the raw per-slot selections in the [`RunResult`] (needed by the
     /// mobility and mixed-population experiments; costs memory).
     pub keep_selections: bool,
-}
-
-impl Default for SimulationConfig {
-    fn default() -> Self {
-        SimulationConfig {
-            slot_duration_s: 15.0,
-            sharing: SharingModel::EqualShare,
-            stable_probability_threshold: 0.75,
-            epsilon_percent: 7.5,
-            keep_selections: false,
-        }
-    }
 }
 
 /// Everything the environment needs to know about one session except its
@@ -532,7 +520,7 @@ fn grade_session(
         let model = resolved
             .dense
             .map_or(DelayModel::None, |d| tables.delay_by_index[d]);
-        model.sample(tables.config.slot_duration_s, rng)
+        model.sample(SLOT_DURATION_S, rng)
     } else {
         0.0
     };
@@ -542,7 +530,7 @@ fn grade_session(
     }
     device.current = Some(chosen);
     device.active_slots += 1;
-    device.download_megabits += observed_rate * (tables.config.slot_duration_s - delay).max(0.0);
+    device.download_megabits += observed_rate * (SLOT_DURATION_S - delay).max(0.0);
 
     let scaled_gain = (observed_rate / tables.gain_scale).clamp(0.0, 1.0);
     let mut observation = Observation {
@@ -873,9 +861,11 @@ impl CongestionEnvironment {
     /// Builds the environment.
     ///
     /// `env_seed` seeds the environment's own per-partition RNG streams.
-    /// A negative or NaN capacity, of a spec or an event, enters the world
-    /// as 0 (as [`BandwidthEvent::new`] clamps it), so every capacity the
-    /// world writes is one [`restore`](Environment::restore) accepts.
+    /// A capacity that is not a finite rate of at least 0 (negative, NaN or
+    /// infinite), of a spec or an event, enters the world as 0 (as
+    /// [`BandwidthEvent::new`] clamps it), so every capacity the world
+    /// writes is one [`restore`](Environment::restore) accepts, and the gain
+    /// scale is the largest capacity left.
     ///
     /// # Panics
     ///
@@ -896,7 +886,7 @@ impl CongestionEnvironment {
         );
         let bandwidths: BTreeMap<NetworkId, f64> = networks
             .iter()
-            .map(|n| (n.id, n.bandwidth_mbps.max(0.0)))
+            .map(|n| (n.id, usable_capacity(n.bandwidth_mbps)))
             .collect();
         let events: Vec<BandwidthEvent> = events
             .into_iter()
@@ -904,7 +894,7 @@ impl CongestionEnvironment {
             .collect();
         let gain_scale = networks
             .iter()
-            .map(|n| n.bandwidth_mbps)
+            .map(|n| usable_capacity(n.bandwidth_mbps))
             .fold(1e-9, f64::max);
 
         let mut universe: Vec<NetworkId> = networks.iter().map(|n| n.id).collect();
@@ -1047,9 +1037,6 @@ impl CongestionEnvironment {
         );
         self.recorder = Some(RunRecorder::new(
             self.profiles.len(),
-            self.config.slot_duration_s,
-            self.config.stable_probability_threshold,
-            self.config.epsilon_percent,
             self.config.keep_selections,
         ));
         self
@@ -1069,7 +1056,8 @@ impl CongestionEnvironment {
     }
 
     /// The gain scale: the bit rate mapping to a scaled gain of 1.0, the
-    /// largest bandwidth among the world's network specs.
+    /// largest bandwidth among the world's network specs (each clamped as
+    /// [`new`](Self::new) says).
     #[must_use]
     pub fn gain_scale(&self) -> f64 {
         self.gain_scale
@@ -1621,6 +1609,49 @@ mod tests {
         let mut restored = environment(2, Vec::new());
         restored.restore(&state).unwrap();
         assert_eq!(restored.state(), Some(state));
+    }
+
+    /// An infinite capacity, of a spec or an event, enters the world as 0.
+    /// It used to set the gain scale to `inf`, so that every network graded
+    /// at scaled gain 0, and the world's own `restore` refused its `state()`.
+    #[test]
+    fn an_infinite_capacity_enters_the_world_as_zero() {
+        let mut networks = setting1_networks();
+        networks[0] = NetworkSpec::wifi(0, f64::INFINITY);
+        let ids: Vec<NetworkId> = networks.iter().map(|n| n.id).collect();
+        let event = BandwidthEvent {
+            at_slot: 1,
+            network: NetworkId(1),
+            new_bandwidth_mbps: f64::INFINITY,
+        };
+        let mut env = CongestionEnvironment::new(
+            networks,
+            Topology::single_area(&ids),
+            vec![event],
+            profiles(1),
+            SimulationConfig::default(),
+            9,
+        );
+        assert_eq!(env.gain_scale(), 22.0);
+        for slot in 0..2 {
+            env.begin_slot(slot);
+            let mut out = [None];
+            env.feedback(slot, &[Some(NetworkId(2))], &mut out);
+            let observation = out[0].as_ref().expect("the device is graded");
+            assert_eq!(observation.bit_rate_mbps, 22.0, "slot {slot}");
+            assert!(
+                observation.scaled_gain > 0.0,
+                "slot {slot}: {observation:?}"
+            );
+            let state = env.state().unwrap();
+            env.restore(&state).unwrap();
+            assert_eq!(env.state(), Some(state));
+        }
+        let state = env.state().unwrap();
+        assert!(
+            state.contains("[0,0.0]") && state.contains("[1,0.0]"),
+            "{state}"
+        );
     }
 
     #[test]

@@ -21,14 +21,25 @@ pub struct BandwidthEvent {
 }
 
 impl BandwidthEvent {
-    /// Creates a bandwidth-change event.
+    /// Creates a bandwidth-change event. A capacity that is not a finite
+    /// rate of at least 0 enters as 0.
     #[must_use]
     pub fn new(at_slot: usize, network: NetworkId, new_bandwidth_mbps: f64) -> Self {
         BandwidthEvent {
             at_slot,
             network,
-            new_bandwidth_mbps: new_bandwidth_mbps.max(0.0),
+            new_bandwidth_mbps: usable_capacity(new_bandwidth_mbps),
         }
+    }
+}
+
+/// `mbps` as the world uses a capacity: a finite rate of at least 0, with a
+/// negative, NaN or infinite one read as 0 (the network is down).
+pub(crate) fn usable_capacity(mbps: f64) -> f64 {
+    if mbps.is_finite() {
+        mbps.max(0.0)
+    } else {
+        0.0
     }
 }
 

@@ -9,6 +9,7 @@
 //! metrics and by Figure 12 to plot a single run).
 
 use crate::device::{DeviceId, DeviceOutcome};
+use crate::env::SLOT_DURATION_S;
 use congestion_game::{
     distance_from_average_bit_rate, distance_to_nash, distance_to_nash_given,
     is_epsilon_equilibrium, is_nash_allocation, Allocation, DeviceState, ResourceSelectionGame,
@@ -16,6 +17,13 @@ use congestion_game::{
 };
 use serde::{Deserialize, Serialize};
 use smartexp3_core::NetworkId;
+
+/// Definition 2 probability threshold of stable-state detection (paper:
+/// 0.75).
+const STABLE_PROBABILITY_THRESHOLD: f64 = 0.75;
+
+/// ε (in percent) of the ε-equilibrium accounting (paper: 7.5).
+const EPSILON_PERCENT: f64 = 7.5;
 
 /// Ceiling on the fleet size the dense recorder accepts.
 ///
@@ -44,8 +52,6 @@ pub struct SelectionRecord {
 /// Collects per-slot snapshots and turns them into a [`RunResult`].
 #[derive(Debug, Clone)]
 pub struct RunRecorder {
-    slot_duration_s: f64,
-    epsilon_percent: f64,
     detector: StableStateDetector,
     distance_to_nash: Vec<f64>,
     distance_from_average: Vec<f64>,
@@ -64,25 +70,16 @@ pub struct RunRecorder {
 }
 
 impl RunRecorder {
-    /// Creates a recorder.
+    /// Creates a recorder for the paper's 15 s slots, Definition 2
+    /// probability threshold 0.75 and ε = 7.5 %.
     ///
     /// * `devices` — number of devices the run starts with (the stable-state
     ///   detector grows automatically if more join);
-    /// * `stable_threshold` — Definition 2 probability threshold (paper: 0.75);
-    /// * `epsilon_percent` — the ε of the ε-equilibrium shading (paper: 7.5);
     /// * `keep_selections` — whether to retain the raw per-slot selections.
     #[must_use]
-    pub fn new(
-        devices: usize,
-        slot_duration_s: f64,
-        stable_threshold: f64,
-        epsilon_percent: f64,
-        keep_selections: bool,
-    ) -> Self {
+    pub fn new(devices: usize, keep_selections: bool) -> Self {
         RunRecorder {
-            slot_duration_s,
-            epsilon_percent,
-            detector: StableStateDetector::new(devices, stable_threshold),
+            detector: StableStateDetector::new(devices, STABLE_PROBABILITY_THRESHOLD),
             distance_to_nash: Vec::new(),
             distance_from_average: Vec::new(),
             slots_at_nash: 0,
@@ -131,10 +128,10 @@ impl RunRecorder {
         if is_nash_allocation(game, &allocation) {
             self.slots_at_nash += 1;
         }
-        if is_epsilon_equilibrium(game, &allocation, self.epsilon_percent) {
+        if is_epsilon_equilibrium(game, &allocation, EPSILON_PERCENT) {
             self.slots_at_epsilon += 1;
         }
-        self.unutilized_megabits += game.unutilized_rate(&allocation) * self.slot_duration_s;
+        self.unutilized_megabits += game.unutilized_rate(&allocation) * SLOT_DURATION_S;
 
         self.scratch_tops.clear();
         self.scratch_tops
@@ -153,7 +150,7 @@ impl RunRecorder {
         let stable_at_nash = self.detector.stable_at_nash(game);
         RunResult {
             slots: self.recorded_slots,
-            slot_duration_s: self.slot_duration_s,
+            slot_duration_s: SLOT_DURATION_S,
             devices,
             distance_to_nash: self.distance_to_nash,
             distance_from_average: self.distance_from_average,
@@ -302,7 +299,7 @@ mod tests {
     #[test]
     fn equilibrium_slots_are_counted() {
         let game = game();
-        let mut recorder = RunRecorder::new(3, 15.0, 0.75, 7.5, false);
+        let mut recorder = RunRecorder::new(3, false);
         // 3 devices all on the 22 Mbps network is the 3-device equilibrium.
         let records = vec![
             record(0, 2, 22.0 / 3.0),
@@ -326,7 +323,7 @@ mod tests {
     #[test]
     fn non_equilibrium_slots_raise_distance() {
         let game = game();
-        let mut recorder = RunRecorder::new(3, 15.0, 0.75, 7.5, true);
+        let mut recorder = RunRecorder::new(3, true);
         let records = vec![
             record(0, 0, 4.0 / 3.0),
             record(1, 0, 4.0 / 3.0),
@@ -342,7 +339,7 @@ mod tests {
     #[test]
     fn mean_distance_respects_bounds() {
         let game = game();
-        let mut recorder = RunRecorder::new(1, 15.0, 0.75, 7.5, false);
+        let mut recorder = RunRecorder::new(1, false);
         recorder.record_slot(&game, &[record(0, 2, 22.0)]);
         recorder.record_slot(&game, &[record(0, 2, 22.0)]);
         let result = recorder.finish(&game, Vec::new());

@@ -11,9 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use smartexp3_core::{
-    Exp3, Exp3Config, NetworkId, Observation, Policy, SamplerStrategy, WeightTable,
-};
+use smartexp3_core::{Exp3, NetworkId, Observation, Policy, SamplerStrategy, WeightTable};
 use std::time::Duration;
 
 const ARM_COUNTS: [usize; 3] = [64, 256, 1024];
@@ -52,8 +50,7 @@ fn bench(c: &mut Criterion) {
         for strategy in STRATEGIES {
             let id = BenchmarkId::new(format!("{strategy:?}"), k);
             group.bench_function(id, |b| {
-                let config = Exp3Config { sampler: strategy };
-                let mut policy = Exp3::new(networks(k), config).expect("valid config");
+                let mut policy = Exp3::new(networks(k), strategy).expect("valid config");
                 let mut rng = StdRng::seed_from_u64(11);
                 let mut slot = 0usize;
                 b.iter(|| {

@@ -138,8 +138,8 @@ impl CentralizedPolicy {
 }
 
 impl Policy for CentralizedPolicy {
-    fn name(&self) -> &'static str {
-        "Centralized"
+    fn kind(&self) -> crate::PolicyKind {
+        crate::PolicyKind::Centralized
     }
 
     fn choose(&mut self, _slot: SlotIndex, _rng: &mut dyn RngCore) -> NetworkId {

@@ -380,9 +380,10 @@ pub trait Environment: Send + Sync {
     /// The next slot at which `session` decides, given that it just decided
     /// at `woke_at`. Must be strictly greater than `woke_at` (drivers clamp
     /// to `woke_at + 1`). The default applies
-    /// [`wake_cadence`](Self::wake_cadence) as a fixed period.
+    /// [`wake_cadence`](Self::wake_cadence) as a fixed period, saturating at
+    /// `SlotIndex::MAX`, which the fleet engine reads as "never again".
     fn next_wake(&self, session: usize, woke_at: SlotIndex) -> SlotIndex {
-        woke_at + self.wake_cadence(session).max(1)
+        woke_at.saturating_add(self.wake_cadence(session).max(1))
     }
 
     /// The earliest slot **at or after** `from` at which the environment's

@@ -14,24 +14,14 @@ use crate::{ConfigError, NetworkId, SamplerStrategy, SlotIndex, WeightTable};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-/// What a caller chooses about an [`Exp3`] policy: how the per-slot draw
-/// inverts the CDF. γ is not configurable: it is the paper's `b^{-1/3}` at
-/// the decision count `b`, clamped to `[10⁻³, 1]`, as in Smart EXP3.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Exp3Config {
-    /// How the per-slot draw inverts the CDF (see [`SamplerStrategy`]).
-    /// Golden decision pins are scoped to this choice; the default `Linear`
-    /// reproduces the historical trajectories bit-exactly.
-    pub sampler: SamplerStrategy,
-}
-
 /// The EXP3 adversarial-bandit algorithm, one decision per slot.
 ///
 /// Its decision counter is `stats.blocks` (one block per slot), and γ is
-/// `b^{-1/3}` evaluated there: neither is stored twice.
+/// `b^{-1/3}` evaluated there, clamped to `[10⁻³, 1]` as in Smart EXP3:
+/// neither is stored twice. A caller chooses only the sampler, which the
+/// weight table holds.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Exp3 {
-    config: Exp3Config,
     weights: WeightTable,
     current: Option<NetworkId>,
     /// Table position `current` was drawn at, so `observe` can update it
@@ -45,16 +35,18 @@ pub struct Exp3 {
 }
 
 impl Exp3 {
-    /// Creates an EXP3 policy over `networks`.
+    /// Creates an EXP3 policy over `networks` whose per-slot draw inverts
+    /// the CDF with `sampler` (see [`SamplerStrategy`]). Golden decision
+    /// pins are scoped to this choice; `Linear` reproduces the historical
+    /// trajectories bit-exactly.
     ///
     /// # Errors
     ///
     /// Returns an error if `networks` is empty or contains duplicates.
-    pub fn new(networks: Vec<NetworkId>, config: Exp3Config) -> Result<Self, ConfigError> {
+    pub fn new(networks: Vec<NetworkId>, sampler: SamplerStrategy) -> Result<Self, ConfigError> {
         check_networks(&networks)?;
         Ok(Exp3 {
-            config,
-            weights: WeightTable::uniform_with_strategy(&networks, config.sampler),
+            weights: WeightTable::uniform_with_strategy(&networks, sampler),
             current: None,
             current_position: 0,
             current_probability: 1.0,
@@ -81,8 +73,8 @@ impl Policy for Exp3 {
         Some(crate::PolicyState::Exp3(Box::new(self.clone())))
     }
 
-    fn name(&self) -> &'static str {
-        "EXP3"
+    fn kind(&self) -> crate::PolicyKind {
+        crate::PolicyKind::Exp3
     }
 
     fn choose(&mut self, _slot: SlotIndex, rng: &mut dyn RngCore) -> NetworkId {
@@ -157,9 +149,8 @@ impl Policy for Exp3 {
         self.weights.arms().iter().copied().zip(probs).collect()
     }
 
-    fn top_probabilities_into(&self, k: usize, out: &mut Vec<(NetworkId, f64)>) {
-        self.weights
-            .top_probabilities_into(self.current_gamma(), k, out);
+    fn top_choice(&self) -> Option<(NetworkId, f64)> {
+        self.weights.top_choice(self.current_gamma())
     }
 
     fn stats(&self) -> PolicyStats {
@@ -201,10 +192,7 @@ mod tests {
     /// differently, so its trajectory is its own contract.
     #[test]
     fn alias_sampler_decisions_are_pinned() {
-        let config = Exp3Config {
-            sampler: SamplerStrategy::Alias,
-        };
-        let mut policy = Exp3::new(nets(8), config).unwrap();
+        let mut policy = Exp3::new(nets(8), SamplerStrategy::Alias).unwrap();
         let mut rng = StdRng::seed_from_u64(2026);
         let mut sequence = Vec::new();
         for slot in 0..24 {
@@ -227,12 +215,12 @@ mod tests {
 
     #[test]
     fn construction_rejects_bad_inputs() {
-        assert!(Exp3::new(vec![], Exp3Config::default()).is_err());
+        assert!(Exp3::new(vec![], SamplerStrategy::Linear).is_err());
     }
 
     #[test]
     fn learns_the_best_network() {
-        let mut policy = Exp3::new(nets(3), Exp3Config::default()).unwrap();
+        let mut policy = Exp3::new(nets(3), SamplerStrategy::Linear).unwrap();
         run_slots(&mut policy, NetworkId(2), 800, 11);
         let probs = policy.probabilities();
         let best = probability_of(&probs, NetworkId(2));
@@ -241,7 +229,7 @@ mod tests {
 
     #[test]
     fn probabilities_always_sum_to_one() {
-        let mut policy = Exp3::new(nets(4), Exp3Config::default()).unwrap();
+        let mut policy = Exp3::new(nets(4), SamplerStrategy::Linear).unwrap();
         run_slots(&mut policy, NetworkId(0), 200, 3);
         let sum: f64 = policy.probabilities().iter().map(|(_, p)| p).sum();
         assert!((sum - 1.0).abs() < 1e-9);
@@ -249,7 +237,7 @@ mod tests {
 
     #[test]
     fn switches_are_counted() {
-        let mut policy = Exp3::new(nets(3), Exp3Config::default()).unwrap();
+        let mut policy = Exp3::new(nets(3), SamplerStrategy::Linear).unwrap();
         run_slots(&mut policy, NetworkId(1), 100, 5);
         let stats = policy.stats();
         assert_eq!(stats.blocks, 100);
@@ -261,7 +249,7 @@ mod tests {
 
     #[test]
     fn handles_network_set_changes() {
-        let mut policy = Exp3::new(nets(3), Exp3Config::default()).unwrap();
+        let mut policy = Exp3::new(nets(3), SamplerStrategy::Linear).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         run_slots(&mut policy, NetworkId(2), 50, 1);
         policy.on_networks_changed(&[NetworkId(2), NetworkId(3)], &mut rng);
@@ -276,7 +264,7 @@ mod tests {
     #[test]
     fn shared_feedback_shifts_weight_without_own_observations() {
         use crate::SharedFeedback;
-        let mut policy = Exp3::new(nets(3), Exp3Config::default()).unwrap();
+        let mut policy = Exp3::new(nets(3), SamplerStrategy::Linear).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let uniform = probability_of(&policy.probabilities(), NetworkId(2));
         // Neighbours keep reporting that network 2 is excellent; the policy
@@ -304,7 +292,7 @@ mod tests {
     #[test]
     fn hostile_shared_feedback_is_rejected() {
         use crate::SharedFeedback;
-        let mut policy = Exp3::new(nets(3), Exp3Config::default()).unwrap();
+        let mut policy = Exp3::new(nets(3), SamplerStrategy::Linear).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
         let chosen = policy.choose(0, &mut rng);
         policy.observe(&Observation::bandit(0, chosen, 11.0, 0.5), &mut rng);
@@ -319,7 +307,7 @@ mod tests {
 
     #[test]
     fn ignores_feedback_for_stale_network() {
-        let mut policy = Exp3::new(nets(2), Exp3Config::default()).unwrap();
+        let mut policy = Exp3::new(nets(2), SamplerStrategy::Linear).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let chosen = policy.choose(0, &mut rng);
         let other = if chosen == NetworkId(0) {
@@ -338,7 +326,7 @@ mod tests {
     /// after a restore (the position is not serialized).
     #[test]
     fn observe_updates_the_drawn_arm_when_its_position_is_stale() {
-        let mut policy = Exp3::new(nets(6), Exp3Config::default()).unwrap();
+        let mut policy = Exp3::new(nets(6), SamplerStrategy::Linear).unwrap();
         run_slots(&mut policy, NetworkId(4), 30, 2);
         let mut rng = StdRng::seed_from_u64(8);
         let mut draw_past_the_first_arm = |policy: &mut Exp3| loop {

@@ -7,8 +7,8 @@
 //! coordinator that knows every network's bandwidth).
 
 use crate::{
-    CentralizedCoordinator, ConfigError, Exp3, Exp3Config, FixedRandom, FullInformation, Greedy,
-    NetworkId, Policy, SamplerStrategy, SmartExp3, SmartExp3Config, SmartExp3Features,
+    CentralizedCoordinator, ConfigError, Exp3, FixedRandom, FullInformation, Greedy, NetworkId,
+    Policy, SamplerStrategy, SmartExp3, SmartExp3Variant,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -104,9 +104,10 @@ impl fmt::Display for PolicyKind {
 pub enum FleetPolicies {
     /// Concrete slot-level EXP3 instances ([`PolicyKind::Exp3`]).
     Exp3(Vec<Exp3>),
-    /// Concrete Smart EXP3 instances — the full algorithm or any feature
+    /// Concrete Smart EXP3 instances — the full algorithm or any Table III
     /// ablation (`BlockExp3`, `HybridBlockExp3`, `SmartExp3WithoutReset`,
-    /// `SmartExp3` are all one concrete type with different feature flags).
+    /// `SmartExp3` are all one concrete type holding different
+    /// [`SmartExp3Variant`]s).
     SmartExp3(Vec<SmartExp3>),
     /// Policies that only exist behind `Box<dyn Policy>` (the baselines, the
     /// oracles, and — via [`PolicyFactory::build_fleet`] — any future kind
@@ -163,8 +164,8 @@ impl PolicyFactory {
     /// Selects the CDF-inversion strategy for every EXP3-family policy this
     /// factory builds (both the slot-level baseline and the Smart EXP3
     /// variants), the one setting a factory holds besides its networks: the
-    /// Smart EXP3 kind picks the feature set, and every other parameter is
-    /// the paper's. Dense-spectrum worlds pass [`SamplerStrategy::Alias`]
+    /// Smart EXP3 kind picks the variant, and every other parameter is the
+    /// paper's. Dense-spectrum worlds pass [`SamplerStrategy::Alias`]
     /// here to make each draw amortised O(1) instead of O(k).
     #[must_use]
     pub fn with_sampler(mut self, sampler: SamplerStrategy) -> Self {
@@ -214,45 +215,22 @@ impl PolicyFactory {
         Ok(match kind {
             PolicyKind::Exp3 => FleetPolicies::Exp3(
                 (0..count)
-                    .map(|_| Exp3::new(self.networks.clone(), self.exp3_config()))
+                    .map(|_| Exp3::new(self.networks.clone(), self.sampler))
                     .collect::<Result<_, _>>()?,
             ),
             PolicyKind::BlockExp3
             | PolicyKind::HybridBlockExp3
             | PolicyKind::SmartExp3WithoutReset
             | PolicyKind::SmartExp3 => {
-                let config = self.smart_variant_config(kind);
+                let variant = smart_variant(kind);
                 FleetPolicies::SmartExp3(
                     (0..count)
-                        .map(|_| SmartExp3::new(self.networks.clone(), config))
+                        .map(|_| SmartExp3::new(self.networks.clone(), variant, self.sampler))
                         .collect::<Result<_, _>>()?,
                 )
             }
             _ => FleetPolicies::Boxed(self.build_fleet(kind, count)?),
         })
-    }
-
-    /// The EXP3 configuration: the factory's sampler.
-    fn exp3_config(&self) -> Exp3Config {
-        Exp3Config {
-            sampler: self.sampler,
-        }
-    }
-
-    /// The Smart EXP3 configuration for one of the family's feature
-    /// ablations: the feature set selected by `kind` on the factory's
-    /// sampler.
-    fn smart_variant_config(&self, kind: PolicyKind) -> SmartExp3Config {
-        let features = match kind {
-            PolicyKind::BlockExp3 => SmartExp3Features::block_exp3(),
-            PolicyKind::HybridBlockExp3 => SmartExp3Features::hybrid_block_exp3(),
-            PolicyKind::SmartExp3WithoutReset => SmartExp3Features::smart_exp3_without_reset(),
-            _ => SmartExp3Features::smart_exp3(),
-        };
-        SmartExp3Config {
-            features,
-            sampler: self.sampler,
-        }
     }
 
     /// Builds one policy of the requested kind.
@@ -267,12 +245,12 @@ impl PolicyFactory {
     pub fn build(&mut self, kind: PolicyKind) -> Result<Box<dyn Policy>, ConfigError> {
         let networks = self.networks.clone();
         let policy: Box<dyn Policy> = match kind {
-            PolicyKind::Exp3 => Box::new(Exp3::new(networks, self.exp3_config())?),
+            PolicyKind::Exp3 => Box::new(Exp3::new(networks, self.sampler)?),
             PolicyKind::BlockExp3
             | PolicyKind::HybridBlockExp3
             | PolicyKind::SmartExp3WithoutReset
             | PolicyKind::SmartExp3 => {
-                Box::new(SmartExp3::new(networks, self.smart_variant_config(kind))?)
+                Box::new(SmartExp3::new(networks, smart_variant(kind), self.sampler)?)
             }
             PolicyKind::Greedy => Box::new(Greedy::new(networks)?),
             PolicyKind::FixedRandom => Box::new(FixedRandom::new(networks)?),
@@ -294,6 +272,16 @@ impl PolicyFactory {
     }
 }
 
+/// The Table III rung of one of the Smart EXP3 family's four kinds.
+fn smart_variant(kind: PolicyKind) -> SmartExp3Variant {
+    match kind {
+        PolicyKind::BlockExp3 => SmartExp3Variant::BlockExp3,
+        PolicyKind::HybridBlockExp3 => SmartExp3Variant::HybridBlockExp3,
+        PolicyKind::SmartExp3WithoutReset => SmartExp3Variant::SmartExp3WithoutReset,
+        _ => SmartExp3Variant::SmartExp3,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,7 +299,13 @@ mod tests {
         let mut factory = PolicyFactory::new(rates()).unwrap();
         for kind in PolicyKind::all() {
             let policy = factory.build(kind).unwrap();
-            assert_eq!(policy.name(), kind.label(), "label mismatch for {kind:?}");
+            assert_eq!(policy.kind(), kind, "kind mismatch for {kind:?}");
+            let kinds: Vec<PolicyKind> = match factory.build_fleet_concrete(kind, 2).unwrap() {
+                FleetPolicies::Exp3(v) => v.iter().map(Policy::kind).collect(),
+                FleetPolicies::SmartExp3(v) => v.iter().map(Policy::kind).collect(),
+                FleetPolicies::Boxed(v) => v.iter().map(Policy::kind).collect(),
+            };
+            assert_eq!(kinds, [kind; 2], "fleet kind mismatch for {kind:?}");
         }
     }
 
@@ -338,13 +332,13 @@ mod tests {
             let boxed = boxed_factory.build_fleet(kind, 3).unwrap();
             assert_eq!(concrete.len(), 3);
             assert!(!concrete.is_empty());
-            let concrete_names: Vec<&str> = match &concrete {
-                FleetPolicies::Exp3(v) => v.iter().map(|p| p.name()).collect(),
-                FleetPolicies::SmartExp3(v) => v.iter().map(|p| p.name()).collect(),
-                FleetPolicies::Boxed(v) => v.iter().map(|p| p.name()).collect(),
+            let concrete_kinds: Vec<PolicyKind> = match &concrete {
+                FleetPolicies::Exp3(v) => v.iter().map(Policy::kind).collect(),
+                FleetPolicies::SmartExp3(v) => v.iter().map(Policy::kind).collect(),
+                FleetPolicies::Boxed(v) => v.iter().map(Policy::kind).collect(),
             };
-            let boxed_names: Vec<&str> = boxed.iter().map(|p| p.name()).collect();
-            assert_eq!(concrete_names, boxed_names, "name mismatch for {kind:?}");
+            let boxed_kinds: Vec<PolicyKind> = boxed.iter().map(Policy::kind).collect();
+            assert_eq!(concrete_kinds, boxed_kinds, "kind mismatch for {kind:?}");
             let expect_lane = matches!(
                 kind,
                 PolicyKind::Exp3

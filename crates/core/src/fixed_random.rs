@@ -43,8 +43,8 @@ impl Policy for FixedRandom {
         Some(crate::PolicyState::FixedRandom(Box::new(self.clone())))
     }
 
-    fn name(&self) -> &'static str {
-        "Fixed Random"
+    fn kind(&self) -> crate::PolicyKind {
+        crate::PolicyKind::FixedRandom
     }
 
     fn choose(&mut self, _slot: SlotIndex, rng: &mut dyn RngCore) -> NetworkId {

@@ -50,8 +50,8 @@ impl Policy for FullInformation {
         Some(crate::PolicyState::FullInformation(Box::new(self.clone())))
     }
 
-    fn name(&self) -> &'static str {
-        "Full Information"
+    fn kind(&self) -> crate::PolicyKind {
+        crate::PolicyKind::FullInformation
     }
 
     fn choose(&mut self, _slot: SlotIndex, rng: &mut dyn RngCore) -> NetworkId {
@@ -111,8 +111,8 @@ impl Policy for FullInformation {
         self.weights.arms().iter().copied().zip(probs).collect()
     }
 
-    fn top_probabilities_into(&self, k: usize, out: &mut Vec<(NetworkId, f64)>) {
-        self.weights.top_probabilities_into(0.0, k, out);
+    fn top_choice(&self) -> Option<(NetworkId, f64)> {
+        self.weights.top_choice(0.0)
     }
 
     fn stats(&self) -> PolicyStats {

@@ -57,8 +57,8 @@ impl Policy for Greedy {
         Some(crate::PolicyState::Greedy(Box::new(self.clone())))
     }
 
-    fn name(&self) -> &'static str {
-        "Greedy"
+    fn kind(&self) -> crate::PolicyKind {
+        crate::PolicyKind::Greedy
     }
 
     fn choose(&mut self, _slot: SlotIndex, rng: &mut dyn RngCore) -> NetworkId {

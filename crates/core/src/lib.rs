@@ -10,10 +10,13 @@
 //!
 //! * [`SmartExp3`] — the paper's contribution: EXP3 augmented with adaptive
 //!   blocking, an initial exploration phase, occasional greedy choices, a
-//!   switch-back mechanism and a minimal reset (Algorithm 1 + §V).
-//! * The baselines it is evaluated against: [`Exp3`], [`BlockExp3`],
-//!   [`HybridBlockExp3`], [`Greedy`], [`FixedRandom`], [`FullInformation`] and
-//!   the oracle [`CentralizedCoordinator`] / [`CentralizedPolicy`].
+//!   switch-back mechanism and a minimal reset (Algorithm 1 + §V). A
+//!   [`SmartExp3Variant`] picks the rung of the paper's Table III ablation
+//!   ladder it runs (Block EXP3, Hybrid Block EXP3, Smart EXP3 w/o Reset or
+//!   the full algorithm).
+//! * The baselines it is evaluated against: [`Exp3`], [`Greedy`],
+//!   [`FixedRandom`], [`FullInformation`] and the oracle
+//!   [`CentralizedCoordinator`] / [`CentralizedPolicy`].
 //! * The [`Policy`] trait that a simulator (see the `netsim` crate) drives one
 //!   slot at a time.
 //! * [`theory`] — closed forms of the paper's Theorem 2 (switch bound) and
@@ -23,11 +26,11 @@
 //!
 //! ```rust
 //! use rand::SeedableRng;
-//! use smartexp3_core::{NetworkId, Policy, SmartExp3, SmartExp3Config};
+//! use smartexp3_core::{NetworkId, Policy, SamplerStrategy, SmartExp3, SmartExp3Variant};
 //!
 //! # fn main() -> Result<(), smartexp3_core::ConfigError> {
 //! let nets = vec![NetworkId(0), NetworkId(1), NetworkId(2)];
-//! let mut policy = SmartExp3::new(nets.clone(), SmartExp3Config::default())?;
+//! let mut policy = SmartExp3::new(nets, SmartExp3Variant::SmartExp3, SamplerStrategy::Linear)?;
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //!
 //! for slot in 0..100 {
@@ -46,7 +49,6 @@
 #![warn(missing_docs)]
 
 mod block;
-mod block_exp3;
 mod centralized;
 mod environment;
 mod error;
@@ -56,7 +58,6 @@ mod fixed_random;
 mod full_information;
 mod gamma;
 mod greedy;
-mod hybrid_block_exp3;
 mod policy;
 mod shared;
 mod smart_exp3;
@@ -67,22 +68,20 @@ mod types;
 mod weights;
 
 pub use block::{block_length, BlockState};
-pub use block_exp3::BlockExp3;
 pub use centralized::{CentralizedCoordinator, CentralizedPolicy};
 pub use environment::{
     EnvStateError, Environment, PartitionExecutor, PartitionJob, SequentialExecutor, SessionRange,
     SessionView,
 };
 pub use error::ConfigError;
-pub use exp3::{Exp3, Exp3Config};
+pub use exp3::Exp3;
 pub use factory::{FleetPolicies, PolicyFactory, PolicyKind};
 pub use fixed_random::FixedRandom;
 pub use full_information::FullInformation;
 pub use greedy::Greedy;
-pub use hybrid_block_exp3::HybridBlockExp3;
 pub use policy::{probability_of, Observation, Policy, PolicyStats, SelectionKind};
 pub use shared::{SharedFeedback, SharedRate};
-pub use smart_exp3::{SmartExp3, SmartExp3Config, SmartExp3Features};
+pub use smart_exp3::{SmartExp3, SmartExp3Variant};
 pub use smartexp3_telemetry::SlotMetrics;
 pub use state::PolicyState;
 pub use stats::NetworkStats;

@@ -1,7 +1,7 @@
 //! The [`Policy`] trait driven by the environment one slot at a time, together
 //! with the observation and statistics types exchanged across that boundary.
 
-use crate::{NetworkId, SlotIndex};
+use crate::{NetworkId, PolicyKind, SlotIndex};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
@@ -140,16 +140,19 @@ pub struct PolicyStats {
 ///
 /// The trait has nine methods, and each has a caller: those four, the reads
 /// [`probabilities`](Policy::probabilities) (reports, tests) and
-/// [`top_probabilities_into`](Policy::top_probabilities_into) (the engine's
-/// top-choices hook; its default sorts `probabilities()`), and
-/// [`name`](Policy::name), [`stats`](Policy::stats) and
-/// [`state`](Policy::state) (reports, metrics and checkpoints).
+/// [`top_choice`](Policy::top_choice) (the engine's top-choice hook; its
+/// default scans `probabilities()`), and [`kind`](Policy::kind),
+/// [`stats`](Policy::stats) and [`state`](Policy::state) (reports, metrics
+/// and checkpoints).
 ///
 /// Implementations are deterministic given the `rng` passed in, which keeps
 /// whole-simulation runs reproducible from a single seed.
 pub trait Policy: Send {
-    /// Short human-readable name, e.g. `"Smart EXP3"`. Used in reports.
-    fn name(&self) -> &'static str;
+    /// Which of the paper's algorithms this policy runs; its
+    /// [`label`](PolicyKind::label) names it in reports. The fleet engine
+    /// reads a session's kind from its policy, so a checkpoint need not
+    /// write it.
+    fn kind(&self) -> PolicyKind;
 
     /// Selects the network to associate with for slot `slot`.
     fn choose(&mut self, slot: SlotIndex, rng: &mut dyn RngCore) -> NetworkId;
@@ -191,27 +194,19 @@ pub trait Policy: Send {
     /// their committed choice.
     fn probabilities(&self) -> Vec<(NetworkId, f64)>;
 
-    /// Bounded top-`k` variant of [`probabilities`](Policy::probabilities):
-    /// fills `out` (cleared first, capacity reused) with at most `k`
-    /// `(network, probability)` pairs, highest probability first. Readers
-    /// that only consume the most probable choice(s) — the engine's
-    /// end-of-slot top-choices hook, dashboards — should prefer this entry
-    /// point so dense worlds (hundreds of networks per session) don't pay
-    /// for a full O(K) listing per session per slot.
+    /// The most probable network of [`probabilities`](Policy::probabilities)
+    /// and its probability, or `None` when the listing is empty: what the
+    /// engine's end-of-slot top-choice hook reads.
     ///
-    /// Ties break towards the **later-listed** network, exactly as scanning
-    /// the full listing with `Iterator::max_by(f64::total_cmp)` would — so
-    /// `top_probabilities_into(1, ..)` is a drop-in for that idiom. The
-    /// default sorts the listing `probabilities()` returns; the EXP3 family
-    /// overrides it to heap-select directly over the cached exponentials.
-    fn top_probabilities_into(&self, k: usize, out: &mut Vec<(NetworkId, f64)>) {
-        out.clear();
-        out.extend(self.probabilities());
-        // Reverse, then stable-sort descending: later-listed entries stay
-        // ahead of earlier ones with equal probability.
-        out.reverse();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1));
-        out.truncate(k);
+    /// Ties break towards the **later-listed** network, as
+    /// `Iterator::max_by(f64::total_cmp)` does. The default scans the listing
+    /// `probabilities()` returns; the EXP3 family overrides it with one pass
+    /// over the cached exponentials, so dense worlds (hundreds of networks
+    /// per session) build no listing per session per slot.
+    fn top_choice(&self) -> Option<(NetworkId, f64)> {
+        self.probabilities()
+            .into_iter()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 
     /// Behavioural counters (switches, resets, …) accumulated so far.
@@ -237,8 +232,8 @@ pub trait Policy: Send {
 /// treat the boxed fallback lane as just another `P: Policy`, reusing one
 /// code path for both static and dynamic dispatch.
 impl Policy for Box<dyn Policy> {
-    fn name(&self) -> &'static str {
-        (**self).name()
+    fn kind(&self) -> PolicyKind {
+        (**self).kind()
     }
 
     fn choose(&mut self, slot: SlotIndex, rng: &mut dyn RngCore) -> NetworkId {
@@ -261,8 +256,8 @@ impl Policy for Box<dyn Policy> {
         (**self).probabilities()
     }
 
-    fn top_probabilities_into(&self, k: usize, out: &mut Vec<(NetworkId, f64)>) {
-        (**self).top_probabilities_into(k, out);
+    fn top_choice(&self) -> Option<(NetworkId, f64)> {
+        (**self).top_choice()
     }
 
     fn stats(&self) -> PolicyStats {

@@ -16,14 +16,14 @@
 //!   most-used network, block lengths and greedy statistics are cleared and
 //!   exploration is forced again, while the learned weights are kept.
 //!
-//! The same implementation also serves the paper's ablation variants
-//! ([`BlockExp3`](crate::BlockExp3), [`HybridBlockExp3`](crate::HybridBlockExp3),
-//! Smart EXP3 w/o Reset) through [`SmartExp3Features`].
+//! The same implementation also runs the paper's Table III ablations (Block
+//! EXP3, Hybrid Block EXP3, Smart EXP3 w/o Reset): a [`SmartExp3Variant`]
+//! names the rung, and so which mechanisms run.
 //!
 //! # The paper's constants
 //!
-//! A caller chooses the mechanisms and the sampler ([`SmartExp3Config`]);
-//! every number is fixed at its §V value:
+//! A caller chooses the variant and the sampler; every number is fixed at
+//! its §V value:
 //!
 //! * `BETA` = 0.1: the next block on a network chosen `x` times before
 //!   lasts `⌈(1+β)^x⌉` slots;
@@ -40,15 +40,17 @@
 //!   `RESET_DROP_FRACTION` = 15 % below its average for more than
 //!   `RESET_DROP_SLOTS` = 4 consecutive slots.
 
-mod config;
+mod variant;
 
-pub use config::{SmartExp3Config, SmartExp3Features};
+pub use variant::SmartExp3Variant;
 
 use crate::block::{block_length, BlockState};
 use crate::error::check_networks;
 use crate::gamma::gamma;
 use crate::policy::{Observation, Policy, PolicyStats, SelectionKind};
-use crate::{ConfigError, NetworkId, NetworkStats, SlotIndex, WeightTable};
+use crate::{
+    ConfigError, NetworkId, NetworkStats, PolicyKind, SamplerStrategy, SlotIndex, WeightTable,
+};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::RngCore;
@@ -80,14 +82,15 @@ fn paper_block_length(x: u64) -> u64 {
     }
 }
 
-/// The Smart EXP3 policy (and, depending on [`SmartExp3Features`], its
-/// ablation variants).
+/// The Smart EXP3 policy, or one of its ablations, as its
+/// [`SmartExp3Variant`] says.
 ///
 /// Its global block counter `b` is `stats.blocks` (never reset), and γ is
-/// `b^{-1/3}` evaluated there: neither is stored twice.
+/// `b^{-1/3}` evaluated there: neither is stored twice. Its sampler is the
+/// weight table's.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SmartExp3 {
-    config: SmartExp3Config,
+    variant: SmartExp3Variant,
     available: Vec<NetworkId>,
     weights: WeightTable,
     stats_table: NetworkStats,
@@ -123,20 +126,27 @@ pub struct SmartExp3 {
 }
 
 impl SmartExp3 {
-    /// Creates a Smart EXP3 policy over `networks`.
+    /// Creates a Smart EXP3 policy over `networks` running `variant`, whose
+    /// fresh decisions invert the CDF with `sampler` (see
+    /// [`SamplerStrategy`]). Golden decision pins are scoped to the sampler;
+    /// `Linear` reproduces the historical trajectories bit-exactly.
     ///
     /// # Errors
     ///
     /// Returns an error if `networks` is empty or contains duplicates.
-    pub fn new(networks: Vec<NetworkId>, config: SmartExp3Config) -> Result<Self, ConfigError> {
+    pub fn new(
+        networks: Vec<NetworkId>,
+        variant: SmartExp3Variant,
+        sampler: SamplerStrategy,
+    ) -> Result<Self, ConfigError> {
         check_networks(&networks)?;
-        let explore_queue = if config.features.initial_exploration {
+        let explore_queue = if variant.explores() {
             networks.clone()
         } else {
             Vec::new()
         };
         Ok(SmartExp3 {
-            weights: WeightTable::uniform_with_strategy(&networks, config.sampler),
+            weights: WeightTable::uniform_with_strategy(&networks, sampler),
             stats_table: NetworkStats::new(),
             explore_queue,
             explore_shuffled: false,
@@ -150,23 +160,22 @@ impl SmartExp3 {
             gain_log_pool: Vec::new(),
             stats: PolicyStats::default(),
             available: networks,
-            config,
+            variant,
         })
     }
 
-    /// Convenience constructor for the full Smart EXP3 with paper defaults.
+    /// Convenience constructor for the full Smart EXP3 on the `Linear`
+    /// sampler.
     ///
     /// # Errors
     ///
     /// See [`SmartExp3::new`].
     pub fn with_defaults(networks: Vec<NetworkId>) -> Result<Self, ConfigError> {
-        Self::new(networks, SmartExp3Config::default())
-    }
-
-    /// The configuration this policy was built with.
-    #[must_use]
-    pub fn config(&self) -> &SmartExp3Config {
-        &self.config
+        Self::new(
+            networks,
+            SmartExp3Variant::SmartExp3,
+            SamplerStrategy::Linear,
+        )
     }
 
     /// The γ used for the current block: `b^{-1/3}` at the block count `b`.
@@ -217,7 +226,7 @@ impl SmartExp3 {
     /// Periodic-reset condition of §V: the most probable network has both a
     /// sufficiently high probability and a long next block.
     fn periodic_reset_due(&self, summary: &crate::DistributionSummary) -> bool {
-        if !self.config.features.reset {
+        if !self.variant.resets() {
             return false;
         }
         summary.max >= RESET_PROBABILITY
@@ -269,7 +278,7 @@ impl SmartExp3 {
             self.stats.explorations += 1;
             (network, probability, SelectionKind::Exploration)
         } else {
-            let greedy_allowed = self.config.features.greedy
+            let greedy_allowed = self.variant.greedy()
                 && summary
                     .as_ref()
                     .is_some_and(|summary| self.greedy_allowed(summary));
@@ -344,7 +353,7 @@ impl SmartExp3 {
     /// §V "Switch back": evaluates whether the first slot of the current block
     /// is disappointing enough to return to the previous network.
     fn switch_back_triggered(&self, current_gain: f64) -> Option<NetworkId> {
-        if !self.config.features.switch_back {
+        if !self.variant.switches_back() {
             return None;
         }
         let current = self.current_block.as_ref()?;
@@ -382,7 +391,7 @@ impl SmartExp3 {
     /// Drop-triggered reset of §V: a sustained ≥15 % decline on the most-used
     /// network while connected to it.
     fn drop_reset_triggered(&mut self, observation: &Observation) -> bool {
-        if !self.config.features.reset {
+        if !self.variant.resets() {
             return false;
         }
         let Some(most_used) = self.stats_table.most_used() else {
@@ -413,19 +422,8 @@ impl Policy for SmartExp3 {
         Some(crate::PolicyState::SmartExp3(Box::new(self.clone())))
     }
 
-    fn name(&self) -> &'static str {
-        match (
-            self.config.features.initial_exploration,
-            self.config.features.greedy,
-            self.config.features.switch_back,
-            self.config.features.reset,
-        ) {
-            (_, _, true, true) => "Smart EXP3",
-            (_, _, true, false) => "Smart EXP3 w/o Reset",
-            (_, true, false, _) => "Hybrid Block EXP3",
-            (false, false, false, false) => "Block EXP3",
-            _ => "Smart EXP3 (custom)",
-        }
+    fn kind(&self) -> PolicyKind {
+        self.variant.kind()
     }
 
     fn choose(&mut self, _slot: SlotIndex, rng: &mut dyn RngCore) -> NetworkId {
@@ -544,11 +542,10 @@ impl Policy for SmartExp3 {
             self.needs_decision = true;
         }
 
-        if self.config.features.reset && (!newly_discovered.is_empty() || removed_high_probability)
-        {
+        if self.variant.resets() && (!newly_discovered.is_empty() || removed_high_probability) {
             self.do_reset();
             self.needs_decision = true;
-        } else if self.config.features.initial_exploration && !newly_discovered.is_empty() {
+        } else if self.variant.explores() && !newly_discovered.is_empty() {
             // Without the reset mechanism, still queue new networks for a
             // one-block visit so they are not ignored forever.
             self.explore_queue.extend(newly_discovered);
@@ -561,9 +558,8 @@ impl Policy for SmartExp3 {
         self.weights.arms().iter().copied().zip(probs).collect()
     }
 
-    fn top_probabilities_into(&self, k: usize, out: &mut Vec<(NetworkId, f64)>) {
-        self.weights
-            .top_probabilities_into(self.current_gamma(), k, out);
+    fn top_choice(&self) -> Option<(NetworkId, f64)> {
+        self.weights.top_choice(self.current_gamma())
     }
 
     fn stats(&self) -> PolicyStats {
@@ -612,11 +608,8 @@ mod tests {
     /// contract.
     #[test]
     fn alias_sampler_decisions_are_pinned() {
-        let config = SmartExp3Config {
-            sampler: crate::SamplerStrategy::Alias,
-            ..SmartExp3Config::default()
-        };
-        let mut policy = SmartExp3::new(nets(8), config).unwrap();
+        let mut policy =
+            SmartExp3::new(nets(8), SmartExp3Variant::SmartExp3, SamplerStrategy::Alias).unwrap();
         let mut rng = StdRng::seed_from_u64(2026);
         let mut sequence = Vec::new();
         for slot in 0..24 {
@@ -672,7 +665,7 @@ mod tests {
         let mut smart = SmartExp3::with_defaults(nets(3)).unwrap();
         run_static(&mut smart, NetworkId(2), 0.9, 0.2, slots, 7);
 
-        let mut exp3 = crate::Exp3::new(nets(3), crate::Exp3Config::default()).unwrap();
+        let mut exp3 = crate::Exp3::new(nets(3), SamplerStrategy::Linear).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         for t in 0..slots {
             let chosen = exp3.choose(t, &mut rng);
@@ -711,7 +704,8 @@ mod tests {
     fn block_lengths_grow_over_time() {
         let mut policy = SmartExp3::new(
             nets(3),
-            SmartExp3Config::with_features(SmartExp3Features::smart_exp3_without_reset()),
+            SmartExp3Variant::SmartExp3WithoutReset,
+            SamplerStrategy::Linear,
         )
         .unwrap();
         run_static(&mut policy, NetworkId(0), 0.9, 0.1, 800, 3);
@@ -726,7 +720,8 @@ mod tests {
         // switch-back to network 0 on the following decision.
         let mut policy = SmartExp3::new(
             nets(2),
-            SmartExp3Config::with_features(SmartExp3Features::smart_exp3_without_reset()),
+            SmartExp3Variant::SmartExp3WithoutReset,
+            SamplerStrategy::Linear,
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(12);
@@ -798,7 +793,8 @@ mod tests {
     fn without_reset_feature_no_reset_ever_happens() {
         let mut policy = SmartExp3::new(
             nets(3),
-            SmartExp3Config::with_features(SmartExp3Features::smart_exp3_without_reset()),
+            SmartExp3Variant::SmartExp3WithoutReset,
+            SamplerStrategy::Linear,
         )
         .unwrap();
         run_static(&mut policy, NetworkId(2), 0.95, 0.05, 4000, 5);
@@ -931,7 +927,8 @@ mod tests {
     fn block_exp3_variant_never_uses_greedy_or_switch_back() {
         let mut policy = SmartExp3::new(
             nets(3),
-            SmartExp3Config::with_features(SmartExp3Features::block_exp3()),
+            SmartExp3Variant::BlockExp3,
+            SamplerStrategy::Linear,
         )
         .unwrap();
         run_static(&mut policy, NetworkId(0), 0.9, 0.1, 1000, 2);
@@ -940,36 +937,38 @@ mod tests {
         assert_eq!(stats.switch_backs, 0);
         assert_eq!(stats.resets, 0);
         assert_eq!(stats.explorations, 0);
-        assert_eq!(policy.name(), "Block EXP3");
+        assert_eq!(policy.kind(), PolicyKind::BlockExp3);
     }
 
     #[test]
     fn hybrid_variant_uses_greedy_but_not_switch_back() {
         let mut policy = SmartExp3::new(
             nets(3),
-            SmartExp3Config::with_features(SmartExp3Features::hybrid_block_exp3()),
+            SmartExp3Variant::HybridBlockExp3,
+            SamplerStrategy::Linear,
         )
         .unwrap();
         run_static(&mut policy, NetworkId(0), 0.9, 0.1, 1000, 2);
         let stats = policy.stats();
         assert!(stats.greedy_selections > 0);
         assert_eq!(stats.switch_backs, 0);
-        assert_eq!(policy.name(), "Hybrid Block EXP3");
+        assert_eq!(policy.kind(), PolicyKind::HybridBlockExp3);
     }
 
     #[test]
     fn variant_names_are_distinct() {
         let names: Vec<&str> = [
-            SmartExp3Features::block_exp3(),
-            SmartExp3Features::hybrid_block_exp3(),
-            SmartExp3Features::smart_exp3_without_reset(),
-            SmartExp3Features::smart_exp3(),
+            SmartExp3Variant::BlockExp3,
+            SmartExp3Variant::HybridBlockExp3,
+            SmartExp3Variant::SmartExp3WithoutReset,
+            SmartExp3Variant::SmartExp3,
         ]
         .into_iter()
-        .map(|f| {
-            SmartExp3::new(nets(2), SmartExp3Config::with_features(f))
+        .map(|v| {
+            SmartExp3::new(nets(2), v, SamplerStrategy::Linear)
                 .unwrap()
-                .name()
+                .kind()
+                .label()
         })
         .collect();
         let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();

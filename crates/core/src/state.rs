@@ -11,16 +11,18 @@
 //! a shared [`CentralizedCoordinator`](crate::CentralizedCoordinator), not in
 //! the per-device policy, so it cannot be captured per session.
 
-use crate::{Exp3, FixedRandom, FullInformation, Greedy, Policy, PolicyKind, SmartExp3};
+use crate::{Exp3, FixedRandom, FullInformation, Greedy, Policy, SmartExp3};
 use serde::{Deserialize, Serialize};
 
 /// The full learning state of one distributed policy instance.
 ///
 /// Obtained from [`Policy::state`](crate::Policy::state); restored with
-/// [`into_policy`](PolicyState::into_policy). The Smart EXP3 ablation
-/// variants (Block EXP3, Hybrid Block EXP3, Smart EXP3 w/o Reset) are all
-/// [`SmartExp3`] instances with different feature sets, so they round-trip
-/// through the [`PolicyState::SmartExp3`] variant.
+/// [`into_policy`](PolicyState::into_policy). The Smart EXP3 ablations
+/// (Block EXP3, Hybrid Block EXP3, Smart EXP3 w/o Reset) are all
+/// [`SmartExp3`] instances, each holding its
+/// [`SmartExp3Variant`](crate::SmartExp3Variant), so they round-trip through
+/// the [`PolicyState::SmartExp3`] variant and keep their
+/// [`kind`](Policy::kind).
 ///
 /// The variants carry *concrete* policy values, which is what lets the fleet
 /// engine route a restored [`PolicyState::Exp3`] / [`PolicyState::SmartExp3`]
@@ -30,7 +32,7 @@ use serde::{Deserialize, Serialize};
 pub enum PolicyState {
     /// Slot-level EXP3.
     Exp3(Box<Exp3>),
-    /// Smart EXP3 (any feature combination, including the ablations).
+    /// Smart EXP3 (any Table III variant).
     SmartExp3(Box<SmartExp3>),
     /// The greedy baseline.
     Greedy(Box<Greedy>),
@@ -52,29 +54,12 @@ impl PolicyState {
             PolicyState::FullInformation(p) => p,
         }
     }
-
-    /// The [`PolicyKind`] family this state belongs to.
-    ///
-    /// Smart EXP3 feature ablations cannot be distinguished from the state
-    /// alone, so every [`SmartExp3`] state reports [`PolicyKind::SmartExp3`];
-    /// callers that need the exact ablation should store the kind alongside
-    /// the state (as the fleet engine does).
-    #[must_use]
-    pub fn kind(&self) -> PolicyKind {
-        match self {
-            PolicyState::Exp3(_) => PolicyKind::Exp3,
-            PolicyState::SmartExp3(_) => PolicyKind::SmartExp3,
-            PolicyState::Greedy(_) => PolicyKind::Greedy,
-            PolicyState::FixedRandom(_) => PolicyKind::FixedRandom,
-            PolicyState::FullInformation(_) => PolicyKind::FullInformation,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NetworkId, Observation, PolicyFactory};
+    use crate::{NetworkId, Observation, PolicyFactory, PolicyKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

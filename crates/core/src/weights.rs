@@ -564,35 +564,21 @@ impl WeightTable {
             .collect()
     }
 
-    /// Bounded top-`k` `(arm, probability)` selection over the cached
-    /// exponentials, highest probability first: fills `out` (cleared first,
-    /// capacity reused) with at most `k` pairs without materialising the full
-    /// O(K) listing — an O(K·k) insertion-select, so dense-world readers that
-    /// only consume the top choice pay O(K) instead of O(K) + an O(K)
-    /// allocation-sized copy.
+    /// The most probable arm and its probability, in one pass over the
+    /// cached exponentials without materialising the O(K) listing; `None`
+    /// when the table is empty.
     ///
     /// Ties break towards the **later-inserted** arm (the opposite of
     /// [`summary`](Self::summary)), matching what a reader gets from scanning
     /// the full [`probabilities`](Self::probabilities) listing, paired with
-    /// [`arms`](Self::arms), with `Iterator::max_by` — the historical engine
-    /// idiom this method replaces. Comparisons use `f64::total_cmp`.
-    pub fn top_probabilities_into(&self, gamma: f64, k: usize, out: &mut Vec<(NetworkId, f64)>) {
-        out.clear();
-        if k == 0 {
-            return;
-        }
-        for (i, &arm) in self.arms.iter().enumerate() {
-            let p = self.probability_at(i, gamma);
-            if out.len() == k && out[k - 1].1.total_cmp(&p).is_gt() {
-                continue;
-            }
-            let pos = out
-                .iter()
-                .position(|&(_, q)| q.total_cmp(&p).is_le())
-                .unwrap_or(out.len());
-            out.insert(pos, (arm, p));
-            out.truncate(k);
-        }
+    /// [`arms`](Self::arms), with `Iterator::max_by(f64::total_cmp)`.
+    #[must_use]
+    pub fn top_choice(&self, gamma: f64) -> Option<(NetworkId, f64)> {
+        self.arms
+            .iter()
+            .enumerate()
+            .map(|(i, &arm)| (arm, self.probability_at(i, gamma)))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 
     /// Probability of a specific arm under the EXP3 rule, in O(log k) (an
@@ -1060,21 +1046,7 @@ mod tests {
                 // The engine's historical idiom: scan the full listing, last
                 // maximal element wins ties.
                 let expected_top = pairs.iter().copied().max_by(|a, b| a.1.total_cmp(&b.1));
-                let mut top = Vec::new();
-                table.top_probabilities_into(gamma, 1, &mut top);
-                assert_eq!(top.first().copied(), expected_top);
-
-                // Full-width selection must be a descending permutation of
-                // the listing; k = 0 must yield nothing.
-                table.top_probabilities_into(gamma, 17, &mut top);
-                assert_eq!(top.len(), 17);
-                let mut sorted = pairs.clone();
-                sorted.sort_by(|a, b| b.1.total_cmp(&a.1));
-                for (got, want) in top.iter().zip(&sorted) {
-                    assert_eq!(got.1.to_bits(), want.1.to_bits());
-                }
-                table.top_probabilities_into(gamma, 0, &mut top);
-                assert!(top.is_empty());
+                assert_eq!(table.top_choice(gamma), expected_top);
                 let _ = table.sample(gamma, &mut rng);
             }
         }
@@ -1082,17 +1054,12 @@ mod tests {
 
     #[test]
     fn top_probabilities_tie_towards_the_later_arm() {
-        // A fresh table is exactly uniform: every arm ties, so the selected
-        // top-1 must be the *last* arm (engine `max_by` semantics), and the
-        // top-3 must come back in reverse insertion order.
+        // A fresh table is exactly uniform: every arm ties, so the top
+        // choice must be the *last* arm (engine `max_by` semantics).
         let table = WeightTable::uniform(&arms(5));
-        let mut top = Vec::new();
-        table.top_probabilities_into(0.1, 1, &mut top);
-        assert_eq!(top[0].0, NetworkId(4));
-        table.top_probabilities_into(0.1, 3, &mut top);
         assert_eq!(
-            top.iter().map(|&(a, _)| a).collect::<Vec<_>>(),
-            vec![NetworkId(4), NetworkId(3), NetworkId(2)]
+            table.top_choice(0.1).map(|(arm, _)| arm),
+            Some(NetworkId(4))
         );
     }
 
@@ -1512,37 +1479,26 @@ mod tests {
         assert!(table.dirty.is_empty());
     }
 
-    /// `top_probabilities_into` edge cases: `k = 0`, `k ≥ K`, a single-arm
-    /// table, and the all-equal tie contract (reverse insertion order).
+    /// `top_choice` edge cases: a single-arm table, a weighted table and
+    /// the all-equal tie contract (the last arm).
     #[test]
     fn top_probabilities_edge_cases() {
-        let mut top = vec![(NetworkId(99), 0.5)];
         // K = 1: the lone arm carries the entire distribution, for any γ.
         let single = WeightTable::uniform(&arms(1));
-        single.top_probabilities_into(0.3, 1, &mut top);
-        assert_eq!(top.len(), 1);
-        assert_eq!(top[0].0, NetworkId(0));
-        assert!((top[0].1 - 1.0).abs() < 1e-12);
-        // k ≥ K yields every arm exactly once, never more.
-        single.top_probabilities_into(0.3, 9, &mut top);
-        assert_eq!(top.len(), 1);
-        // k = 0 clears the buffer even on a weighted multi-arm table.
+        let (arm, p) = single.top_choice(0.3).unwrap();
+        assert_eq!(arm, NetworkId(0));
+        assert!((p - 1.0).abs() < 1e-12);
         let mut weighted = WeightTable::uniform(&arms(6));
         weighted.multiplicative_update(NetworkId(2), 0.3, 8.0);
-        weighted.top_probabilities_into(0.1, 0, &mut top);
-        assert!(top.is_empty());
-        // k > K on a weighted table: a full descending permutation.
-        weighted.top_probabilities_into(0.1, 10, &mut top);
-        assert_eq!(top.len(), 6);
-        assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
-        assert_eq!(top[0].0, NetworkId(2));
-        // All-equal weights tie towards the later-inserted arm, so the
-        // selection is exactly reverse insertion order at full width.
-        let uniform = WeightTable::uniform(&arms(4));
-        uniform.top_probabilities_into(0.2, 4, &mut top);
         assert_eq!(
-            top.iter().map(|&(a, _)| a).collect::<Vec<_>>(),
-            vec![NetworkId(3), NetworkId(2), NetworkId(1), NetworkId(0)]
+            weighted.top_choice(0.1).map(|(arm, _)| arm),
+            Some(NetworkId(2))
+        );
+        // All-equal weights tie towards the later-inserted arm.
+        let uniform = WeightTable::uniform(&arms(4));
+        assert_eq!(
+            uniform.top_choice(0.2).map(|(arm, _)| arm),
+            Some(NetworkId(3))
         );
     }
 

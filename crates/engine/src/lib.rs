@@ -18,7 +18,9 @@
 //! Lane routing is a storage decision only: each session keeps its private
 //! RNG stream and runs the same policy code, so a lane fleet is
 //! **bit-identical** to the same sessions added one by one as boxes — same
-//! decisions, same snapshot bytes, at any thread count.
+//! decisions, same snapshot bytes, at any thread count. A session's kind, on
+//! any lane, is its policy's [`Policy::kind`]: the engine keeps no label of
+//! its own.
 //!
 //! ## Seeding model
 //!
@@ -59,11 +61,12 @@
 //! for is checked where it is read (each weight table's weights against its
 //! normalisers and overlay) and on restore (the wake queue, and against an
 //! environment its session count); either way a refused text is a typed
-//! [`SnapshotError`]. A policy config holds only what a caller sets (Smart
-//! EXP3's features and the sampler), so it has no range to check.
-//! [`FleetEngine::to_json`] / [`FleetEngine::from_json`] wrap that in a
-//! stable text format, written and read without an intermediate document
-//! tree.
+//! [`SnapshotError`]. A session's kind is its policy's, so a session writes
+//! none; a Smart EXP3 policy writes its Table III variant and a weight table
+//! its sampler, and no policy writes a config, so nothing written has a
+//! range to check. [`FleetEngine::to_json`] / [`FleetEngine::from_json`]
+//! wrap that in a stable text format, written and read without an
+//! intermediate document tree.
 //!
 //! ```rust
 //! use smartexp3_core::{
@@ -233,7 +236,8 @@ pub fn session_rng(root_seed: u64, id: SessionId) -> StdRng {
 /// One hosted session: a policy plus its private RNG stream and gain record.
 ///
 /// It holds only what the engine cannot derive: the session's id is its
-/// index and its last choice lives in the engine's `last` mirror.
+/// index, its kind is its policy's and its last choice lives in the
+/// engine's `last` mirror.
 ///
 /// `P` is the policy storage: a concrete EXP3-family type on the
 /// monomorphized fleet lanes (the policy lives *inline* in the lane's `Vec`,
@@ -241,7 +245,6 @@ pub fn session_rng(root_seed: u64, id: SessionId) -> StdRng {
 /// lane. `Box<dyn Policy>` implements [`Policy`] by delegation, so every
 /// phase loop is written once, generically.
 struct LaneSession<P> {
-    kind: PolicyKind,
     policy: P,
     rng: StdRng,
     /// Slots observed, summed into [`KindMetrics::slots`].
@@ -365,9 +368,6 @@ macro_rules! for_each_lane_session {
 /// persists across slots, so steady-state stepping allocates nothing.
 #[derive(Debug, Default)]
 struct SlotScratch {
-    /// Recycled distribution read buffer (top-choice extraction for
-    /// environments whose recorders track stable states).
-    probabilities: Vec<(NetworkId, f64)>,
     /// Recycled shared-feedback digest buffer: cooperative environments copy
     /// the gossip digest a session can hear into this buffer during the
     /// observe phase, so delivering shared feedback allocates nothing in
@@ -495,7 +495,7 @@ impl std::error::Error for SnapshotError {}
 
 /// Snapshot format version written by this engine.
 ///
-/// A version-11 snapshot holds the engine configuration, every session's
+/// A version-12 snapshot holds the engine configuration, every session's
 /// policy state, RNG stream and gain record (two counters,
 /// [`SessionSnapshot::slots`] and [`SessionSnapshot::gain`]), the
 /// event-driven engine's wake queue ([`FleetSnapshot::wake_queue`]) and,
@@ -503,36 +503,28 @@ impl std::error::Error for SnapshotError {}
 /// stepped through ([`FleetSnapshot::environment`]) — everything a restored
 /// fleet needs to continue on the exact trajectory of the original. Each
 /// fact is written once: weight tables hold their canonical state (weights,
-/// running sums, and for [`SamplerStrategy::Alias`](smartexp3_core::SamplerStrategy)
-/// configs the dirty arms' frozen masses and the sampler counters), and
-/// reading one rebuilds its distribution cache and Vose table; a session's
-/// id is its index; EXP3 and Smart EXP3 count their decisions or blocks
-/// once, in `stats.blocks`, and write no γ, which is `b^{-1/3}` at that
-/// count; a policy config holds only what a caller sets (Smart EXP3's
-/// features and sampler, EXP3's sampler). Version-11 texts written with
-/// members since dropped (the policies' `decisions` or `block_index`,
-/// `current_gamma` and `last_kind`; Smart EXP3's config's
-/// `max_block_length`, `beta`, `gamma`, `switch_back_window`,
-/// `switch_back_majority`, `reset_probability_threshold`,
-/// `reset_block_length_threshold`, `reset_drop_fraction` and
-/// `reset_drop_slots`; EXP3's config's `gamma`; the full-information
-/// forecaster's `config`; a congestion-world device's `active_now`) still
-/// restore to the same fleet, because the reader skips members it does not
-/// know and those values are re-derived or are the paper's constants.
-/// A snapshot of any other version is rejected with
-/// [`SnapshotError::UnsupportedVersion`]; [`FleetEngine::from_json`] reads
+/// running sums, the sampler, and for
+/// [`SamplerStrategy::Alias`](smartexp3_core::SamplerStrategy) tables the
+/// dirty arms' frozen masses and the sampler counters), and reading one
+/// rebuilds its distribution cache and Vose table; a session's id is its
+/// index and its kind is its policy's, so a session writes neither; EXP3
+/// and Smart EXP3 count their decisions or blocks once, in `stats.blocks`,
+/// and write no γ, which is `b^{-1/3}` at that count; a Smart EXP3 policy
+/// writes its [`SmartExp3Variant`](smartexp3_core::SmartExp3Variant), and no
+/// policy writes a config. Version 11 wrote each session's kind and each
+/// EXP3-family policy's config (Smart EXP3's features and both policies'
+/// sampler, a second copy of the weight table's); a version-11 text is
+/// refused, like a snapshot of any other version, with
+/// [`SnapshotError::UnsupportedVersion`]. [`FleetEngine::from_json`] reads
 /// the version before the rest of the text, so an older text gets that
 /// error rather than a missing-field one.
-pub const SNAPSHOT_VERSION: u32 = 11;
+pub const SNAPSHOT_VERSION: u32 = 12;
 
 /// Checkpoint of one session. Its id is its index in
-/// [`FleetSnapshot::sessions`] and is not written.
+/// [`FleetSnapshot::sessions`] and its kind is its policy's
+/// [`kind`](Policy::kind), so neither is written.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionSnapshot {
-    /// Policy kind (kept alongside the state because the Smart EXP3 feature
-    /// ablations all share the [`PolicyState::SmartExp3`] variant, and
-    /// [`FleetEngine::add_session`] accepts any label for one).
-    pub kind: PolicyKind,
     /// Full policy learning state.
     pub policy: PolicyState,
     /// The session RNG stream's 256-bit internal state.
@@ -837,18 +829,12 @@ impl FleetEngine {
     /// Adds one session, with the next id (its index) and that id's RNG
     /// stream, to the lane `append` extends, and grows the last-choice
     /// mirror.
-    fn push_session<P>(
-        &mut self,
-        kind: PolicyKind,
-        policy: P,
-        append: fn(&mut Self, LaneSession<P>),
-    ) -> SessionId {
+    fn push_session<P>(&mut self, policy: P, append: fn(&mut Self, LaneSession<P>)) -> SessionId {
         let id = SessionId(self.len() as u64);
         let rng = session_rng(self.config.root_seed, id);
         append(
             self,
             LaneSession {
-                kind,
                 policy,
                 rng,
                 slots: 0,
@@ -887,11 +873,12 @@ impl FleetEngine {
     }
 
     /// Adds one session running `policy`, assigning it the next session id
-    /// and its private RNG stream. Individually added boxed policies always
-    /// run on the fallback lane; bulk EXP3-family adds through
+    /// and its private RNG stream; its kind is the policy's
+    /// [`kind`](Policy::kind). Individually added boxed policies always run
+    /// on the fallback lane; bulk EXP3-family adds through
     /// [`add_fleet`](Self::add_fleet) go to the monomorphized lanes.
-    pub fn add_session(&mut self, kind: PolicyKind, policy: Box<dyn Policy>) -> SessionId {
-        self.push_session(kind, policy, Self::append_boxed)
+    pub fn add_session(&mut self, policy: Box<dyn Policy>) -> SessionId {
+        self.push_session(policy, Self::append_boxed)
     }
 
     /// Bulk-adds `count` sessions of `kind` built by `factory` (via the
@@ -915,15 +902,15 @@ impl FleetEngine {
         Ok(match factory.build_fleet_concrete(kind, count)? {
             FleetPolicies::Exp3(policies) => policies
                 .into_iter()
-                .map(|policy| self.push_session(kind, policy, Self::append_exp3))
+                .map(|policy| self.push_session(policy, Self::append_exp3))
                 .collect(),
             FleetPolicies::SmartExp3(policies) => policies
                 .into_iter()
-                .map(|policy| self.push_session(kind, policy, Self::append_smart))
+                .map(|policy| self.push_session(policy, Self::append_smart))
                 .collect(),
             FleetPolicies::Boxed(policies) => policies
                 .into_iter()
-                .map(|policy| self.add_session(kind, policy))
+                .map(|policy| self.add_session(policy))
                 .collect(),
         })
     }
@@ -1228,16 +1215,7 @@ impl FleetEngine {
                                         .observe_shared(&scratch.shared, &mut session.rng);
                                 }
                                 if wants_tops {
-                                    // Bounded top-1 read: O(K) with no full
-                                    // listing write-out. Ties resolve to the
-                                    // later-listed arm, exactly as the
-                                    // full-listing `max_by` scan this
-                                    // replaces (see
-                                    // `Policy::top_probabilities_into`).
-                                    session
-                                        .policy
-                                        .top_probabilities_into(1, &mut scratch.probabilities);
-                                    tops[i] = scratch.probabilities.first().copied();
+                                    tops[i] = session.policy.top_choice();
                                 }
                             }
                         });
@@ -1314,7 +1292,9 @@ impl FleetEngine {
     /// The next timestamp the event engine would materialise: the earlier of
     /// the soonest pending session wake and the environment's next pushed
     /// event at or after the current slot. `None` when nothing remains
-    /// (empty fleet and an event-free environment).
+    /// (empty fleet and an event-free environment). `SlotIndex::MAX`, where
+    /// a saturated [`next_wake`](Environment::next_wake) parks a session,
+    /// counts as nothing remaining, so the clock never steps past it.
     fn next_timestamp(&self, env: &dyn Environment) -> Option<SlotIndex> {
         let wake = self.wakes.first_key_value().map(|(&t, _)| t);
         let event = env.next_env_event(self.slot);
@@ -1322,6 +1302,7 @@ impl FleetEngine {
             (Some(w), Some(e)) => Some(w.min(e)),
             (wake, event) => wake.or(event),
         }
+        .filter(|&t| t < SlotIndex::MAX)
     }
 
     /// Event-driven step: materialises the **next timestamp at which
@@ -1496,22 +1477,11 @@ impl FleetEngine {
         None
     }
 
-    /// The policy kind of session `index` (in session order).
+    /// The policy kind of session `index` (in session order): its policy's
+    /// [`kind`](Policy::kind).
     #[must_use]
     pub fn kind(&self, index: usize) -> Option<PolicyKind> {
-        let mut index = index;
-        for segment in &self.segments {
-            let n = segment.len();
-            if index < n {
-                return Some(match segment {
-                    LaneSegment::Exp3(lane) => lane[index].kind,
-                    LaneSegment::Smart(lane) => lane[index].kind,
-                    LaneSegment::Boxed(lane) => lane[index].kind,
-                });
-            }
-            index -= n;
-        }
-        None
+        self.policy(index).map(Policy::kind)
     }
 
     /// Fleet-wide cumulative sampler counters (alias-table rebuilds and
@@ -1542,10 +1512,11 @@ impl FleetEngine {
             let stats = session.policy.stats();
             switches += stats.switches;
             resets += stats.resets;
-            let entry = match per_kind.iter_mut().find(|(k, _)| *k == session.kind) {
+            let kind = session.policy.kind();
+            let entry = match per_kind.iter_mut().find(|(k, _)| *k == kind) {
                 Some((_, entry)) => entry,
                 None => {
-                    per_kind.push((session.kind, KindMetrics::default()));
+                    per_kind.push((kind, KindMetrics::default()));
                     &mut per_kind.last_mut().expect("just pushed").1
                 }
             };
@@ -1589,7 +1560,6 @@ impl FleetEngine {
                 let index = sessions.len();
                 match session.policy.state() {
                     Some(policy) => sessions.push(SessionSnapshot {
-                        kind: session.kind,
                         policy,
                         rng: session.rng.state(),
                         slots: session.slots,
@@ -1599,7 +1569,7 @@ impl FleetEngine {
                     None => {
                         failed = Some(SnapshotError::UnsupportedPolicy {
                             session: SessionId(index as u64),
-                            kind: session.kind,
+                            kind: session.policy.kind(),
                         });
                     }
                 }
@@ -1706,8 +1676,8 @@ impl FleetEngine {
     /// incompatible engine version, and [`SnapshotError::Malformed`] for a
     /// wake queue the engine cannot have written (see [`WakeEntry`]). A
     /// weight table whose fields disagree is refused earlier, as its text is
-    /// read ([`from_json`](Self::from_json)); a policy config holds nothing
-    /// that could be out of range.
+    /// read ([`from_json`](Self::from_json)); no policy writes a config, so
+    /// nothing else written can be out of range.
     pub fn from_snapshot(snapshot: FleetSnapshot) -> Result<Self, SnapshotError> {
         if snapshot.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(snapshot.version));
@@ -1721,26 +1691,22 @@ impl FleetEngine {
         engine.slot = snapshot.slot;
         engine.decisions = snapshot.decisions;
         for s in snapshot.sessions {
-            let (kind, rng) = (s.kind, StdRng::from_state(s.rng));
-            let (slots, gain) = (s.slots, s.gain);
+            let (rng, slots, gain) = (StdRng::from_state(s.rng), s.slots, s.gain);
             engine.last.push(s.last_choice);
             match s.policy {
                 PolicyState::Exp3(policy) => engine.append_exp3(LaneSession {
-                    kind,
                     policy: *policy,
                     rng,
                     slots,
                     gain,
                 }),
                 PolicyState::SmartExp3(policy) => engine.append_smart(LaneSession {
-                    kind,
                     policy: *policy,
                     rng,
                     slots,
                     gain,
                 }),
                 other => engine.append_boxed(LaneSession {
-                    kind,
                     policy: other.into_policy(),
                     rng,
                     slots,
@@ -1931,7 +1897,7 @@ mod tests {
         // diagnostic.
         let text = fleet.to_json().unwrap();
         let relabel =
-            |version: u32| text.replacen("\"version\":11", &format!("\"version\":{version}"), 1);
+            |version: u32| text.replacen("\"version\":12", &format!("\"version\":{version}"), 1);
         // A real version-9 text: each session carries a per-network `gains`
         // table instead of the two counters, and every stats table its
         // most-used cache. The version is read first, so the missing
@@ -1946,14 +1912,19 @@ mod tests {
                 "\"per_network\":[],\"most_used_cache\":null}",
             );
         assert_eq!(real_v9.matches("\"gains\":").count(), fleet.len());
-        for (version, old) in [(10, relabel(10)), (9, relabel(9)), (9, real_v9)] {
+        for (version, old) in [
+            (11, relabel(11)),
+            (10, relabel(10)),
+            (9, relabel(9)),
+            (9, real_v9),
+        ] {
             assert_ne!(old, text);
             match FleetEngine::from_json(&old) {
                 Err(error @ SnapshotError::UnsupportedVersion(v)) if v == version => assert_eq!(
                     error.to_string(),
                     format!(
                         "unsupported fleet snapshot format version {version} \
-                         (this engine writes version 11)"
+                         (this engine writes version 12)"
                     )
                 ),
                 other => panic!("expected UnsupportedVersion({version}), got {other:?}"),
@@ -1968,10 +1939,42 @@ mod tests {
         }
         // Bare texts of earlier versions lack most fields: an error, never
         // a restored fleet or a panic.
-        for version in 2u32..=10 {
+        for version in 2u32..=11 {
             let bare = format!("{{\"version\":{version},\"sessions\":[]}}");
             assert!(FleetEngine::from_json(&bare).is_err(), "version {version}");
         }
+    }
+
+    #[test]
+    fn every_session_kind_survives_a_round_trip_without_being_written() {
+        let kinds: Vec<PolicyKind> = PolicyKind::all()
+            .into_iter()
+            .filter(|&kind| kind != PolicyKind::Centralized)
+            .collect();
+        assert_eq!(kinds.len(), 8);
+        let mut factory = PolicyFactory::new(rates()).unwrap();
+        let mut fleet = FleetEngine::new(FleetConfig::with_root_seed(5).with_threads(1));
+        for &kind in &kinds {
+            fleet.add_fleet(&mut factory, kind, 1).unwrap();
+            fleet.add_session(factory.build(kind).unwrap());
+        }
+        fleet.run_env(&mut CadenceEnv::uniform(fleet.len()), 6);
+        let text = fleet.to_json().unwrap();
+        // Every `kind` member left in the text is a Smart EXP3 block's
+        // selection kind; no session writes one.
+        assert_eq!(
+            text.matches("\"kind\":").count(),
+            text.matches("\"accumulated_gain\":").count()
+        );
+        let restored = FleetEngine::from_json(&text).unwrap();
+        let expected: Vec<Option<PolicyKind>> =
+            kinds.iter().flat_map(|&kind| [Some(kind); 2]).collect();
+        for engine in [&fleet, &restored] {
+            let read: Vec<Option<PolicyKind>> = (0..engine.len()).map(|i| engine.kind(i)).collect();
+            assert_eq!(read, expected);
+        }
+        assert_eq!(restored.metrics().per_kind, fleet.metrics().per_kind);
+        assert_eq!(restored.metrics().per_kind.len(), 8);
     }
 
     #[test]
@@ -2193,124 +2196,6 @@ mod tests {
         }
         let text = original.to_json().unwrap();
         assert_eq!(restored.to_json().unwrap(), text);
-        // Texts written while `FleetConfig` still had its latency,
-        // feedback-partitioning and lane switches, and weight tables still
-        // had a Fenwick tree, carry those fields; restore ignores them
-        // (lanes off included) and the fleet round-trips bit-exactly.
-        let legacy = text
-            .replacen(
-                "\"threads\":2",
-                "\"threads\":2,\"partitioned_feedback\":true,\"fleet_lanes\":false,\
-                 \"wake_latency\":true",
-                1,
-            )
-            .replace("\"dirty\":", "\"tree\":[],\"dirty\":");
-        assert!(legacy.contains("\"fleet_lanes\":false"));
-        assert_eq!(
-            legacy.matches("\"tree\":[]").count(),
-            text.matches("\"dirty\":").count()
-        );
-        assert_eq!(
-            FleetEngine::from_json(&legacy).unwrap().to_json().unwrap(),
-            text
-        );
-        // Texts written while policies still stored γ, a second block or
-        // decision counter and their last selection kind, and while their
-        // configs carried a γ schedule and Smart EXP3's also β, a
-        // block-length cap and the switch-back and reset thresholds (each
-        // at the paper's value, which is now a constant), carry those
-        // members; restore re-derives γ and the counter from
-        // `stats.blocks`, and the fleet steps on bit-identically.
-        let floor = "\"gamma\":{\"InverseCubeRoot\":{\"floor\":0.001}}";
-        let snapshot: FleetSnapshot = serde_json::from_str(&text).unwrap();
-        let mut pieces = text.split("{\"kind\":");
-        let mut legacy = pieces.next().unwrap().to_string();
-        for (session, piece) in snapshot.sessions.iter().zip(pieces) {
-            let piece = match &session.policy {
-                PolicyState::SmartExp3(policy) => piece
-                    .replacen(
-                        "\"config\":{\"features\":",
-                        &format!("\"config\":{{\"beta\":0.1,{floor},\"features\":"),
-                        1,
-                    )
-                    .replacen(
-                        ",\"sampler\":",
-                        ",\"switch_back_window\":8,\"switch_back_majority\":0.5,\
-                         \"reset_probability_threshold\":0.75,\
-                         \"reset_block_length_threshold\":40,\"reset_drop_fraction\":0.15,\
-                         \"reset_drop_slots\":4,\"max_block_length\":null,\"sampler\":",
-                        1,
-                    )
-                    .replacen(
-                        "\"explore_queue\":",
-                        &format!(
-                            "\"block_index\":{},\"current_gamma\":{},\"explore_queue\":",
-                            policy.stats().blocks,
-                            serde_json::to_string(&policy.current_gamma()).unwrap()
-                        ),
-                        1,
-                    )
-                    .replacen(
-                        "\"stats\":{",
-                        "\"last_kind\":\"Continuation\",\"stats\":{",
-                        1,
-                    ),
-                PolicyState::Exp3(policy) => piece
-                    .replacen(
-                        "\"config\":{\"sampler\":",
-                        &format!("\"config\":{{{floor},\"sampler\":"),
-                        1,
-                    )
-                    .replacen(
-                        "\"current\":",
-                        &format!("\"decisions\":{},\"current\":", policy.stats().blocks),
-                        1,
-                    )
-                    .replacen(
-                        "\"stats\":{",
-                        &format!(
-                            "\"current_gamma\":{},\"last_kind\":\"Random\",\"stats\":{{",
-                            serde_json::to_string(&policy.current_gamma()).unwrap()
-                        ),
-                        1,
-                    ),
-                PolicyState::Greedy(_) => {
-                    piece.replacen("\"stats\":{", "\"last_kind\":\"Greedy\",\"stats\":{", 1)
-                }
-                other => panic!("no {} session in this fleet", other.kind()),
-            };
-            legacy.push_str("{\"kind\":");
-            legacy.push_str(&piece);
-        }
-        // 20 Smart EXP3, 10 EXP3 and 10 Greedy sessions; the fleet writes
-        // its own `decisions`.
-        for (member, count) in [
-            ("beta", 20),
-            ("floor", 20 + 10),
-            ("switch_back_window", 20),
-            ("switch_back_majority", 20),
-            ("reset_probability_threshold", 20),
-            ("reset_block_length_threshold", 20),
-            ("reset_drop_fraction", 20),
-            ("reset_drop_slots", 20),
-            ("max_block_length", 20),
-            ("block_index", 20),
-            ("decisions", 1 + 10),
-            ("current_gamma", 30),
-            ("last_kind", 40),
-        ] {
-            let found = legacy.matches(&format!("\"{member}\":")).count();
-            assert_eq!(found, count, "{member}");
-        }
-        let mut from_legacy = FleetEngine::from_json(&legacy).unwrap();
-        assert_eq!(from_legacy.to_json().unwrap(), text);
-        let mut legacy_env = CadenceEnv::new(40, vec![1, 3, 5], Vec::new());
-        for _ in 0..9 {
-            let expected = original.step_events(&mut env);
-            assert_eq!(from_legacy.step_events(&mut legacy_env), expected);
-            assert_eq!(from_legacy.last_choices(), original.last_choices());
-        }
-        assert_eq!(from_legacy.to_json().unwrap(), original.to_json().unwrap());
     }
 
     #[test]

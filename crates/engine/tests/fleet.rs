@@ -7,8 +7,8 @@ mod common;
 use common::{run_independent, single_area_congestion};
 use netsim::setting1_networks;
 use smartexp3_core::{
-    Environment, Exp3, Exp3Config, NetworkId, Observation, PolicyFactory, PolicyKind,
-    SamplerStrategy, SessionView, SlotIndex,
+    Environment, Exp3, NetworkId, Observation, PolicyFactory, PolicyKind, SamplerStrategy,
+    SessionView, SlotIndex,
 };
 use smartexp3_engine::{FleetConfig, FleetEngine, SnapshotError};
 
@@ -140,11 +140,10 @@ fn edit_first_list(text: &str, field: &str, edit: impl Fn(&str) -> String) -> St
 fn restore_rejects_weight_tables_that_disagree_with_their_arms() {
     let networks: Vec<NetworkId> = rates().iter().map(|&(n, _)| n).collect();
     for sampler in [SamplerStrategy::Linear, SamplerStrategy::Alias] {
-        let config = Exp3Config { sampler };
         let mut fleet = FleetEngine::new(FleetConfig::with_root_seed(17));
         for _ in 0..2 {
-            let policy = Exp3::new(networks.clone(), config).unwrap();
-            fleet.add_session(PolicyKind::Exp3, Box::new(policy));
+            let policy = Exp3::new(networks.clone(), sampler).unwrap();
+            fleet.add_session(Box::new(policy));
         }
         run_independent(&mut fleet, 5);
         let text = fleet.to_json().unwrap();
@@ -197,12 +196,9 @@ fn restore_rejects_weight_tables_that_disagree_with_their_arms() {
 
 #[test]
 fn restore_rejects_an_overlay_mass_that_disagrees_with_the_dirty_arms() {
-    let config = Exp3Config {
-        sampler: SamplerStrategy::Alias,
-    };
     let mut fleet = FleetEngine::new(FleetConfig::with_root_seed(23));
-    let policy = Exp3::new((0..16).map(NetworkId).collect(), config).unwrap();
-    fleet.add_session(PolicyKind::Exp3, Box::new(policy));
+    let policy = Exp3::new((0..16).map(NetworkId).collect(), SamplerStrategy::Alias).unwrap();
+    fleet.add_session(Box::new(policy));
     run_independent(&mut fleet, 3);
     let text = fleet.to_json().unwrap();
     assert_eq!(

@@ -57,7 +57,7 @@ fn add_mixed_wave(fleet: &mut FleetEngine, factory: &mut PolicyFactory, scale: u
 fn add_boxed_wave(fleet: &mut FleetEngine, factory: &mut PolicyFactory, scale: usize) {
     for (kind, count) in mixed_wave(scale) {
         for _ in 0..count {
-            fleet.add_session(kind, factory.build(kind).unwrap());
+            fleet.add_session(factory.build(kind).unwrap());
         }
     }
 }
@@ -98,9 +98,9 @@ fn mixed_lane_fleets_match_all_boxed_fleets_under_churn_and_restore() {
     // Direct single-session adds land on the boxed fallback lane in both.
     for _ in 0..3 {
         let policy = factory.build(PolicyKind::Greedy).unwrap();
-        lanes.add_session(PolicyKind::Greedy, policy);
+        lanes.add_session(policy);
         let policy = factory.build(PolicyKind::Greedy).unwrap();
-        boxed.add_session(PolicyKind::Greedy, policy);
+        boxed.add_session(policy);
     }
     assert_eq!(lanes.len(), boxed.len());
 

@@ -430,6 +430,66 @@ fn mid_queue_snapshots_restore_the_event_schedule_bit_exactly() {
     assert_eq!(resumed.environment.state(), expected_env);
 }
 
+/// A cadence of `usize::MAX` used to overflow the default `next_wake`: a
+/// debug build panicked on the second event step, and a release build
+/// wrapped and woke sessions every slot. The wake now saturates, so each
+/// session decides at its first wake and never again.
+#[test]
+fn a_saturating_wake_cadence_decides_once() {
+    let build = || {
+        let duty = DutyCycleConfig {
+            cadences: vec![usize::MAX],
+            burst_period: 0,
+            horizon_slots: 0,
+            sampler: SamplerStrategy::Linear,
+        };
+        let config = FleetConfig::with_root_seed(1).with_threads(1);
+        duty_cycle(4, PolicyKind::SmartExp3, config, duty).unwrap()
+    };
+    let mut stepped = build();
+    for slot in 0..4 {
+        assert_eq!(
+            stepped.fleet.step_events(stepped.environment.as_mut()),
+            Some(slot)
+        );
+    }
+    assert_eq!(
+        stepped.fleet.step_events(stepped.environment.as_mut()),
+        None
+    );
+    assert_eq!(stepped.fleet.metrics().decisions, 4);
+    for session in 0..4 {
+        assert_eq!(stepped.fleet.policy(session).unwrap().stats().blocks, 1);
+    }
+
+    // The parked wakes round-trip through a checkpoint.
+    let snapshot = stepped
+        .fleet
+        .snapshot_env(stepped.environment.as_ref())
+        .unwrap();
+    let queue = snapshot.wake_queue.as_ref().expect("queue primed");
+    assert!(queue.iter().all(|entry| entry.wake == SlotIndex::MAX));
+    let text = snapshot.to_json().unwrap();
+    let mut resumed = build();
+    resumed.fleet = FleetEngine::from_snapshot_env(snapshot, resumed.environment.as_mut()).unwrap();
+    let resumed_text = resumed
+        .fleet
+        .snapshot_env(resumed.environment.as_ref())
+        .unwrap()
+        .to_json()
+        .unwrap();
+    assert_eq!(resumed_text, text);
+    assert_eq!(
+        resumed.fleet.step_events(resumed.environment.as_mut()),
+        None
+    );
+
+    let mut fresh = build();
+    fresh.fleet.run_until(fresh.environment.as_mut(), 50);
+    assert_eq!(fresh.fleet.metrics().decisions, 4);
+    assert_eq!(fresh.fleet.last_choices(), stepped.fleet.last_choices());
+}
+
 #[test]
 fn malformed_wake_queues_are_rejected_on_restore() {
     // A restored queue must hold exactly one entry per session, none due
@@ -916,8 +976,8 @@ impl DeterministicBest {
 }
 
 impl Policy for DeterministicBest {
-    fn name(&self) -> &'static str {
-        "Deterministic Best"
+    fn kind(&self) -> PolicyKind {
+        PolicyKind::Greedy
     }
 
     fn choose(&mut self, _slot: SlotIndex, _rng: &mut dyn RngCore) -> NetworkId {
@@ -1042,10 +1102,7 @@ fn figure1_world_with_deterministic_policies_is_pinned() {
             profile = profile.moving_to(slot, destination);
         }
         profiles.push(profile);
-        fleet.add_session(
-            PolicyKind::Greedy,
-            Box::new(DeterministicBest::new(topology.networks_in(area))),
-        );
+        fleet.add_session(Box::new(DeterministicBest::new(topology.networks_in(area))));
     }
     let mut env = CongestionEnvironment::new(
         figure1_networks(),
@@ -1063,7 +1120,11 @@ fn figure1_world_with_deterministic_policies_is_pinned() {
     let outcomes = (0..fleet.len())
         .map(|index| {
             let policy = fleet.policy(index).expect("session exists");
-            env.outcome(index, policy.name().to_string(), policy.stats().resets)
+            env.outcome(
+                index,
+                policy.kind().label().to_string(),
+                policy.stats().resets,
+            )
         })
         .collect();
     let result = env.into_result(outcomes).expect("recorder attached");

@@ -42,7 +42,11 @@ fn run_world(
     let outcomes = (0..fleet.len())
         .map(|index| {
             let policy = fleet.policy(index).expect("session exists");
-            env.outcome(index, policy.name().to_string(), policy.stats().resets)
+            env.outcome(
+                index,
+                policy.kind().label().to_string(),
+                policy.stats().resets,
+            )
         })
         .collect();
     env.into_result(outcomes).expect("recorder attached")

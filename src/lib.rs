@@ -91,7 +91,7 @@ pub use congestion_game::{nash_allocation, ResourceSelectionGame};
 pub use netsim::{RunResult, SimulationConfig};
 pub use smartexp3_core::{
     Exp3, Greedy, NetworkId, Observation, Policy, PolicyFactory, PolicyKind, SmartExp3,
-    SmartExp3Config, SmartExp3Features,
+    SmartExp3Variant,
 };
 pub use smartexp3_engine::{FleetConfig, FleetEngine, FleetMetrics, SessionId};
 

@@ -10,8 +10,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smartexp3::core::{
-    block_length, probability_of, Exp3, Exp3Config, NetworkId, Observation, Policy,
-    SamplerStrategy, SharedFeedback, SmartExp3, SmartExp3Config, WeightTable,
+    block_length, probability_of, Exp3, NetworkId, Observation, Policy, SamplerStrategy,
+    SharedFeedback, SmartExp3, WeightTable,
 };
 use smartexp3::game::{
     distance_to_nash, is_nash_allocation, jain_index, nash_allocation, standard_deviation,
@@ -252,8 +252,8 @@ fn shared_feedback_never_poisons_the_distribution() {
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(12_000 + case);
         let arms = uniform_usize(&mut rng, 2, 6);
-        let mut exp3 = Exp3::new(network_ids(arms), Exp3Config::default()).unwrap();
-        let mut smart = SmartExp3::new(network_ids(arms), SmartExp3Config::default()).unwrap();
+        let mut exp3 = Exp3::new(network_ids(arms), SamplerStrategy::Linear).unwrap();
+        let mut smart = SmartExp3::with_defaults(network_ids(arms)).unwrap();
         let mut digest = SharedFeedback::new(uniform(&mut rng, 0.0, 0.9));
         for slot in 0..200 {
             // One ordinary slot for both policies (keeps γ schedules moving).
@@ -408,7 +408,7 @@ fn smart_exp3_probabilities_stay_normalised_under_arbitrary_gains() {
         let mut rng = StdRng::seed_from_u64(6000 + case);
         let networks = uniform_usize(&mut rng, 2, 6);
         let slots = uniform_usize(&mut rng, 30, 120);
-        let mut policy = SmartExp3::new(network_ids(networks), SmartExp3Config::default()).unwrap();
+        let mut policy = SmartExp3::with_defaults(network_ids(networks)).unwrap();
         for slot in 0..slots {
             let gain = rng.gen::<f64>();
             let chosen = policy.choose(slot, &mut rng);
@@ -434,7 +434,7 @@ fn exp3_never_chooses_an_unavailable_network() {
         let networks = uniform_usize(&mut rng, 2, 6);
         let slots = uniform_usize(&mut rng, 10, 80);
         let arms = network_ids(networks);
-        let mut policy = Exp3::new(arms.clone(), Exp3Config::default()).unwrap();
+        let mut policy = Exp3::new(arms.clone(), SamplerStrategy::Linear).unwrap();
         for slot in 0..slots {
             let chosen = policy.choose(slot, &mut rng);
             assert!(arms.contains(&chosen), "case {case}");
@@ -459,7 +459,7 @@ fn smart_exp3_switches_stay_below_theorem2_for_random_environments() {
         let mut rng = StdRng::seed_from_u64(8000 + case);
         let best = uniform_usize(&mut rng, 0, 3) as u32;
         let slots = 400usize;
-        let mut policy = SmartExp3::new(network_ids(3), SmartExp3Config::default()).unwrap();
+        let mut policy = SmartExp3::with_defaults(network_ids(3)).unwrap();
         for slot in 0..slots {
             let chosen = policy.choose(slot, &mut rng);
             let gain = if chosen == NetworkId(best) {
